@@ -51,16 +51,28 @@ from .bounds import (
     swap_excess_upper_general,
     weighted_geometric_sum,
 )
-from .oracle import (
-    BruteForceResult,
-    CheckStats,
-    SimulationResult,
-    VerificationConfig,
-    VerificationReport,
-    brute_force_best_order,
-    simulate,
-    verify_bounds_random,
-)
+
+# The oracles need numpy; load them on first use so that importing the
+# package, or running a CLI command that never calls them, does not.
+_ORACLE_NAMES = frozenset({
+    "BruteForceResult",
+    "CheckStats",
+    "SimulationResult",
+    "VerificationConfig",
+    "VerificationReport",
+    "brute_force_best_order",
+    "simulate",
+    "verify_bounds_random",
+})
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

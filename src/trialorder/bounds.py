@@ -29,9 +29,7 @@ from .model import (
     Ordering,
     Violation,
     _check_compatible,
-    mean_time,
     prefix_aggregates,
-    ratio,
 )
 from .excess import require_valid_swap
 
@@ -145,17 +143,16 @@ def weighted_geometric_sum(r: float, n: int) -> float:
 
 def _band_violations(cset: CandidateSet, a: BoundAssumptions) -> list[Violation]:
     out = []
-    for c in cset:
-        if not a.c <= c.p <= a.d:
+    for c, p in zip(cset, cset.ps):
+        if not a.c <= p <= a.d:
             out.append(Violation(f"candidate {c.id!r}", "p",
-                                 f"probability {c.p} outside [{a.c}, {a.d}]"))
+                                 f"probability {p} outside [{a.c}, {a.d}]"))
     return out
 
 
 def _time_violations(cset: CandidateSet, a: BoundAssumptions, check_min: bool) -> list[Violation]:
     out = []
-    for c in cset:
-        mt = mean_time(c)
+    for c, mt in zip(cset, cset.ts):
         if mt > a.t_max:
             out.append(Violation(f"candidate {c.id!r}", "times",
                                  f"mean time {mt} above t_max={a.t_max}"))
@@ -166,8 +163,7 @@ def _time_violations(cset: CandidateSet, a: BoundAssumptions, check_min: bool) -
 
 
 def _equal_time_violations(cset: CandidateSet) -> list[Violation]:
-    mts = [mean_time(c) for c in cset]
-    lo, hi = min(mts), max(mts)
+    lo, hi = min(cset.ts), max(cset.ts)
     if hi - lo > EQUAL_T_REL_TOL * max(1.0, abs(hi)):
         return [Violation("set", "times",
                           f"mean times are not all equal (range {lo}..{hi})")]
@@ -211,15 +207,16 @@ def adjacent_excess_bounds(cset: CandidateSet, ordering: Ordering, k: int) -> Bo
     """
     _check_compatible(cset, ordering)
     require_valid_swap(cset.N, k, 1)
-    a = cset[ordering[k - 1]]
-    b = cset[ordering[k]]
-    delta = ratio(a) - ratio(b)
+    ps, ts = cset.ps, cset.ts
+    a, b = ordering[k - 1], ordering[k]
+    ra, rb = ps[a] / ts[a], ps[b] / ts[b]
+    delta = ra - rb
     violations: list[Violation] = []
     if delta < 0.0:
         violations.append(Violation(f"positions {k},{k + 1}", "ratio",
-                                    f"ratio at k ({ratio(a)}) below ratio at k+1 ({ratio(b)})"))
-    prefix_ps = [cset[ordering[m]].p for m in range(k - 1)]
-    scale = delta * mean_time(a) * mean_time(b)
+                                    f"ratio at k ({ra}) below ratio at k+1 ({rb})"))
+    prefix_ps = [ps[idx] for idx in ordering.perm[:k - 1]]
+    scale = delta * ts[a] * ts[b]
     upper = scale * product_upper_bound_kn(prefix_ps)
     if k >= 3:
         lower = scale * product_lower_bound_wu(prefix_ps)
@@ -230,9 +227,8 @@ def adjacent_excess_bounds(cset: CandidateSet, ordering: Ordering, k: int) -> Bo
 
 
 def _swap_endpoints(cset: CandidateSet, ordering: Ordering, k: int, n: int):
-    ck = cset[ordering[k - 1]]
-    ckn = cset[ordering[k + n - 1]]
-    return ck.p, ckn.p, mean_time(ck), mean_time(ckn)
+    i, j = ordering[k - 1], ordering[k + n - 1]
+    return cset.ps[i], cset.ps[j], cset.ts[i], cset.ts[j]
 
 
 def swap_excess_upper_general(
@@ -333,7 +329,7 @@ def _common_mean_time(cset: CandidateSet) -> float:
     problems = _equal_time_violations(cset)
     if problems:
         raise AssumptionError(str(problems[0]))
-    return math.fsum(mean_time(c) for c in cset) / cset.N
+    return math.fsum(cset.ts) / cset.N
 
 
 def swap_excess_upper_equal_t(

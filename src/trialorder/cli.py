@@ -26,9 +26,9 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from . import bounds, excess, model, oracle, schedule
+from . import bounds, excess, model, schedule
 from .errors import AssumptionError
-from .model import CandidateSet, Ordering, mean_time, ratio
+from .model import CandidateSet, Ordering
 
 __all__ = ["main", "build_parser", "ingest", "emit", "CliInputError"]
 
@@ -67,8 +67,7 @@ def _records_from_json(text: str):
     for i, item in enumerate(items):
         if not isinstance(item, dict):
             raise CliInputError(f"JSON parse error: candidates[{i}] is not an object")
-        records.append({"id": item.get("id", f"#{i}"), "p": item.get("p"),
-                        "times": item.get("times", ())})
+        records.append((str(item.get("id", f"#{i}")), item.get("p"), item.get("times", ())))
         labels.append(f"candidates[{i}]")
     return records, labels
 
@@ -89,7 +88,7 @@ def _records_from_csv(text: str):
         rid = row[0].strip() if row else ""
         p = row[1].strip() if len(row) > 1 else None
         times = [cell.strip() for cell in row[2:] if cell.strip()]
-        records.append({"id": rid, "p": p, "times": times})
+        records.append((rid, p, times))
         labels.append(f"row {rownum}")
     return records, labels
 
@@ -113,20 +112,12 @@ def ingest(source: str, fmt: str) -> tuple[CandidateSet, str]:
     else:  # pragma: no cover - argparse restricts choices
         raise CliInputError(f"unknown input format {fmt!r}")
 
-    problems: list[str] = []
     if not records:
-        problems.append("empty set: no candidates in input")
-    seen: set[str] = set()
-    for label, rec in zip(labels, records):
-        for v in model.validate([rec]).violations:
-            problems.append(f"{label}: field '{v.field}': {v.message}")
-        rid = str(rec["id"])
-        if rid in seen:
-            problems.append(f"{label}: field 'id': duplicate candidate id {rid!r}")
-        seen.add(rid)
+        raise CliInputError("empty set: no candidates in input")
+    problems = model._checked_rows(records, labels)
     if problems:
-        raise CliInputError("\n".join(problems))
-    return CandidateSet.from_records(records), digest
+        raise CliInputError("\n".join(str(v) for v in problems))
+    return CandidateSet._from_rows(records), digest
 
 
 def _infer_format(source: str, explicit: str | None) -> str:
@@ -244,9 +235,9 @@ def _cmd_order(args, cset: CandidateSet):
     ordering = schedule.solomonoff_order(cset)
     table = []
     for pos, idx in enumerate(ordering, start=1):
-        c = cset[idx]
-        table.append({"position": pos, "id": c.id, "p": c.p,
-                      "mean_time": mean_time(c), "ratio": ratio(c)})
+        p, t = cset.ps[idx], cset.ts[idx]
+        table.append({"position": pos, "id": cset[idx].id, "p": p,
+                      "mean_time": t, "ratio": p / t})
     results = {
         "order": [cset[i].id for i in ordering],
         "perm": list(ordering.perm),
@@ -301,12 +292,11 @@ def _cmd_bounds(args, cset: CandidateSet):
     else:
         if args.c is None or args.d is None:
             raise CliInputError(f"--profile {args.profile} requires --c and --d")
-        mts = [mean_time(c) for c in cset]
         assumptions = bounds.BoundAssumptions(
             c=args.c,
             d=args.d,
-            t_min=args.tmin if args.tmin is not None else min(mts),
-            t_max=args.tmax if args.tmax is not None else max(mts),
+            t_min=args.tmin if args.tmin is not None else min(cset.ts),
+            t_max=args.tmax if args.tmax is not None else max(cset.ts),
             profile=args.profile,
         )
         if args.profile == "general-upper":
@@ -340,6 +330,8 @@ def _cmd_bounds(args, cset: CandidateSet):
 
 
 def _cmd_verify_optimal(args, cset: CandidateSet):
+    from . import oracle
+
     if cset.N > args.max_n:
         raise CliInputError(f"set has N={cset.N} candidates, above --max-n {args.max_n}")
     bf = oracle.brute_force_best_order(cset)
@@ -360,6 +352,8 @@ def _cmd_verify_optimal(args, cset: CandidateSet):
 
 
 def _cmd_simulate(args, cset: CandidateSet):
+    from . import oracle
+
     ordering = _resolve_ordering(args.order, cset)
     res = oracle.simulate(cset, ordering, args.trials, args.seed)
     results = {
@@ -374,6 +368,8 @@ def _cmd_simulate(args, cset: CandidateSet):
 
 
 def _cmd_check(args, cset=None):
+    from . import oracle
+
     cfg = oracle.VerificationConfig(
         instances=args.instances, seed=args.seed, equal_p_only=args.equal_p
     )

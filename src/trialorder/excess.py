@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import AssumptionError, SingularityError
-from .model import CandidateSet, Ordering, _check_compatible, mean_time
+from .model import CandidateSet, Ordering, _check_compatible, _prefix
 from .schedule import expected_time
 
 __all__ = [
@@ -65,19 +65,6 @@ def require_valid_swap(n_candidates: int, k: int, n: int) -> None:
         )
 
 
-def _prefix_arrays(cset: CandidateSet, ordering: Ordering, upto: int):
-    """Prefix sums/products along the ordering: S[m], T[m], Q[m] for m=0..upto."""
-    S = [0.0] * (upto + 1)
-    T = [0.0] * (upto + 1)
-    Q = [1.0] * (upto + 1)
-    for m in range(upto):
-        c = cset[ordering[m]]
-        S[m + 1] = S[m] + c.p
-        T[m + 1] = T[m] + mean_time(c)
-        Q[m + 1] = Q[m] * (1.0 - c.p)
-    return S, T, Q
-
-
 def exact_excess_direct(cset: CandidateSet, ordering: Ordering, k: int, n: int) -> float:
     """expected_time(swapped order) - expected_time(order), tails included.
 
@@ -98,12 +85,8 @@ def adjacent_swap_excess(cset: CandidateSet, ordering: Ordering, k: int) -> floa
     """
     _check_compatible(cset, ordering)
     require_valid_swap(cset.N, k, 1)
-    _, _, Q = _prefix_arrays(cset, ordering, k - 1)
-    a = cset[ordering[k - 1]]
-    b = cset[ordering[k]]
-    ta = mean_time(a)
-    tb = mean_time(b)
-    return (a.p / ta - b.p / tb) * Q[k - 1] * ta * tb
+    p, t, _, Q = _prefix(cset, ordering, k + 1)
+    return (p[k] / t[k] - p[k + 1] / t[k + 1]) * Q[k - 1] * t[k] * t[k + 1]
 
 
 def general_swap_excess(cset: CandidateSet, ordering: Ordering, k: int, n: int) -> ExcessReport:
@@ -119,22 +102,19 @@ def general_swap_excess(cset: CandidateSet, ordering: Ordering, k: int, n: int) 
     """
     _check_compatible(cset, ordering)
     require_valid_swap(cset.N, k, n)
-    ck = cset[ordering[k - 1]]
-    ckn = cset[ordering[k + n - 1]]
-    if ck.p == 1.0:
+    if cset.ps[ordering[k - 1]] == 1.0:
         raise SingularityError(
             f"p=1 at position k={k}: the q-decomposition divides by (1 - p_k); "
             "use exact_excess_direct instead"
         )
-    S, T, Q = _prefix_arrays(cset, ordering, k + n)
-    pk, pkn = ck.p, ckn.p
-    tk, tkn = mean_time(ck), mean_time(ckn)
+    p, t, T, Q = _prefix(cset, ordering, k + n)
+    pk, pkn = p[k], p[k + n]
+    tk, tkn = t[k], t[k + n]
 
     q1 = T[k - 1] * Q[k - 1] * (pkn - pk) + Q[k - 1] * (tkn * pkn - tk * pk)
     q2 = 0.0
     for l in range(k + 1, k + n):
-        pl = cset[ordering[l - 1]].p
-        q2 += Q[l - 1] * pl * (
+        q2 += Q[l - 1] * p[l] * (
             T[l] * (pk - pkn) / (1.0 - pk) + (tkn - tk) * (1.0 - pkn) / (1.0 - pk)
         )
     q3 = T[k + n] * Q[k + n - 1] * (pk - pkn) / (1.0 - pk)
@@ -164,7 +144,7 @@ def equal_p_swap_excess(
     """
     _check_compatible(cset, ordering)
     require_valid_swap(cset.N, k, n)
-    ps = [c.p for c in cset]
+    ps = cset.ps
     p_lo, p_hi = min(ps), max(ps)
     if p_hi - p_lo > EQUAL_P_REL_TOL * max(1.0, p_hi):
         raise AssumptionError(
@@ -173,8 +153,8 @@ def equal_p_swap_excess(
     p = ps[0]
     if not 0.0 < p < 1.0:
         raise AssumptionError(f"shared probability p={p} must lie strictly inside (0, 1)")
-    tk = mean_time(cset[ordering[k - 1]])
-    tkn = mean_time(cset[ordering[k + n - 1]])
+    tk = cset.ts[ordering[k - 1]]
+    tkn = cset.ts[ordering[k + n - 1]]
     q = 1.0 - p
     base = (tkn - tk) * q ** (k - 1)
     if use_paper_variant:

@@ -14,8 +14,9 @@ unrestricted concurrent use is safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator, Sequence, Union
 
 __all__ = [
     "Candidate",
@@ -113,12 +114,25 @@ class Candidate:
         if problems:
             raise ValueError("; ".join(str(v) for v in problems))
 
+    @classmethod
+    def _unchecked(cls, id, p, time_samples) -> "Candidate":
+        """A candidate from values _checked_rows found clean: coerced as above, not checked."""
+        c = object.__new__(cls)
+        c.__dict__.update(id=str(id), p=float(p), time_samples=tuple(map(float, time_samples)))
+        return c
+
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Ordered, immutable collection of candidates with unique ids."""
+    """Ordered, immutable collection of candidates with unique ids.
+
+    ``ps`` and ``ts`` hold each candidate's p and mean time (as mean_time
+    computes it), in input order; they are computed once, at construction.
+    """
 
     candidates: tuple[Candidate, ...]
+    ps: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    ts: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "candidates", tuple(self.candidates))
@@ -129,6 +143,8 @@ class CandidateSet:
             if c.id in seen:
                 raise ValueError(f"duplicate candidate id {c.id!r}")
             seen.add(c.id)
+        object.__setattr__(self, "ps", tuple(c.p for c in self.candidates))
+        object.__setattr__(self, "ts", tuple(mean_time(c) for c in self.candidates))
 
     @property
     def N(self) -> int:
@@ -154,12 +170,15 @@ class CandidateSet:
         A record is a mapping with keys ``id``, ``p``, ``times`` (or
         ``time_samples``), a 3-sequence ``(id, p, times)``, or a Candidate.
         """
-        records = list(records)
-        report = validate(records)
-        if not report.ok:
-            raise ValueError(str(report))
-        return cls(tuple(Candidate(rid, p, times) for rid, p, times in
-                         (_coerce_record(r, i) for i, r in enumerate(records))))
+        rows, problems = _check_records(records)
+        if problems:
+            raise ValueError(str(ValidationReport(tuple(problems))))
+        return cls._from_rows(rows)
+
+    @classmethod
+    def _from_rows(cls, rows) -> "CandidateSet":
+        """A set from ``(id, p, times)`` rows that _checked_rows found clean."""
+        return cls(tuple(Candidate._unchecked(*row) for row in rows))
 
 
 def _coerce_record(rec, i: int):
@@ -238,6 +257,35 @@ def _check_compatible(cset: CandidateSet, ordering: Ordering) -> None:
         )
 
 
+def _walk(cset: CandidateSet, perm: Sequence[int]) -> Iterator[tuple[float, float, float, float]]:
+    """Yield ``(p_m, t_m, T_m, Q_m)`` for m = 1, 2, ... along ``perm``.
+
+    T_m is the sum of the first m mean times and Q_m the product of their
+    (1 - p), accumulated left to right as ``T += t`` and ``Q *= 1 - p``.
+    Every formula that walks an ordering takes its sums and products from
+    here, so all of them round alike.
+    """
+    ps, ts = cset.ps, cset.ts
+    T = 0.0
+    Q = 1.0
+    for i in perm:
+        p = ps[i]
+        t = ts[i]
+        T += t
+        Q *= 1.0 - p
+        yield p, t, T, Q
+
+
+def _prefix(cset: CandidateSet, ordering: Ordering, m: int):
+    """Columns ``p, t, T, Q`` of _walk over the first m positions, indexed 1..m.
+
+    Index 0 is the empty prefix (T_0 = 0, Q_0 = 1; p_0 = t_0 = 0 are never
+    read), so ``T[l]``, ``Q[l - 1]`` and ``p[l]`` read as T_l, Q_{l-1} and p_l
+    in the closed forms.
+    """
+    return zip((0.0, 0.0, 0.0, 1.0), *_walk(cset, ordering.perm[:m]))
+
+
 def prefix_aggregates(cset: CandidateSet, ordering: Ordering, m: int) -> PrefixAggregates:
     """S, T, P, Q over the first m candidates of ``ordering``.
 
@@ -249,12 +297,9 @@ def prefix_aggregates(cset: CandidateSet, ordering: Ordering, m: int) -> PrefixA
         raise ValueError(f"prefix length m={m} out of range 0..{cset.N}")
     S = T = 0.0
     P = Q = 1.0
-    for idx in ordering.perm[:m]:
-        c = cset[idx]
-        S += c.p
-        T += mean_time(c)
-        P *= c.p
-        Q *= 1.0 - c.p
+    for p, _, T, Q in _walk(cset, ordering.perm[:m]):
+        S += p
+        P *= p
     return PrefixAggregates(S=S, T=T, P=P, Q=Q)
 
 
@@ -268,10 +313,11 @@ def prefix_log_products(cset: CandidateSet, ordering: Ordering, m: int) -> tuple
         raise ValueError(f"prefix length m={m} out of range 0..{cset.N}")
     log_p = 0.0
     log_q = 0.0
+    ps = cset.ps
     for idx in ordering.perm[:m]:
-        c = cset[idx]
-        log_p += math.log(c.p) if c.p > 0.0 else -math.inf
-        log_q += math.log1p(-c.p) if c.p < 1.0 else -math.inf
+        p = ps[idx]
+        log_p += math.log(p) if p > 0.0 else -math.inf
+        log_q += math.log1p(-p) if p < 1.0 else -math.inf
     return log_p, log_q
 
 
@@ -283,24 +329,43 @@ def validate(candidates: Union[CandidateSet, Iterable]) -> ValidationReport:
     uses to surface all problems at once: probability out of range,
     non-positive time, empty sample list, duplicate id, empty set.
     """
-    out: list[Violation] = []
     if isinstance(candidates, CandidateSet):
-        rows: Sequence = [(c.id, c.p, c.time_samples) for c in candidates]
-    else:
-        rows = []
-        for i, rec in enumerate(candidates):
-            try:
-                rows.append(_coerce_record(rec, i))
-            except (TypeError, ValueError):
-                out.append(Violation(f"record #{i}", "record", f"malformed record: {rec!r}"))
+        candidates = candidates.candidates
+    return ValidationReport(tuple(_check_records(candidates)[1]))
 
-    if not rows and not out:
-        out.append(Violation("set", "candidates", "empty candidate set"))
+
+def _check_records(records: Iterable) -> tuple:
+    """Coerce and check raw records (see from_records): ``(rows, violations)``.
+
+    ``rows`` holds each well-formed record as ``(id, p, times)``.  Malformed
+    records are listed first, then _checked_rows' problems; an input without
+    records is an empty set.
+    """
+    rows = []
+    malformed: list[Violation] = []
+    for i, rec in enumerate(records):
+        try:
+            rows.append(_coerce_record(rec, i))
+        except (TypeError, ValueError):
+            malformed.append(Violation(f"record #{i}", "record", f"malformed record: {rec!r}"))
+    problems = _checked_rows(rows)
+    if not rows and not malformed:
+        problems.append(Violation("set", "candidates", "empty candidate set"))
+    return rows, malformed + problems
+
+
+def _checked_rows(rows: Sequence[tuple], subjects: Sequence[str] | None = None) -> list[Violation]:
+    """Every violated invariant of ``(id, p, times)`` rows, in one pass.
+
+    Violations come in row order, each row's value problems before its
+    duplicate id, under ``subjects[i]`` (default ``candidate '<id>'``).
+    """
+    out: list[Violation] = []
     seen: set[str] = set()
-    for rid, p, times in rows:
-        subject = f"candidate {rid!r}"
+    for i, (rid, p, times) in enumerate(rows):
+        subject = subjects[i] if subjects is not None else f"candidate {rid!r}"
         out.extend(_value_violations(subject, p, times))
         if rid in seen:
             out.append(Violation(subject, "id", f"duplicate candidate id {rid!r}"))
         seen.add(rid)
-    return ValidationReport(tuple(out))
+    return out

@@ -34,7 +34,7 @@ from .excess import (
     exact_excess_direct,
     general_swap_excess,
 )
-from .model import Candidate, CandidateSet, Ordering, _check_compatible, mean_time
+from .model import Candidate, CandidateSet, Ordering, _check_compatible
 from .schedule import expected_time, solomonoff_order
 
 __all__ = [
@@ -99,8 +99,8 @@ def brute_force_best_order(cset: CandidateSet) -> BruteForceResult:
     N = cset.N
     if N > MAX_BRUTE_FORCE_N:
         raise ValueError(f"N={N} exceeds the brute-force guard of {MAX_BRUTE_FORCE_N}")
-    p = np.array([c.p for c in cset])
-    t = np.array([mean_time(c) for c in cset])
+    p = np.array(cset.ps)
+    t = np.array(cset.ts)
 
     best_val = math.inf
     best_perm: tuple[int, ...] | None = None
@@ -149,12 +149,12 @@ def simulate(cset: CandidateSet, ordering: Ordering, trials: int, seed: int) -> 
     time_sum = 0.0
     time_sqsum = 0.0
     wins = 0
-    base = np.random.Philox(seed)
     n_chunks = (trials + _SIM_CHUNK - 1) // _SIM_CHUNK
     for chunk_index in range(n_chunks):
         m = min(_SIM_CHUNK, trials - chunk_index * _SIM_CHUNK)
-        bitgen = base if chunk_index == 0 else base.jumped(chunk_index)
-        g = np.random.Generator(bitgen)
+        # Every chunk jumps a fresh Philox(seed), so no chunk's stream depends
+        # on how many numbers another chunk drew; jumped(0) is Philox(seed).
+        g = np.random.Generator(np.random.Philox(seed).jumped(chunk_index))
         u = g.random((m, N))
         success = u < p
         tdraw = np.empty((m, N))
@@ -353,8 +353,7 @@ def verify_bounds_random(config: VerificationConfig) -> VerificationReport:
         tally.record("sandwich-adjacent", max(0.0, res_adj), res_adj <= slack)
 
         # General upper bound on the ratio-sorted order; premises by construction.
-        ps = [c.p for c in cset]
-        mts = [mean_time(c) for c in cset]
+        ps, mts = cset.ps, cset.ts
         a_up = BoundAssumptions(c=min(ps), d=max(ps), t_min=min(mts), t_max=max(mts),
                                 profile="general-upper")
         up = swap_excess_upper_general(cset, order, k, n, a_up)
@@ -370,7 +369,7 @@ def verify_bounds_random(config: VerificationConfig) -> VerificationReport:
         cset_lo = _build_set(ps_lo, ts_lo)
         order_lo = Ordering.identity(N)
         k2, n2 = _draw_kn(rng, N)
-        mts_lo = [mean_time(c) for c in cset_lo]
+        mts_lo = cset_lo.ts
         a_lo = BoundAssumptions(c=float(ps_lo.min()), d=float(ps_lo.max()),
                                 t_min=min(mts_lo), t_max=max(mts_lo),
                                 profile="general-lower")
@@ -430,8 +429,8 @@ def _equal_p_checks(rng, config, tally, count_paper_variant: bool | None = None)
     corr = equal_p_swap_excess(cset, order, k, n)
     tally.record("equal-p-corrected", abs(corr - direct), abs(corr - direct) <= config.identity_tol)
     if count_paper_variant:
-        tk = mean_time(cset[order[k - 1]])
-        tkn = mean_time(cset[order[k + n - 1]])
+        tk = cset.ts[order[k - 1]]
+        tkn = cset.ts[order[k + n - 1]]
         if tk != tkn:
             paper = equal_p_swap_excess(cset, order, k, n, use_paper_variant=True)
             # "failure" means the printed formula misses the oracle, which it

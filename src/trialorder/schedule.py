@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import CandidateSet, Ordering, _check_compatible, mean_time, ratio
+from .model import CandidateSet, Ordering, _check_compatible, _walk
 
 __all__ = [
     "ExpectationOptions",
@@ -46,7 +46,7 @@ def solomonoff_order(cset: CandidateSet) -> Ordering:
     so any deterministic tie-break is correct, and the stable one is
     reproducible.
     """
-    scores = [ratio(c) for c in cset]
+    scores = [p / t for p, t in zip(cset.ps, cset.ts)]
     perm = sorted(range(cset.N), key=lambda i: -scores[i])
     return Ordering(tuple(perm))
 
@@ -67,13 +67,10 @@ def expected_time(
     if opts is None:
         opts = ExpectationOptions()
     total = 0.0
-    T = 0.0
-    Q = 1.0
-    for idx in ordering.perm:
-        c = cset[idx]
-        T += mean_time(c)
-        total += T * Q * c.p
-        Q *= 1.0 - c.p
+    Q_prev = 1.0
+    for p, _, T, Q in _walk(cset, ordering.perm):
+        total += T * Q_prev * p
+        Q_prev = Q
     if opts.include_failure_tail:
         total += T * Q
     return total
@@ -82,7 +79,8 @@ def expected_time(
 def is_ratio_sorted(cset: CandidateSet, ordering: Ordering) -> bool:
     """True iff p/t ratios are non-increasing along the ordering."""
     _check_compatible(cset, ordering)
-    scores = [ratio(cset[idx]) for idx in ordering.perm]
+    ps, ts = cset.ps, cset.ts
+    scores = [ps[idx] / ts[idx] for idx in ordering.perm]
     return all(a >= b for a, b in zip(scores, scores[1:]))
 
 
@@ -95,10 +93,6 @@ def failure_tail_term(cset: CandidateSet, ordering: Ordering | None = None) -> f
     if ordering is None:
         ordering = Ordering.identity(cset.N)
     _check_compatible(cset, ordering)
-    T = 0.0
-    Q = 1.0
-    for idx in ordering.perm:
-        c = cset[idx]
-        T += mean_time(c)
-        Q *= 1.0 - c.p
+    for _, _, T, Q in _walk(cset, ordering.perm):
+        pass
     return T * Q

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import trialorder
 import trialorder.excess as excess_mod
 from trialorder import cli
 from trialorder.excess import ExcessReport
@@ -70,6 +75,45 @@ class TestIngest:
         code, _, err = run(capsys, ["order", "-i", str(path)])
         assert code == 1
         assert "parse error" in err
+
+    def test_json_lists_each_problem_once(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"candidates": [
+            {"id": "a", "p": 1.5, "times": [1.0]},
+            {"id": "b", "p": 0.5, "times": [0.0, "x"]},
+            {"id": "ok", "p": 0.5, "times": [1.0]},
+            {"id": "a", "p": 0.2, "times": []},
+        ]}))
+        code, _, err = run(capsys, ["order", "-i", str(path)])
+        assert code == 1
+        assert err.splitlines() == [
+            "trialorder: error: candidates[0]: field 'p': probability 1.5 out of [0, 1]",
+            "candidates[1]: field 'times': non-positive time sample 0.0",
+            "candidates[1]: field 'times': not a number: 'x'",
+            "candidates[3]: field 'times': no execution time samples",
+            "candidates[3]: field 'id': duplicate candidate id 'a'",
+        ]
+
+    def test_csv_lists_each_problem_once(self, capsys, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("id,p,t1,t2\nx,nope,1,\ny,0.5,-2,inf\nx,0.4,1,\n")
+        code, _, err = run(capsys, ["order", "-i", str(path)])
+        assert code == 1
+        assert err.splitlines() == [
+            "trialorder: error: row 2: field 'p': not a number: 'nope'",
+            "row 3: field 'times': non-positive time sample -2.0",
+            "row 3: field 'times': non-finite time sample inf",
+            "row 4: field 'id': duplicate candidate id 'x'",
+        ]
+
+    def test_ingested_set_equals_the_public_constructor(self, tmp_path):
+        path = tmp_path / "set.csv"
+        path.write_text("id,p,t1,t2\nx,0.9,3,\ny,1,1,2.5\n")
+        cset, _ = cli.ingest(str(path), "csv")
+        assert cset == trialorder.CandidateSet((trialorder.Candidate("x", 0.9, (3.0,)),
+                                                trialorder.Candidate("y", 1.0, (1.0, 2.5))))
+        assert (cset.ps, cset.ts) == ((0.9, 1.0), (3.0, 1.75))
+        assert all(type(v) is float for c in cset for v in (c.p, *c.time_samples))
 
     def test_csv_header_required(self, capsys, tmp_path):
         path = tmp_path / "headerless.csv"
@@ -299,6 +343,27 @@ class TestExitCodes:
     def test_true_build_cross_check_passes(self, capsys, three):
         code, _, _ = run(capsys, ["excess", "-i", three, "--k", "1", "--n", "2"])
         assert code == 0
+
+
+class TestLazyNumpy:
+    def test_import_and_order_leave_numpy_unloaded(self, tmp_path):
+        path = tmp_path / "three.json"
+        path.write_text(THREE_JSON)
+        code = (
+            "import sys\n"
+            "import trialorder.cli\n"
+            "assert 'numpy' not in sys.modules, 'import'\n"
+            f"assert trialorder.cli.main(['order', '-i', {str(path)!r}]) == 0\n"
+            "assert 'numpy' not in sys.modules, 'order'\n"
+            "import trialorder\n"
+            "trialorder.simulate\n"
+            "assert 'numpy' in sys.modules, 'oracle names load the oracle'\n"
+        )
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(trialorder.__file__).resolve().parent.parent))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestStdin:

@@ -73,6 +73,24 @@ class TestCandidateSet:
         assert "non-positive" in str(exc.value)
 
 
+    def test_from_records_lists_each_problem_once(self):
+        with pytest.raises(ValueError) as exc:
+            CandidateSet.from_records([("a", 1.5, [0.0]), ("a", 0.5, [1.0]), 42])
+        assert str(exc.value).split("; ") == [
+            "record #2: field 'record': malformed record: 42",
+            "candidate 'a': field 'p': probability 1.5 out of [0, 1]",
+            "candidate 'a': field 'times': non-positive time sample 0.0",
+            "candidate 'a': field 'id': duplicate candidate id 'a'",
+        ]
+
+    def test_from_records_builds_what_the_constructors_build(self):
+        cs = CandidateSet.from_records([{"id": 7, "p": "0.5", "times": [1, "2"]},
+                                        ("b", 1, (3,))])
+        assert cs == CandidateSet((Candidate("7", 0.5, (1.0, 2.0)), Candidate("b", 1.0, (3.0,))))
+        assert all(type(v) is float for c in cs for v in (c.p, *c.time_samples))
+        assert (cs.ps, cs.ts) == ((0.5, 1.0), (1.5, 3.0))
+
+
 class TestOrdering:
     def test_identity(self):
         assert Ordering.identity(3).perm == (0, 1, 2)

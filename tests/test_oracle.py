@@ -89,6 +89,19 @@ class TestSimulate:
         b = simulate(THREE, Ordering.identity(3), trials=trials, seed=99)
         assert a == b
 
+    def test_chunk_streams_do_not_depend_on_earlier_chunks(self):
+        # Two samples of equal value draw an index per trial where one sample
+        # draws nothing, so chunk 0 consumes more of its stream in `two` than
+        # in `one`, while every trial's outcome is the same.  Equal results
+        # over two chunks mean chunk 1 did not start where chunk 0 stopped.
+        one = make_set([0.5, 0.5], [[1.0], [2.0]])
+        two = make_set([0.5, 0.5], [[1.0, 1.0], [2.0]])
+        trials = oracle_mod._SIM_CHUNK + 5_000
+        a = simulate(one, Ordering.identity(2), trials=trials, seed=3)
+        b = simulate(two, Ordering.identity(2), trials=trials, seed=3)
+        assert (a.mean_time, a.std_error, a.success_rate) == (
+            b.mean_time, b.std_error, b.success_rate)
+
     def test_seed_changes_the_estimate(self):
         a = simulate(THREE, Ordering.identity(3), trials=2000, seed=1)
         b = simulate(THREE, Ordering.identity(3), trials=2000, seed=2)
