@@ -36,7 +36,7 @@ by_probability = Ordering((0, 2, 1))  # heavy-hammer first
 print("expected time, highest-p first: ",
       round(expected_time(candidates, by_probability), 4))
 
-# Exhaustive search over all 3! orders agrees with the rule.
+# The exact search over all 3! orders agrees with the rule.
 bf = brute_force_best_order(candidates)
 print(f"\nbrute force over {bf.evaluated} orders picks:",
       " -> ".join(candidates[i].id for i in bf.best_order),

@@ -5,7 +5,7 @@ times, this package computes the order that minimizes the expected time to
 the first success (descending p / mean-time ratio), the exact expected
 solving time of any order, the exact expected-time penalty of transposing
 two candidates, and closed-form bounds on that penalty — each formula
-cross-validated against brute-force and Monte Carlo oracles.
+cross-validated against exact-search and Monte Carlo oracles.
 """
 
 __version__ = "0.1.0"

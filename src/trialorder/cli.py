@@ -441,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--order", default="optimal")
 
     p_vo = sub.add_parser("verify-optimal", parents=[common],
-                          help="brute-force search vs the ordering rule")
+                          help="exact optimum over all orders vs the ordering rule")
     p_vo.add_argument("--max-n", type=int, default=8,
                       help="refuse sets larger than this (default 8)")
 

@@ -60,16 +60,20 @@ class ValidationReport:
 
 
 def _value_violations(subject: str, p, times) -> list[Violation]:
+    # A bool passes float() as 0.0 or 1.0, yet it is not a number here.
     out: list[Violation] = []
     try:
-        p = float(p)
+        value = float(p)
     except (TypeError, ValueError):
+        value = None
+    if value is None or isinstance(p, bool):
         out.append(Violation(subject, "p", f"not a number: {p!r}"))
-        p = None
-    if p is not None and not (0.0 <= p <= 1.0):
-        out.append(Violation(subject, "p", f"probability {p!r} out of [0, 1]"))
+    elif not (0.0 <= value <= 1.0):
+        out.append(Violation(subject, "p", f"probability {value!r} out of [0, 1]"))
 
     try:
+        if isinstance(times, (str, bytes)):  # a sequence of characters, not of samples
+            raise TypeError
         times = tuple(times)
     except TypeError:
         out.append(Violation(subject, "times", f"not a sequence: {times!r}"))
@@ -78,14 +82,15 @@ def _value_violations(subject: str, p, times) -> list[Violation]:
         out.append(Violation(subject, "times", "no execution time samples"))
     for t in times:
         try:
-            t = float(t)
+            value = float(t)
         except (TypeError, ValueError):
+            value = None
+        if value is None or isinstance(t, bool):
             out.append(Violation(subject, "times", f"not a number: {t!r}"))
-            continue
-        if not math.isfinite(t):
-            out.append(Violation(subject, "times", f"non-finite time sample {t!r}"))
-        elif t <= 0.0:
-            out.append(Violation(subject, "times", f"non-positive time sample {t!r}"))
+        elif not math.isfinite(value):
+            out.append(Violation(subject, "times", f"non-finite time sample {value!r}"))
+        elif value <= 0.0:
+            out.append(Violation(subject, "times", f"non-positive time sample {value!r}"))
     return out
 
 
@@ -104,15 +109,18 @@ class Candidate:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "id", str(self.id))
-        object.__setattr__(self, "p", float(self.p))
-        try:
-            samples = tuple(float(t) for t in self.time_samples)
-        except (TypeError, ValueError):
-            samples = self.time_samples  # let the checker report it
-        object.__setattr__(self, "time_samples", samples)
-        problems = _value_violations(f"candidate {self.id!r}", self.p, self.time_samples)
+        samples = self.time_samples
+        if not isinstance(samples, (str, bytes)):
+            try:
+                samples = tuple(samples)  # read an iterator once
+            except TypeError:
+                pass  # let the checker report it
+        # Check the raw values: float() would take True as 1.0.
+        problems = _value_violations(f"candidate {self.id!r}", self.p, samples)
         if problems:
             raise ValueError("; ".join(str(v) for v in problems))
+        object.__setattr__(self, "p", float(self.p))
+        object.__setattr__(self, "time_samples", tuple(map(float, samples)))
 
     @classmethod
     def _unchecked(cls, id, p, time_samples) -> "Candidate":

@@ -94,6 +94,21 @@ class TestIngest:
             "candidates[3]: field 'id': duplicate candidate id 'a'",
         ]
 
+    def test_json_rejects_string_times_and_boolean_numbers(self, capsys, tmp_path):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps({"candidates": [
+            {"id": "a", "p": 0.5, "times": "19"},
+            {"id": "b", "p": True, "times": [2]},
+            {"id": "c", "p": "0.5", "times": [False, 1]},
+        ]}))
+        code, out, err = run(capsys, ["order", "-i", str(path)])
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "trialorder: error: candidates[0]: field 'times': not a sequence: '19'",
+            "candidates[1]: field 'p': not a number: True",
+            "candidates[2]: field 'times': not a number: False",
+        ]
+
     def test_csv_lists_each_problem_once(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("id,p,t1,t2\nx,nope,1,\ny,0.5,-2,inf\nx,0.4,1,\n")

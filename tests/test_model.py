@@ -44,6 +44,16 @@ class TestCandidate:
         with pytest.raises(ValueError, match="non-finite"):
             Candidate("a", 0.5, (math.inf,))
 
+    def test_construction_checks_raw_values(self):
+        # float() would read True as 1.0 and split "19" into samples 1 and 9.
+        with pytest.raises(ValueError, match="field 'p': not a number: True"):
+            Candidate("a", True, (1.0,))
+        with pytest.raises(ValueError, match="field 'times': not a sequence: '19'"):
+            Candidate("a", 0.5, "19")
+        with pytest.raises(ValueError, match="field 'times': not a number: False"):
+            Candidate("a", 0.5, (1.0, False))
+        assert Candidate("a", "0.5", iter(["1", 2])) == Candidate("a", 0.5, (1.0, 2.0))
+
     def test_probability_endpoints_admitted(self):
         Candidate("a", 0.0, (1.0,))
         Candidate("a", 1.0, (1.0,))
@@ -81,6 +91,16 @@ class TestCandidateSet:
             "candidate 'a': field 'p': probability 1.5 out of [0, 1]",
             "candidate 'a': field 'times': non-positive time sample 0.0",
             "candidate 'a': field 'id': duplicate candidate id 'a'",
+        ]
+
+    def test_from_records_rejects_string_times_and_boolean_numbers(self):
+        with pytest.raises(ValueError) as exc:
+            CandidateSet.from_records([{"id": "a", "p": 0.5, "times": "19"},
+                                       ("b", True, [2]), ("c", 0.5, [2, True])])
+        assert str(exc.value).split("; ") == [
+            "candidate 'a': field 'times': not a sequence: '19'",
+            "candidate 'b': field 'p': not a number: True",
+            "candidate 'c': field 'times': not a number: True",
         ]
 
     def test_from_records_builds_what_the_constructors_build(self):

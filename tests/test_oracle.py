@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -38,6 +39,11 @@ class TestBruteForce:
         res = brute_force_best_order(cs)
         assert res.best_order.perm == (1, 0)
 
+    def test_resolves_near_ties_exactly(self):
+        # The two orders differ by about 5e-13 in expected time.
+        cs = make_set([0.5, 0.5], [1.0, 1.0 - 1e-12])
+        assert brute_force_best_order(cs).best_order.perm == (1, 0)
+
     def test_factorial_guard(self):
         cs = make_set([0.5] * 11)
         with pytest.raises(ValueError, match="guard"):
@@ -56,13 +62,42 @@ class TestBruteForce:
             rule = expected_time(cs, solomonoff_order(cs))
             assert rel_ok(rule, bf.best_expected_time, 1e-9)
 
-    def test_chunked_path_matches_table_path(self, monkeypatch):
-        cs = make_set([0.7, 0.2, 0.5, 0.9, 0.1], [1.0, 0.5, 2.0, 4.0, 0.2])
-        direct = brute_force_best_order(cs)
-        monkeypatch.setattr(oracle_mod, "_PERM_TABLE_MAX_N", 0)
-        monkeypatch.setattr(oracle_mod, "_PERM_CHUNK", 7)
-        chunked = brute_force_best_order(cs)
-        assert chunked == direct
+    def test_matches_enumeration_on_continuous_instances(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            n = int(rng.integers(1, 8))
+            cs = make_set(rng.uniform(0.0, 1.0, n),
+                          [list(rng.uniform(0.1, 10.0, int(rng.integers(1, 4)))) for _ in range(n)])
+            perm, value = enumerated_best(cs)
+            bf = brute_force_best_order(cs)
+            assert (bf.best_order.perm, bf.best_expected_time) == (perm, value)
+
+    def test_near_minimal_on_tied_instances(self):
+        # p in {0, 1} and repeated times make exact ties that rounding can
+        # split either way; the returned order must still be minimal to 4 ulp.
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            n = int(rng.integers(2, 8))
+            cs = make_set(rng.choice([0.0, 0.5, 1.0], n), rng.choice([0.1, 0.3, 2.0], n))
+            _, value = enumerated_best(cs)
+            assert brute_force_best_order(cs).best_expected_time <= value + 4 * math.ulp(value)
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_agrees_with_rule_up_to_the_guard(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            cs = make_set(rng.uniform(0.05, 0.95, n), rng.uniform(0.1, 10.0, n))
+            bf = brute_force_best_order(cs)
+            assert bf.evaluated == math.factorial(n)
+            assert rel_ok(expected_time(cs, solomonoff_order(cs)), bf.best_expected_time, 1e-9)
+
+
+def enumerated_best(cs):
+    """Reference: lexicographically smallest float-argmin of _eq2_for_perms over all orders."""
+    perms = np.array(list(itertools.permutations(range(cs.N))), dtype=np.intp)
+    vals = oracle_mod._eq2_for_perms(np.array(cs.ps), np.array(cs.ts), perms)
+    i = int(np.argmin(vals))  # the first minimum, in lexicographic order
+    return tuple(int(x) for x in perms[i]), float(vals[i])
 
 
 class TestSimulate:
