@@ -20,7 +20,6 @@ from .model import (
     Violation,
     mean_time,
     prefix_aggregates,
-    prefix_log_products,
     ratio,
     validate,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "mean_time",
     "ratio",
     "prefix_aggregates",
-    "prefix_log_products",
     "validate",
     "ExpectationOptions",
     "solomonoff_order",

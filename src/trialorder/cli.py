@@ -394,15 +394,15 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("-i", "--input", default="-",
-                        help="candidate file, or - for standard input (default)")
-    common.add_argument("--input-format", choices=("json", "csv"),
-                        help="input format (default: by file extension, else json)")
-    common.add_argument("--format", choices=("json", "csv", "text"), default="text",
+    # Every command takes --format; all but check also read a candidate file.
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("json", "csv", "text"), default="text",
                         help="output format (default: text)")
-    common.add_argument("--strict", action="store_true",
-                        help="exit 2 when a bound's assumptions are violated")
+    with_input = argparse.ArgumentParser(add_help=False, parents=[output])
+    with_input.add_argument("-i", "--input", default="-",
+                            help="candidate file, or - for standard input (default)")
+    with_input.add_argument("--input-format", choices=("json", "csv"),
+                            help="input format (default: by file extension, else json)")
 
     parser = argparse.ArgumentParser(
         prog="trialorder",
@@ -411,23 +411,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("order", parents=[common],
+    sub.add_parser("order", parents=[with_input],
                    help="optimal trial order by descending p/mean-time ratio")
 
-    p_expect = sub.add_parser("expect", parents=[common],
+    p_expect = sub.add_parser("expect", parents=[with_input],
                               help="expected solving time of an ordering")
     p_expect.add_argument("--order", default="optimal",
                           help="'optimal' or comma-separated candidate ids")
     p_expect.add_argument("--no-tail", action="store_true",
                           help="drop the all-candidates-fail time term")
 
-    p_excess = sub.add_parser("excess", parents=[common],
+    p_excess = sub.add_parser("excess", parents=[with_input],
                               help="exact penalty of swapping positions k and k+n (1-based)")
     p_excess.add_argument("--k", type=int, required=True, help="earlier position, 1-based")
     p_excess.add_argument("--n", type=int, default=1, help="positional distance (default 1)")
     p_excess.add_argument("--order", default="optimal")
 
-    p_bounds = sub.add_parser("bounds", parents=[common],
+    p_bounds = sub.add_parser("bounds", parents=[with_input],
                               help="closed-form bounds on the swap penalty")
     p_bounds.add_argument("--k", type=int, required=True)
     p_bounds.add_argument("--n", type=int, default=1)
@@ -439,19 +439,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--tmax", type=float, help="upper time bound (default: max mean time)")
     p_bounds.add_argument("--profile", choices=bounds.PROFILES, default="general-upper")
     p_bounds.add_argument("--order", default="optimal")
+    p_bounds.add_argument("--strict", action="store_true",
+                          help="exit 2 when a bound's assumptions are violated")
 
-    p_vo = sub.add_parser("verify-optimal", parents=[common],
+    p_vo = sub.add_parser("verify-optimal", parents=[with_input],
                           help="exact optimum over all orders vs the ordering rule")
     p_vo.add_argument("--max-n", type=int, default=8,
                       help="refuse sets larger than this (default 8)")
 
-    p_sim = sub.add_parser("simulate", parents=[common],
+    p_sim = sub.add_parser("simulate", parents=[with_input],
                            help="seeded Monte Carlo estimate of the expected solving time")
     p_sim.add_argument("--trials", type=int, default=100_000)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--order", default="optimal")
 
-    p_check = sub.add_parser("check", parents=[common],
+    p_check = sub.add_parser("check", parents=[output],
                              help="randomized cross-validation of every closed form")
     p_check.add_argument("--instances", type=int, default=1000)
     p_check.add_argument("--seed", type=int, default=0)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "Candidate",
@@ -28,7 +28,6 @@ __all__ = [
     "mean_time",
     "ratio",
     "prefix_aggregates",
-    "prefix_log_products",
     "validate",
 ]
 
@@ -59,14 +58,21 @@ class ValidationReport:
         return "; ".join(str(v) for v in self.violations)
 
 
+def _is_bool(v) -> bool:
+    # A numpy boolean is no bool subclass; its dtype kind is "b".  Callers
+    # skip plain floats, the common case: the dtype lookup alone would
+    # triple the cost of checking a row.
+    return isinstance(v, bool) or getattr(getattr(v, "dtype", None), "kind", None) == "b"
+
+
 def _value_violations(subject: str, p, times) -> list[Violation]:
-    # A bool passes float() as 0.0 or 1.0, yet it is not a number here.
+    # A boolean passes float() as 0.0 or 1.0, yet it is not a number here.
     out: list[Violation] = []
     try:
         value = float(p)
     except (TypeError, ValueError):
         value = None
-    if value is None or isinstance(p, bool):
+    if value is None or (type(p) is not float and _is_bool(p)):
         out.append(Violation(subject, "p", f"not a number: {p!r}"))
     elif not (0.0 <= value <= 1.0):
         out.append(Violation(subject, "p", f"probability {value!r} out of [0, 1]"))
@@ -85,7 +91,7 @@ def _value_violations(subject: str, p, times) -> list[Violation]:
             value = float(t)
         except (TypeError, ValueError):
             value = None
-        if value is None or isinstance(t, bool):
+        if value is None or (type(t) is not float and _is_bool(t)):
             out.append(Violation(subject, "times", f"not a number: {t!r}"))
         elif not math.isfinite(value):
             out.append(Violation(subject, "times", f"non-finite time sample {value!r}"))
@@ -297,8 +303,8 @@ def _prefix(cset: CandidateSet, ordering: Ordering, m: int):
 def prefix_aggregates(cset: CandidateSet, ordering: Ordering, m: int) -> PrefixAggregates:
     """S, T, P, Q over the first m candidates of ``ordering``.
 
-    Computed in linear space; for large N (P and Q underflow past a few
-    hundred factors) see prefix_log_products.
+    Computed in linear space, so P and Q underflow to 0 past a few hundred
+    factors.
     """
     _check_compatible(cset, ordering)
     if not 0 <= m <= cset.N:
@@ -311,25 +317,7 @@ def prefix_aggregates(cset: CandidateSet, ordering: Ordering, m: int) -> PrefixA
     return PrefixAggregates(S=S, T=T, P=P, Q=Q)
 
 
-def prefix_log_products(cset: CandidateSet, ordering: Ordering, m: int) -> tuple[float, float]:
-    """(log P_m, log Q_m) via summed logs, the underflow-safe path for N > ~1000.
-
-    A zero factor (p = 0 for P, p = 1 for Q) yields -inf.
-    """
-    _check_compatible(cset, ordering)
-    if not 0 <= m <= cset.N:
-        raise ValueError(f"prefix length m={m} out of range 0..{cset.N}")
-    log_p = 0.0
-    log_q = 0.0
-    ps = cset.ps
-    for idx in ordering.perm[:m]:
-        p = ps[idx]
-        log_p += math.log(p) if p > 0.0 else -math.inf
-        log_q += math.log1p(-p) if p < 1.0 else -math.inf
-    return log_p, log_q
-
-
-def validate(candidates: Union[CandidateSet, Iterable]) -> ValidationReport:
+def validate(candidates: Iterable) -> ValidationReport:
     """List every violated invariant of a candidate set, or report clean.
 
     Accepts a constructed CandidateSet (always clean by construction) or raw
@@ -337,8 +325,6 @@ def validate(candidates: Union[CandidateSet, Iterable]) -> ValidationReport:
     uses to surface all problems at once: probability out of range,
     non-positive time, empty sample list, duplicate id, empty set.
     """
-    if isinstance(candidates, CandidateSet):
-        candidates = candidates.candidates
     return ValidationReport(tuple(_check_records(candidates)[1]))
 
 

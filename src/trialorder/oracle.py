@@ -188,41 +188,37 @@ def simulate(cset: CandidateSet, ordering: Ordering, trials: int, seed: int) -> 
 # ---------------------------------------------------------------------------
 
 
+# The one verification protocol behind every reported check: candidate counts,
+# generator ranges, samples per candidate and tolerances.  ``_IDENTITY_TOL``
+# is absolute (double-precision accumulation over <= 10 terms);
+# ``_SANDWICH_SLACK`` is the absolute slack allowed on each bound inequality.
+_N_CANDIDATES = (2, 8)
+_P_RANGE = (0.05, 0.95)
+_T_RANGE = (0.1, 10.0)
+_MAX_SAMPLES = 3
+_IDENTITY_TOL = 1e-10
+_SANDWICH_SLACK = 1e-9
+_OPTIMALITY_REL_TOL = 1e-9
+_OPTIMALITY_MAX_N = 8
+
+
 @dataclass(frozen=True)
 class VerificationConfig:
-    """Generator ranges and tolerances for verify_bounds_random.
+    """How many instances verify_bounds_random draws, from which seed.
 
-    ``identity_tol`` is absolute (double-precision accumulation over <= 10
-    terms), ``sandwich_slack`` is the absolute slack allowed on each bound
-    inequality.  ``equal_p_only`` pins the generator to equal-probability
-    instances and additionally counts how often the as-printed equal-p
-    formula misses the oracle (it should miss on every instance whose swapped
-    candidates have different times — see README, Errata).
+    ``equal_p_only`` pins the generator to equal-probability instances and
+    additionally counts how often the as-printed equal-p formula misses the
+    oracle (it should miss on every instance whose swapped candidates have
+    different times — see README, Errata).
     """
 
     instances: int
     seed: int
-    n_candidates: tuple[int, int] = (2, 8)
-    p_range: tuple[float, float] = (0.05, 0.95)
-    t_range: tuple[float, float] = (0.1, 10.0)
-    max_samples: int = 3
-    identity_tol: float = 1e-10
-    sandwich_slack: float = 1e-9
-    optimality_rel_tol: float = 1e-9
-    optimality_max_n: int = 8
     equal_p_only: bool = False
 
     def __post_init__(self) -> None:
         if self.instances < 0:
             raise ValueError(f"instances must be >= 0, got {self.instances}")
-        if not 2 <= self.n_candidates[0] <= self.n_candidates[1]:
-            raise ValueError(f"invalid candidate-count range {self.n_candidates}")
-        if not 0.0 < self.p_range[0] <= self.p_range[1] < 1.0:
-            raise ValueError(f"p_range must sit strictly inside (0, 1): {self.p_range}")
-        if not 0.0 < self.t_range[0] <= self.t_range[1]:
-            raise ValueError(f"t_range must be positive and ordered: {self.t_range}")
-        if self.max_samples < 1:
-            raise ValueError(f"max_samples must be >= 1, got {self.max_samples}")
 
 
 @dataclass(frozen=True)
@@ -297,8 +293,8 @@ def _build_set(ps, tss) -> CandidateSet:
     ))
 
 
-def _draw_times(rng, cfg, n):
-    return [rng.uniform(*cfg.t_range, size=int(rng.integers(1, cfg.max_samples + 1)))
+def _draw_times(rng, n):
+    return [rng.uniform(*_T_RANGE, size=int(rng.integers(1, _MAX_SAMPLES + 1)))
             for _ in range(n)]
 
 
@@ -315,21 +311,21 @@ def verify_bounds_random(config: VerificationConfig) -> VerificationReport:
     brute-force oracles: the q-decomposition identity, its n=1 reduction to
     the adjacent closed form, the four bound sandwiches on
     premise-satisfying constructions, the corrected equal-p identity, and
-    rule optimality for N <= optimality_max_n.  Failures are report entries,
-    never exceptions.
+    rule optimality for N <= _OPTIMALITY_MAX_N.  Failures are report
+    entries, never exceptions.
     """
     rng = np.random.default_rng(config.seed)
     tally = _Tally()
-    tol = config.identity_tol
-    slack = config.sandwich_slack
+    tol = _IDENTITY_TOL
+    slack = _SANDWICH_SLACK
 
     for _ in range(config.instances):
         if config.equal_p_only:
-            _equal_p_checks(rng, config, tally)
+            _equal_p_checks(rng, tally, count_paper_variant=True)
             continue
 
-        N = int(rng.integers(config.n_candidates[0], config.n_candidates[1] + 1))
-        cset = _build_set(rng.uniform(*config.p_range, N), _draw_times(rng, config, N))
+        N = int(rng.integers(_N_CANDIDATES[0], _N_CANDIDATES[1] + 1))
+        cset = _build_set(rng.uniform(*_P_RANGE, N), _draw_times(rng, N))
         order = solomonoff_order(cset)
         k, n = _draw_kn(rng, N)
 
@@ -361,8 +357,8 @@ def verify_bounds_random(config: VerificationConfig) -> VerificationReport:
         # General lower bound: build a premise-satisfying instance
         # (p descending, t ascending is ratio-sorted and satisfies the
         # p_k >= p_{k+n}, t_k <= t_{k+n} swap premises for every pair).
-        ps_lo = np.sort(rng.uniform(*config.p_range, N))[::-1]
-        ts_lo = sorted(_draw_times(rng, config, N), key=lambda s: float(np.mean(s)))
+        ps_lo = np.sort(rng.uniform(*_P_RANGE, N))[::-1]
+        ts_lo = sorted(_draw_times(rng, N), key=lambda s: float(np.mean(s)))
         cset_lo = _build_set(ps_lo, ts_lo)
         order_lo = Ordering.identity(N)
         k2, n2 = _draw_kn(rng, N)
@@ -377,8 +373,8 @@ def verify_bounds_random(config: VerificationConfig) -> VerificationReport:
                      lo.assumptions_ok and res_lo <= slack)
 
         # Equal-time sandwich.
-        ps_eq = rng.uniform(*config.p_range, N)
-        T_eq = float(rng.uniform(*config.t_range))
+        ps_eq = rng.uniform(*_P_RANGE, N)
+        T_eq = float(rng.uniform(*_T_RANGE))
         cset_eq = _build_set(ps_eq, [[T_eq]] * N)
         order_eq = solomonoff_order(cset_eq)
         k3, n3 = _draw_kn(rng, N)
@@ -394,16 +390,15 @@ def verify_bounds_random(config: VerificationConfig) -> VerificationReport:
         tally.record("sandwich-lower-equal-t", max(0.0, res_lq),
                      lo_eq.assumptions_ok and res_lq <= slack)
 
-        _equal_p_checks(rng, config, tally, count_paper_variant=False)
+        _equal_p_checks(rng, tally, count_paper_variant=False)
 
         # Rule optimality against exhaustive search.
-        if N <= config.optimality_max_n:
+        if N <= _OPTIMALITY_MAX_N:
             bf = brute_force_best_order(cset)
             rule = expected_time(cset, order)
             res_opt = abs(rule - bf.best_expected_time)
             tally.record("optimality", res_opt,
-                         res_opt <= config.optimality_rel_tol
-                         * max(1.0, bf.best_expected_time))
+                         res_opt <= _OPTIMALITY_REL_TOL * max(1.0, bf.best_expected_time))
 
     return VerificationReport(
         instances=config.instances,
@@ -413,18 +408,16 @@ def verify_bounds_random(config: VerificationConfig) -> VerificationReport:
     )
 
 
-def _equal_p_checks(rng, config, tally, count_paper_variant: bool | None = None) -> None:
+def _equal_p_checks(rng, tally, count_paper_variant: bool) -> None:
     """Equal-probability instance: corrected identity, optional erratum count."""
-    if count_paper_variant is None:
-        count_paper_variant = config.equal_p_only
-    N = int(rng.integers(max(2, config.n_candidates[0]), config.n_candidates[1] + 1))
-    p = float(rng.uniform(*config.p_range))
-    cset = _build_set([p] * N, _draw_times(rng, config, N))
+    N = int(rng.integers(_N_CANDIDATES[0], _N_CANDIDATES[1] + 1))
+    p = float(rng.uniform(*_P_RANGE))
+    cset = _build_set([p] * N, _draw_times(rng, N))
     order = Ordering.identity(N)  # the equal-p closed form is exact for any order
     k, n = _draw_kn(rng, N)
     direct = exact_excess_direct(cset, order, k, n)
     corr = equal_p_swap_excess(cset, order, k, n)
-    tally.record("equal-p-corrected", abs(corr - direct), abs(corr - direct) <= config.identity_tol)
+    tally.record("equal-p-corrected", abs(corr - direct), abs(corr - direct) <= _IDENTITY_TOL)
     if count_paper_variant:
         tk = cset.ts[order[k - 1]]
         tkn = cset.ts[order[k + n - 1]]
@@ -433,4 +426,4 @@ def _equal_p_checks(rng, config, tally, count_paper_variant: bool | None = None)
             # "failure" means the printed formula misses the oracle, which it
             # does by exactly (t_{k+n} - t_k) (1-p)^k on every such instance.
             tally.record("equal-p-paper-variant", abs(paper - direct),
-                         abs(paper - direct) <= config.identity_tol)
+                         abs(paper - direct) <= _IDENTITY_TOL)

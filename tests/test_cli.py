@@ -338,6 +338,17 @@ class TestExitCodes:
         code, _, _ = run(capsys, ["order", "-i", three, "--bogus"])
         assert code == 1
 
+    def test_flag_of_another_command_exit_1(self, capsys, three, tmp_path):
+        # --strict belongs to bounds; check reads no candidate file.
+        code, _, err = run(capsys, ["order", "-i", three, "--strict"])
+        assert code == 1
+        assert "unrecognized arguments: --strict" in err
+        path = tmp_path / "f.json"
+        path.write_text(THREE_JSON)
+        code, _, err = run(capsys, ["check", "-i", str(path)])
+        assert code == 1
+        assert f"unrecognized arguments: -i {path}" in err
+
     def test_help_exits_0(self, capsys):
         assert run(capsys, ["--help"])[0] == 0
 

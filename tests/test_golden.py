@@ -9,8 +9,11 @@ reports, are the same on every run.
 
 The N=8 cases are the invocations of the benchmark's ``cli_cold`` rotation,
 on a JSON and a CSV file; the N=2,000 cases run ``order``, ``expect``,
-``excess`` and ``bounds`` on a JSON file.  Each case is emitted as json,
-text and csv.
+``excess`` and ``bounds`` on a JSON file.  The three ``check`` cases need no
+input file; their digests were taken before ``VerificationConfig`` lost its
+generator-range and tolerance fields, and the equal-p one exits 3 (the
+printed equal-p formula misses its oracle), so each digest is pinned beside
+its exit code.  Each case is emitted as json, text and csv.
 """
 
 from __future__ import annotations
@@ -94,6 +97,8 @@ def cases() -> dict[str, tuple[str | None, list[str]]]:
     for case, argv in _large_cases().items():
         out[case] = ("large.json", argv)
     out["check"] = (None, ["check", "--instances", "10", "--seed", "3"])
+    out["check_seed11"] = (None, ["check", "--instances", "200", "--seed", "11"])
+    out["check_equal_p"] = (None, ["check", "--equal-p", "--instances", "50", "--seed", "3"])
     return out
 
 
@@ -115,79 +120,85 @@ def report_digest(directory, case: str, fmt: str) -> tuple[int, str]:
     return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
-GOLDEN: dict[str, str] = {
-    "check/json": "8843cdc28ba8674485508b62d021e86070a7f48a60b02ac66846647480da8a28",
-    "check/text": "f16fb53c433b3b28d546b4587e6f08970a2b4608cd2e89775ac77a38f615dd6c",
-    "check/csv": "ccb6452a568a210fd884d424cf5aa0bc0db4a9916194fb50292e28587e26c58d",
-    "large.json/bounds_adjacent/json": "1c83db2a3716283a857d76ba09fc2cabd94670db3f57359d50ad60ef30c6de35",
-    "large.json/bounds_adjacent/text": "2afca33765dac7f7c4ec5c56c57cfc6884b66f724360e5bd7402d86ea8857399",
-    "large.json/bounds_adjacent/csv": "6e49496a6985bf3e0074c30bfb00cc6541e94e71c59891b59d838a146ef2fa9d",
-    "large.json/bounds_general_lower/json": "5299f9d2fe330ba6f87fcb69241a569763a33ba5ea4adddb924f6e996c5b80bd",
-    "large.json/bounds_general_lower/text": "a0a7df12c39aad80f0bf8b7dbc7f0a870f401409d6bf9777864f38a5b01df9af",
-    "large.json/bounds_general_lower/csv": "32be444d5a9266dbc86c45176290f8c42f07f49d9be5b13b081eea9a23000bf6",
-    "large.json/bounds_general_upper/json": "20646a250bbf7e17197dac8a9356ad3abc275a4e5094e53ac00f5c4d3b4d13eb",
-    "large.json/bounds_general_upper/text": "8077a3426b2c8bdeaeb77580c4d946578d91404ce66bd0080c0fd8236242ce8b",
-    "large.json/bounds_general_upper/csv": "6e79c2a21c1f284ca10b06bbc7a37ddf188917b39efb3f74cedb8f12269d1d01",
-    "large.json/excess/json": "8a41c71821de7aae29b32d6c1eb30604da843d460ddc8e038b7554bc63572faa",
-    "large.json/excess/text": "2da54975eb3015d725597177678a9720f5629badcd641a8968d0ec522bbb9063",
-    "large.json/excess/csv": "8eb123de93c284cf80df2e64880c77f58dabef0017c63aaa2697b419a41cc3cc",
-    "large.json/expect/json": "d23541d7a8b5d2a46afc382c228a8a66b88d2a1b45f05fa9fdfc05a608dcd9f8",
-    "large.json/expect/text": "0e468887790a1d85d52203c26f05c42b23576a2492e129d7bd6ade03538ad4b2",
-    "large.json/expect/csv": "c1cd717926b37986225c9bfb125d5149702cfd72600337e10f51220b29876433",
-    "large.json/expect_no_tail/json": "c83c2bf4bc30c28b665d9fcb6075d906bd77ffcd6af28bcd5ad2651d56378ed2",
-    "large.json/expect_no_tail/text": "89bd4d198a1e8f7b552d2eb617dc2c3e890cce6d1d9d8b1364369dd0bf1c0c85",
-    "large.json/expect_no_tail/csv": "c9ac54a2d97183fc70baa7ccbcc4c5045d55cfe29df0b740c6be0523fc419d7c",
-    "large.json/order/json": "35fbda6215eea95304099e039ebf84cdc31a8761d91e28d3fdc87ec7a20c906d",
-    "large.json/order/text": "0549cfb97867819e2afd811158ae028ece3a08691634db05e1a8b13b961306b2",
-    "large.json/order/csv": "ef4c4f451745e40adf96d0ae0936e698ddeb7873d04caf4ccf3114f7f1593b6e",
-    "small.csv/bounds_adjacent/json": "4c0f7905a83ef6e5ad94f0310e7dd745baffde4d63975d7233748652e2a305c4",
-    "small.csv/bounds_adjacent/text": "7f79577fda6eb209ef5bb4763c3024087ed6d8468368e12542d42949d2ef4905",
-    "small.csv/bounds_adjacent/csv": "84f222a7494b61e79559ef31012f581610942fff039ec7053af921c5f41cd9aa",
-    "small.csv/bounds_general_upper/json": "dd67b92529b2d87b48052029b1a524e56313946c2adc647c127be714233b9814",
-    "small.csv/bounds_general_upper/text": "864b391be11d13b6889a19fbcf01898c8867b4dd860434488848dcc8ebb967fa",
-    "small.csv/bounds_general_upper/csv": "3bc423d01984d515166c3a5d2845f2a67e529bd7ce98686fa26fb73b1f588005",
-    "small.csv/excess/json": "3c1ff7e7fdaceed8cd58b4574efdd5e0605f41eeb7274094cff133ddbe9976d1",
-    "small.csv/excess/text": "98a4ba63beddb9584c727de1b694d98df2048424a1aa218ee80571020f954d1a",
-    "small.csv/excess/csv": "84677efa51c54e45302ec6cb791749f8cddf0c3ed35163cfe76ede3369dda3e6",
-    "small.csv/expect/json": "748ae1fce25dbb4eaa9f1921a226ee16c8a6318a6155c9a963758d484fdea8e3",
-    "small.csv/expect/text": "583f4ccea912b837053ce681b50474086051441e573088be3c4186c2f9f155d0",
-    "small.csv/expect/csv": "0b12211f6db10d6fd159f90e5dc47b7fbd5a095c738920c311c3fb5726b0ba7e",
-    "small.csv/expect_no_tail/json": "8b70b3edd0437db0a417491da61449cfe12f81e48bac46929353fe6e748e2350",
-    "small.csv/expect_no_tail/text": "b0c5e2f52b4e2235454194651b6547f14448eaaceef5dc11081e894542384c76",
-    "small.csv/expect_no_tail/csv": "dd41a6f8f8cffc0ec1474f46e167589c2e0a789ff1ec326793ebee617cb0557c",
-    "small.csv/order/json": "967b06b0406a62af02ab8b7113777290f032230298491c3aca58dde6edc048c5",
-    "small.csv/order/text": "bed72fc61723e1217bd2e65ae127195da43dd424c3b35fa44f0d53a0f2413131",
-    "small.csv/order/csv": "bb85d3808f523f30b201732dcc1aa13ee59e3c76093ccdb21f90d505b33ed459",
-    "small.csv/simulate/json": "313be6526df6706f4acbdd4e0950b2d1ce37c38f24b2bbf3af9568e8804ce366",
-    "small.csv/simulate/text": "3b2a9b5397703cbeb540eca77642782781a861b9bab91bf981bb8f682c33fa32",
-    "small.csv/simulate/csv": "8beadfacec34b5169c3ba4990ac2f957ad4e4b8a8aaaff7247ad65a3e65a5af8",
-    "small.csv/verify_optimal/json": "080aecb1d7b18a0b3684ee7f4ec6042896e37d1fab925c402fc3a69a66f888df",
-    "small.csv/verify_optimal/text": "f10dc07df7c2e9447d71ee980d5ae64b5b09b7eb9b4804284fd8eaea7fcb54f9",
-    "small.csv/verify_optimal/csv": "d8d8f9aeadecd0be4575cdcfccc47bacbd30427ac53d6fa6dcd7011d86f2b3bf",
-    "small.json/bounds_adjacent/json": "ea22a3015ed337708e31224440bc15303f9a5a5e2bcfc56d870d5e73edf5feae",
-    "small.json/bounds_adjacent/text": "172ca49d86ebfab2a6abec5565cc2531a78ed07d89fd605e16517ae8abffc6db",
-    "small.json/bounds_adjacent/csv": "0b847cb6c1ee2c0563e235f31b8eef278d72a0c498ae524b68cc4cade2052e9a",
-    "small.json/bounds_general_upper/json": "1ec9a165125e8b84323b612bd6b8c49bfb52053fd01d602bf8adbcfd02da7455",
-    "small.json/bounds_general_upper/text": "2a721c793d0127469d4a546a28c998b85506d72ab193cb0f36fa713dd8bc0796",
-    "small.json/bounds_general_upper/csv": "c5891a32c1b2c16ead73db39a32e630e83e9a558c75c2d46d8310652ffd85ccb",
-    "small.json/excess/json": "2ed175ab30355fae02c69625997f0b1df2dffdcabb4c14a8fb6993213fdbc519",
-    "small.json/excess/text": "615891c4e0f329bc7da01173211a5f8e93a18205d12455ee00fb71535d52ceea",
-    "small.json/excess/csv": "02eec157449a2be33f4039968c97c841d1356641fd3d833d98ceec54891dfedf",
-    "small.json/expect/json": "36f9ada01929ccd24a509e88f5e213ca484f04d49db91f65566f868ef5d90e91",
-    "small.json/expect/text": "bb29e03b031330785ba8753ed3fe506f97e7c626941290df3c3fab373f8fab17",
-    "small.json/expect/csv": "231c67f02b0845cfef323571f48f01af02b4b05367f0543683740c6f53dca1da",
-    "small.json/expect_no_tail/json": "7f27973ec1ccbc3e8a30e9874a4a25404f9e8086333837d87ff17ea5e904e63b",
-    "small.json/expect_no_tail/text": "235eb643398f8db9e7fa771651d82356b350daee120879c005c0c4baac26912b",
-    "small.json/expect_no_tail/csv": "4fefeb844aae9ea4bb63d0cdec37d6b44ff250326e8db3f2163e21d58c21d2d3",
-    "small.json/order/json": "a70cba09df74aeb7abc891d2bb5366e94f762151d78c332f2027092bf6f7e091",
-    "small.json/order/text": "937ec9939832c98ea24b3d96fbd875a6b9ebdf81f8f5af0b5b325013c5d501a2",
-    "small.json/order/csv": "8a8a23e04d414abd65adc50eeb9907bccb3aead7a16992a09e7ef826440a3cc6",
-    "small.json/simulate/json": "b2874638eb7b4c2d9fd529d25eb3f0c4a878217bdc80b8bed958d30306cf6960",
-    "small.json/simulate/text": "3913c2fb1862bf96559336ce485b19520ae716bc1752a5485348b1ba0078135a",
-    "small.json/simulate/csv": "616ee1cb48d4d6f077b8d66eb2de7882bdb5ec455e66d38b38cd3ffdc49a94ea",
-    "small.json/verify_optimal/json": "221cb68680c74be6cb09e673e1e36bd2cb7c5a6c860de466c582999fe9eafc46",
-    "small.json/verify_optimal/text": "4eac63a91072adffe1b1d41cf37d449456a8323738ec437826b805bf8810e8b1",
-    "small.json/verify_optimal/csv": "8ae21d135faec80cda348bfb2ec3e3a5fcbfedebe9e284841b75aa0f91ed6055",
+GOLDEN: dict[str, tuple[int, str]] = {  # case/format -> (exit code, sha256 of stdout)
+    "check/json": (0, "8843cdc28ba8674485508b62d021e86070a7f48a60b02ac66846647480da8a28"),
+    "check/text": (0, "f16fb53c433b3b28d546b4587e6f08970a2b4608cd2e89775ac77a38f615dd6c"),
+    "check/csv": (0, "ccb6452a568a210fd884d424cf5aa0bc0db4a9916194fb50292e28587e26c58d"),
+    "check_equal_p/json": (3, "d2ac0a38a684b3ab2cbe9e678b90401005b6df32743dffb4a4c5ddf86c7b4639"),
+    "check_equal_p/text": (3, "d28d55d6d9e6c18934151c455bd6c82960bb2a46b40c7a7796fd9c5d7725f11b"),
+    "check_equal_p/csv": (3, "96d0341e4fbb2bedda5a2b07a530306f7ac401c3967b3c94ccfb7573385fc94a"),
+    "check_seed11/json": (0, "6a0fd07e9fa84c237952b54e2bc5b72972c846587a0787d135197fff65174bad"),
+    "check_seed11/text": (0, "99bc6d773d531dd654b47514e4213f56da82978f5146d4211a82de3bc0cc3042"),
+    "check_seed11/csv": (0, "fb6dfe14c4b5c5795c42d487cdba5db3fefca11acf8ed1fd010d58c6417d2fe7"),
+    "large.json/bounds_adjacent/json": (0, "1c83db2a3716283a857d76ba09fc2cabd94670db3f57359d50ad60ef30c6de35"),
+    "large.json/bounds_adjacent/text": (0, "2afca33765dac7f7c4ec5c56c57cfc6884b66f724360e5bd7402d86ea8857399"),
+    "large.json/bounds_adjacent/csv": (0, "6e49496a6985bf3e0074c30bfb00cc6541e94e71c59891b59d838a146ef2fa9d"),
+    "large.json/bounds_general_lower/json": (0, "5299f9d2fe330ba6f87fcb69241a569763a33ba5ea4adddb924f6e996c5b80bd"),
+    "large.json/bounds_general_lower/text": (0, "a0a7df12c39aad80f0bf8b7dbc7f0a870f401409d6bf9777864f38a5b01df9af"),
+    "large.json/bounds_general_lower/csv": (0, "32be444d5a9266dbc86c45176290f8c42f07f49d9be5b13b081eea9a23000bf6"),
+    "large.json/bounds_general_upper/json": (0, "20646a250bbf7e17197dac8a9356ad3abc275a4e5094e53ac00f5c4d3b4d13eb"),
+    "large.json/bounds_general_upper/text": (0, "8077a3426b2c8bdeaeb77580c4d946578d91404ce66bd0080c0fd8236242ce8b"),
+    "large.json/bounds_general_upper/csv": (0, "6e79c2a21c1f284ca10b06bbc7a37ddf188917b39efb3f74cedb8f12269d1d01"),
+    "large.json/excess/json": (0, "8a41c71821de7aae29b32d6c1eb30604da843d460ddc8e038b7554bc63572faa"),
+    "large.json/excess/text": (0, "2da54975eb3015d725597177678a9720f5629badcd641a8968d0ec522bbb9063"),
+    "large.json/excess/csv": (0, "8eb123de93c284cf80df2e64880c77f58dabef0017c63aaa2697b419a41cc3cc"),
+    "large.json/expect/json": (0, "d23541d7a8b5d2a46afc382c228a8a66b88d2a1b45f05fa9fdfc05a608dcd9f8"),
+    "large.json/expect/text": (0, "0e468887790a1d85d52203c26f05c42b23576a2492e129d7bd6ade03538ad4b2"),
+    "large.json/expect/csv": (0, "c1cd717926b37986225c9bfb125d5149702cfd72600337e10f51220b29876433"),
+    "large.json/expect_no_tail/json": (0, "c83c2bf4bc30c28b665d9fcb6075d906bd77ffcd6af28bcd5ad2651d56378ed2"),
+    "large.json/expect_no_tail/text": (0, "89bd4d198a1e8f7b552d2eb617dc2c3e890cce6d1d9d8b1364369dd0bf1c0c85"),
+    "large.json/expect_no_tail/csv": (0, "c9ac54a2d97183fc70baa7ccbcc4c5045d55cfe29df0b740c6be0523fc419d7c"),
+    "large.json/order/json": (0, "35fbda6215eea95304099e039ebf84cdc31a8761d91e28d3fdc87ec7a20c906d"),
+    "large.json/order/text": (0, "0549cfb97867819e2afd811158ae028ece3a08691634db05e1a8b13b961306b2"),
+    "large.json/order/csv": (0, "ef4c4f451745e40adf96d0ae0936e698ddeb7873d04caf4ccf3114f7f1593b6e"),
+    "small.csv/bounds_adjacent/json": (0, "4c0f7905a83ef6e5ad94f0310e7dd745baffde4d63975d7233748652e2a305c4"),
+    "small.csv/bounds_adjacent/text": (0, "7f79577fda6eb209ef5bb4763c3024087ed6d8468368e12542d42949d2ef4905"),
+    "small.csv/bounds_adjacent/csv": (0, "84f222a7494b61e79559ef31012f581610942fff039ec7053af921c5f41cd9aa"),
+    "small.csv/bounds_general_upper/json": (0, "dd67b92529b2d87b48052029b1a524e56313946c2adc647c127be714233b9814"),
+    "small.csv/bounds_general_upper/text": (0, "864b391be11d13b6889a19fbcf01898c8867b4dd860434488848dcc8ebb967fa"),
+    "small.csv/bounds_general_upper/csv": (0, "3bc423d01984d515166c3a5d2845f2a67e529bd7ce98686fa26fb73b1f588005"),
+    "small.csv/excess/json": (0, "3c1ff7e7fdaceed8cd58b4574efdd5e0605f41eeb7274094cff133ddbe9976d1"),
+    "small.csv/excess/text": (0, "98a4ba63beddb9584c727de1b694d98df2048424a1aa218ee80571020f954d1a"),
+    "small.csv/excess/csv": (0, "84677efa51c54e45302ec6cb791749f8cddf0c3ed35163cfe76ede3369dda3e6"),
+    "small.csv/expect/json": (0, "748ae1fce25dbb4eaa9f1921a226ee16c8a6318a6155c9a963758d484fdea8e3"),
+    "small.csv/expect/text": (0, "583f4ccea912b837053ce681b50474086051441e573088be3c4186c2f9f155d0"),
+    "small.csv/expect/csv": (0, "0b12211f6db10d6fd159f90e5dc47b7fbd5a095c738920c311c3fb5726b0ba7e"),
+    "small.csv/expect_no_tail/json": (0, "8b70b3edd0437db0a417491da61449cfe12f81e48bac46929353fe6e748e2350"),
+    "small.csv/expect_no_tail/text": (0, "b0c5e2f52b4e2235454194651b6547f14448eaaceef5dc11081e894542384c76"),
+    "small.csv/expect_no_tail/csv": (0, "dd41a6f8f8cffc0ec1474f46e167589c2e0a789ff1ec326793ebee617cb0557c"),
+    "small.csv/order/json": (0, "967b06b0406a62af02ab8b7113777290f032230298491c3aca58dde6edc048c5"),
+    "small.csv/order/text": (0, "bed72fc61723e1217bd2e65ae127195da43dd424c3b35fa44f0d53a0f2413131"),
+    "small.csv/order/csv": (0, "bb85d3808f523f30b201732dcc1aa13ee59e3c76093ccdb21f90d505b33ed459"),
+    "small.csv/simulate/json": (0, "313be6526df6706f4acbdd4e0950b2d1ce37c38f24b2bbf3af9568e8804ce366"),
+    "small.csv/simulate/text": (0, "3b2a9b5397703cbeb540eca77642782781a861b9bab91bf981bb8f682c33fa32"),
+    "small.csv/simulate/csv": (0, "8beadfacec34b5169c3ba4990ac2f957ad4e4b8a8aaaff7247ad65a3e65a5af8"),
+    "small.csv/verify_optimal/json": (0, "080aecb1d7b18a0b3684ee7f4ec6042896e37d1fab925c402fc3a69a66f888df"),
+    "small.csv/verify_optimal/text": (0, "f10dc07df7c2e9447d71ee980d5ae64b5b09b7eb9b4804284fd8eaea7fcb54f9"),
+    "small.csv/verify_optimal/csv": (0, "d8d8f9aeadecd0be4575cdcfccc47bacbd30427ac53d6fa6dcd7011d86f2b3bf"),
+    "small.json/bounds_adjacent/json": (0, "ea22a3015ed337708e31224440bc15303f9a5a5e2bcfc56d870d5e73edf5feae"),
+    "small.json/bounds_adjacent/text": (0, "172ca49d86ebfab2a6abec5565cc2531a78ed07d89fd605e16517ae8abffc6db"),
+    "small.json/bounds_adjacent/csv": (0, "0b847cb6c1ee2c0563e235f31b8eef278d72a0c498ae524b68cc4cade2052e9a"),
+    "small.json/bounds_general_upper/json": (0, "1ec9a165125e8b84323b612bd6b8c49bfb52053fd01d602bf8adbcfd02da7455"),
+    "small.json/bounds_general_upper/text": (0, "2a721c793d0127469d4a546a28c998b85506d72ab193cb0f36fa713dd8bc0796"),
+    "small.json/bounds_general_upper/csv": (0, "c5891a32c1b2c16ead73db39a32e630e83e9a558c75c2d46d8310652ffd85ccb"),
+    "small.json/excess/json": (0, "2ed175ab30355fae02c69625997f0b1df2dffdcabb4c14a8fb6993213fdbc519"),
+    "small.json/excess/text": (0, "615891c4e0f329bc7da01173211a5f8e93a18205d12455ee00fb71535d52ceea"),
+    "small.json/excess/csv": (0, "02eec157449a2be33f4039968c97c841d1356641fd3d833d98ceec54891dfedf"),
+    "small.json/expect/json": (0, "36f9ada01929ccd24a509e88f5e213ca484f04d49db91f65566f868ef5d90e91"),
+    "small.json/expect/text": (0, "bb29e03b031330785ba8753ed3fe506f97e7c626941290df3c3fab373f8fab17"),
+    "small.json/expect/csv": (0, "231c67f02b0845cfef323571f48f01af02b4b05367f0543683740c6f53dca1da"),
+    "small.json/expect_no_tail/json": (0, "7f27973ec1ccbc3e8a30e9874a4a25404f9e8086333837d87ff17ea5e904e63b"),
+    "small.json/expect_no_tail/text": (0, "235eb643398f8db9e7fa771651d82356b350daee120879c005c0c4baac26912b"),
+    "small.json/expect_no_tail/csv": (0, "4fefeb844aae9ea4bb63d0cdec37d6b44ff250326e8db3f2163e21d58c21d2d3"),
+    "small.json/order/json": (0, "a70cba09df74aeb7abc891d2bb5366e94f762151d78c332f2027092bf6f7e091"),
+    "small.json/order/text": (0, "937ec9939832c98ea24b3d96fbd875a6b9ebdf81f8f5af0b5b325013c5d501a2"),
+    "small.json/order/csv": (0, "8a8a23e04d414abd65adc50eeb9907bccb3aead7a16992a09e7ef826440a3cc6"),
+    "small.json/simulate/json": (0, "b2874638eb7b4c2d9fd529d25eb3f0c4a878217bdc80b8bed958d30306cf6960"),
+    "small.json/simulate/text": (0, "3913c2fb1862bf96559336ce485b19520ae716bc1752a5485348b1ba0078135a"),
+    "small.json/simulate/csv": (0, "616ee1cb48d4d6f077b8d66eb2de7882bdb5ec455e66d38b38cd3ffdc49a94ea"),
+    "small.json/verify_optimal/json": (0, "221cb68680c74be6cb09e673e1e36bd2cb7c5a6c860de466c582999fe9eafc46"),
+    "small.json/verify_optimal/text": (0, "4eac63a91072adffe1b1d41cf37d449456a8323738ec437826b805bf8810e8b1"),
+    "small.json/verify_optimal/csv": (0, "8ae21d135faec80cda348bfb2ec3e3a5fcbfedebe9e284841b75aa0f91ed6055"),
 }
 
 
@@ -205,6 +216,4 @@ def test_every_case_is_pinned():
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("case", sorted(cases()))
 def test_report_bytes_unchanged(inputs_dir, case, fmt):
-    code, digest = report_digest(inputs_dir, case, fmt)
-    assert code == 0
-    assert digest == GOLDEN[f"{case}/{fmt}"]
+    assert report_digest(inputs_dir, case, fmt) == GOLDEN[f"{case}/{fmt}"]

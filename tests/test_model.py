@@ -1,5 +1,7 @@
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +13,6 @@ from trialorder import (
     Ordering,
     mean_time,
     prefix_aggregates,
-    prefix_log_products,
     ratio,
     validate,
 )
@@ -53,6 +54,17 @@ class TestCandidate:
         with pytest.raises(ValueError, match="field 'times': not a number: False"):
             Candidate("a", 0.5, (1.0, False))
         assert Candidate("a", "0.5", iter(["1", 2])) == Candidate("a", 0.5, (1.0, 2.0))
+
+    def test_construction_rejects_numpy_booleans(self):
+        # np.bool_ is no bool subclass, yet float() reads it as 0.0 or 1.0 too.
+        with pytest.raises(ValueError, match=re.escape(f"field 'p': not a number: {np.True_!r}")):
+            Candidate("a", np.True_, (2.0,))
+        with pytest.raises(ValueError, match=re.escape(f"'times': not a number: {np.False_!r}")):
+            Candidate("a", 0.5, (1.0, np.False_))
+        with pytest.raises(ValueError, match="field 'times': not a number"):
+            Candidate("a", 0.5, np.array([True, True]))
+        assert (Candidate("a", np.float64(0.5), np.array([1, 2]))
+                == Candidate("a", 0.5, (1.0, 2.0)))
 
     def test_probability_endpoints_admitted(self):
         Candidate("a", 0.0, (1.0,))
@@ -101,6 +113,15 @@ class TestCandidateSet:
             "candidate 'a': field 'times': not a sequence: '19'",
             "candidate 'b': field 'p': not a number: True",
             "candidate 'c': field 'times': not a number: True",
+        ]
+
+    def test_from_records_rejects_numpy_booleans(self):
+        with pytest.raises(ValueError) as exc:
+            CandidateSet.from_records([{"id": "a", "p": np.True_, "times": [2.0]},
+                                       ("b", 0.5, [2.0, np.True_])])
+        assert str(exc.value).split("; ") == [
+            f"candidate 'a': field 'p': not a number: {np.True_!r}",
+            f"candidate 'b': field 'times': not a number: {np.True_!r}",
         ]
 
     def test_from_records_builds_what_the_constructors_build(self):
@@ -155,19 +176,6 @@ class TestPrefixAggregates:
         cs = make_set([0.5, 0.4])
         with pytest.raises(ValueError, match="does not match"):
             prefix_aggregates(cs, Ordering.identity(3), 1)
-
-    def test_log_products_match_linear(self):
-        cs = make_set([0.5, 0.4, 0.3])
-        log_p, log_q = prefix_log_products(cs, Ordering.identity(3), 3)
-        agg = prefix_aggregates(cs, Ordering.identity(3), 3)
-        assert math.exp(log_p) == pytest.approx(agg.P, rel=1e-12)
-        assert math.exp(log_q) == pytest.approx(agg.Q, rel=1e-12)
-
-    def test_log_products_handle_endpoints(self):
-        cs = make_set([0.0, 1.0])
-        log_p, log_q = prefix_log_products(cs, Ordering.identity(2), 2)
-        assert log_p == -math.inf
-        assert log_q == -math.inf
 
     @given(sets_with_ordering(max_size=6), st.data())
     @settings(max_examples=150)
