@@ -24,14 +24,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import AssumptionError, SingularityError
-from .model import (
-    CandidateSet,
-    Ordering,
-    Violation,
-    _check_compatible,
-    prefix_aggregates,
-)
-from .excess import require_valid_swap
+from .excess import _swap_ends
+from .model import CandidateSet, Ordering, Violation, prefix_aggregates
 
 __all__ = [
     "PROFILES",
@@ -96,8 +90,12 @@ class BoundResult:
     upper: float | None
     A: float | None
     B: float | None
-    assumptions_ok: bool
     violations: tuple[Violation, ...]
+
+    @property
+    def assumptions_ok(self) -> bool:
+        """True when no premise is violated."""
+        return not self.violations
 
 
 def product_upper_bound_kn(xs: Sequence[float]) -> float:
@@ -150,15 +148,15 @@ def _band_violations(cset: CandidateSet, a: BoundAssumptions) -> list[Violation]
     return out
 
 
-def _time_violations(cset: CandidateSet, a: BoundAssumptions, check_min: bool) -> list[Violation]:
+def _time_violations(cset: CandidateSet, t_min: float, t_max: float) -> list[Violation]:
     out = []
     for c, mt in zip(cset, cset.ts):
-        if mt > a.t_max:
+        if mt > t_max:
             out.append(Violation(f"candidate {c.id!r}", "times",
-                                 f"mean time {mt} above t_max={a.t_max}"))
-        if check_min and mt < a.t_min:
+                                 f"mean time {mt} above t_max={t_max}"))
+        if mt < t_min:
             out.append(Violation(f"candidate {c.id!r}", "times",
-                                 f"mean time {mt} below t_min={a.t_min}"))
+                                 f"mean time {mt} below t_min={t_min}"))
     return out
 
 
@@ -170,26 +168,38 @@ def _equal_time_violations(cset: CandidateSet) -> list[Violation]:
     return []
 
 
+def _premises(cset: CandidateSet, a: BoundAssumptions, profile: str) -> list[Violation]:
+    """Every violated set-level premise of ``profile``: the p band, then times."""
+    if profile == "adjacent":
+        return []
+    out = _band_violations(cset, a)
+    if profile == "general-upper":
+        out += _time_violations(cset, 0.0, a.t_max)  # no floor; mean times are > 0
+    elif profile == "general-lower":
+        out += _time_violations(cset, a.t_min, a.t_max)
+    else:
+        out += _equal_time_violations(cset)
+    return out
+
+
+def _p_order_violations(k: int, n: int, pk: float, pkn: float) -> list[Violation]:
+    if pk < pkn:
+        return [Violation(f"positions {k},{k + n}", "p",
+                          f"needs p_k >= p_(k+n), got {pk} < {pkn}")]
+    return []
+
+
 def check_assumptions(cset: CandidateSet, a: BoundAssumptions) -> tuple[Violation, ...]:
     """Every violated set-level premise of the selected profile.
 
     Swap-local premises (p_k >= p_{k+n}, t_k <= t_{k+n}, the adjacent ratio
     premise) depend on a position pair, so the bound evaluators check those
-    and merge them into their result's violation list.
+    and list them after this same set-level list for their own profile.
 
     Note the time band is checked on mean times, which this package requires
     to be strictly positive even where a bound's statement would admit t = 0.
     """
-    out: list[Violation] = []
-    if a.profile in ("general-upper", "general-lower", "equal-t-upper", "equal-t-lower"):
-        out.extend(_band_violations(cset, a))
-    if a.profile == "general-upper":
-        out.extend(_time_violations(cset, a, check_min=False))
-    elif a.profile == "general-lower":
-        out.extend(_time_violations(cset, a, check_min=True))
-    elif a.profile in ("equal-t-upper", "equal-t-lower"):
-        out.extend(_equal_time_violations(cset))
-    return tuple(out)
+    return tuple(_premises(cset, a, a.profile))
 
 
 def adjacent_excess_bounds(cset: CandidateSet, ordering: Ordering, k: int) -> BoundResult:
@@ -205,10 +215,8 @@ def adjacent_excess_bounds(cset: CandidateSet, ordering: Ordering, k: int) -> Bo
     ratio_k >= ratio_{k+1}; if it fails, the values are still reported with
     ``assumptions_ok=False`` (the inequalities then flip sign).
     """
-    _check_compatible(cset, ordering)
-    require_valid_swap(cset.N, k, 1)
+    a, b = _swap_ends(cset, ordering, k, 1)
     ps, ts = cset.ps, cset.ts
-    a, b = ordering[k - 1], ordering[k]
     ra, rb = ps[a] / ts[a], ps[b] / ts[b]
     delta = ra - rb
     violations: list[Violation] = []
@@ -222,12 +230,12 @@ def adjacent_excess_bounds(cset: CandidateSet, ordering: Ordering, k: int) -> Bo
         lower = scale * product_lower_bound_wu(prefix_ps)
     else:
         lower = scale * prefix_aggregates(cset, ordering, k - 1).Q
-    return BoundResult(lower=lower, upper=upper, A=None, B=None,
-                       assumptions_ok=not violations, violations=tuple(violations))
+    return BoundResult(lower=lower, upper=upper, A=None, B=None, violations=tuple(violations))
 
 
 def _swap_endpoints(cset: CandidateSet, ordering: Ordering, k: int, n: int):
-    i, j = ordering[k - 1], ordering[k + n - 1]
+    """(p_k, p_{k+n}, t_k, t_{k+n}) of a swap that passes the swap gate."""
+    i, j = _swap_ends(cset, ordering, k, n)
     return cset.ps[i], cset.ps[j], cset.ts[i], cset.ts[j]
 
 
@@ -244,12 +252,10 @@ def swap_excess_upper_general(
     bound's usual statement admits t_i = 0; this package requires t > 0, a
     strictly smaller input class, so nothing extra is checked there.
     """
-    _check_compatible(cset, ordering)
-    require_valid_swap(cset.N, k, n)
     pk, pkn, _, _ = _swap_endpoints(cset, ordering, k, n)
     if pk == 1.0 or pkn == 1.0:
         raise SingularityError("p=1 at a swap endpoint makes the bound singular")
-    violations = list(_band_violations(cset, a)) + _time_violations(cset, a, check_min=False)
+    violations = _premises(cset, a, "general-upper")
     c, d, T = a.c, a.d, a.t_max
     A = 1.0 + 1.0 / c + k + ((1.0 - pk) / (1.0 - pkn)) * c * k / (1.0 - c)
     B = (1.0 - c / d) * (k + n) + 1.0 / c
@@ -257,8 +263,7 @@ def swap_excess_upper_general(
         T * ((1.0 - pkn) / (1.0 - pk)) * (d / c) * (1.0 - c) ** k
         * (A - B * (1.0 - c) ** (n - 1))
     )
-    return BoundResult(lower=None, upper=upper, A=A, B=B,
-                       assumptions_ok=not violations, violations=tuple(violations))
+    return BoundResult(lower=None, upper=upper, A=A, B=B, violations=tuple(violations))
 
 
 def swap_excess_lower_general(
@@ -286,15 +291,10 @@ def swap_excess_lower_general(
     evaluates the cancelled (distributed) form, which is also exact for
     t_min = 0.  A is reported as None when not finitely evaluable.
     """
-    _check_compatible(cset, ordering)
-    require_valid_swap(cset.N, k, n)
     pk, pkn, tk, tkn = _swap_endpoints(cset, ordering, k, n)
     if pk == 1.0:
         raise SingularityError("p=1 at position k makes the bound singular")
-    violations = list(_band_violations(cset, a)) + _time_violations(cset, a, check_min=True)
-    if pk < pkn:
-        violations.append(Violation(f"positions {k},{k + n}", "p",
-                                    f"needs p_k >= p_(k+n), got {pk} < {pkn}"))
+    violations = _premises(cset, a, "general-lower") + _p_order_violations(k, n, pk, pkn)
     if tk > tkn:
         violations.append(Violation(f"positions {k},{k + n}", "times",
                                     f"needs t_k <= t_(k+n), got {tk} > {tkn}"))
@@ -321,8 +321,7 @@ def swap_excess_lower_general(
     if dp > 0.0 and t > 0.0:
         f = (d * t) / (c * T) if use_paper_variant else (d * T) / (c * t)
         A = A0 + ((1.0 - pk) / dp) * d * k * (1.0 / (1.0 - d) - f * es / (1.0 - d) ** k)
-    return BoundResult(lower=lower, upper=None, A=A, B=B,
-                       assumptions_ok=not violations, violations=tuple(violations))
+    return BoundResult(lower=lower, upper=None, A=A, B=B, violations=tuple(violations))
 
 
 def _common_mean_time(cset: CandidateSet) -> float:
@@ -345,16 +344,11 @@ def swap_excess_upper_equal_t(
     times raise AssumptionError), c <= p_i <= d, and p_k >= p_{k+n} (with
     equal times a ratio-sorted order gives that for free).
     """
-    _check_compatible(cset, ordering)
-    require_valid_swap(cset.N, k, n)
-    T = _common_mean_time(cset)
     pk, pkn, _, _ = _swap_endpoints(cset, ordering, k, n)
+    T = _common_mean_time(cset)
     if pk == 1.0:
         raise SingularityError("p=1 at position k makes the bound singular")
-    violations = list(_band_violations(cset, a))
-    if pk < pkn:
-        violations.append(Violation(f"positions {k},{k + n}", "p",
-                                    f"needs p_k >= p_(k+n), got {pk} < {pkn}"))
+    violations = _premises(cset, a, "equal-t-upper") + _p_order_violations(k, n, pk, pkn)
     c, d = a.c, a.d
     A = 1.0 + k * c * (
         1.0 - ((1.0 - pk) / (1.0 - c)) * (c / d) * ((1.0 - d) / (1.0 - c)) ** (k - 1)
@@ -364,8 +358,7 @@ def swap_excess_upper_equal_t(
         T * d * ((pk - pkn) / (1.0 - pk)) * ((1.0 - c) ** k / c**2)
         * (A - B * (1.0 - c) ** (n - 1))
     )
-    return BoundResult(lower=None, upper=upper, A=A, B=B,
-                       assumptions_ok=not violations, violations=tuple(violations))
+    return BoundResult(lower=None, upper=upper, A=A, B=B, violations=tuple(violations))
 
 
 def swap_excess_lower_equal_t(
@@ -379,16 +372,11 @@ def swap_excess_lower_equal_t(
 
     Same premises as the equal-time upper bound.
     """
-    _check_compatible(cset, ordering)
-    require_valid_swap(cset.N, k, n)
-    T = _common_mean_time(cset)
     pk, pkn, _, _ = _swap_endpoints(cset, ordering, k, n)
+    T = _common_mean_time(cset)
     if pk == 1.0:
         raise SingularityError("p=1 at position k makes the bound singular")
-    violations = list(_band_violations(cset, a))
-    if pk < pkn:
-        violations.append(Violation(f"positions {k},{k + n}", "p",
-                                    f"needs p_k >= p_(k+n), got {pk} < {pkn}"))
+    violations = _premises(cset, a, "equal-t-lower") + _p_order_violations(k, n, pk, pkn)
     c, d = a.c, a.d
     es = math.exp(-prefix_aggregates(cset, ordering, k - 1).S)
     A = 1.0 + k * d * (
@@ -399,5 +387,4 @@ def swap_excess_lower_equal_t(
         T * c * ((pk - pkn) / (1.0 - pk)) * ((1.0 - d) ** k / d**2)
         * (A - B * (1.0 - d) ** (n - 1))
     )
-    return BoundResult(lower=lower, upper=None, A=A, B=B,
-                       assumptions_ok=not violations, violations=tuple(violations))
+    return BoundResult(lower=lower, upper=None, A=A, B=B, violations=tuple(violations))

@@ -288,6 +288,10 @@ def _cmd_bounds(args, cset: CandidateSet):
     if args.profile == "adjacent":
         if n != 1:
             raise CliInputError("--profile adjacent is defined for --n 1")
+        band = [f"--{f}" for f in ("c", "d", "tmin", "tmax") if getattr(args, f) is not None]
+        if band:
+            raise CliInputError("--profile adjacent reads no --c, --d, --tmin or --tmax; "
+                                f"got {', '.join(band)}")
         res = bounds.adjacent_excess_bounds(cset, ordering, k)
     else:
         if args.c is None or args.d is None:
@@ -332,8 +336,6 @@ def _cmd_bounds(args, cset: CandidateSet):
 def _cmd_verify_optimal(args, cset: CandidateSet):
     from . import oracle
 
-    if cset.N > args.max_n:
-        raise CliInputError(f"set has N={cset.N} candidates, above --max-n {args.max_n}")
     bf = oracle.brute_force_best_order(cset)
     rule_order = schedule.solomonoff_order(cset)
     rule_value = schedule.expected_time(cset, rule_order)
@@ -431,21 +433,18 @@ def build_parser() -> argparse.ArgumentParser:
                               help="closed-form bounds on the swap penalty")
     p_bounds.add_argument("--k", type=int, required=True)
     p_bounds.add_argument("--n", type=int, default=1)
-    p_bounds.add_argument("--c", type=float,
-                          help="lower probability bound in (0,1); unused by --profile adjacent")
-    p_bounds.add_argument("--d", type=float,
-                          help="upper probability bound in (0,1); unused by --profile adjacent")
+    p_bounds.add_argument("--c", type=float, help="lower probability bound in (0,1)")
+    p_bounds.add_argument("--d", type=float, help="upper probability bound in (0,1)")
     p_bounds.add_argument("--tmin", type=float, help="lower time bound (default: min mean time)")
     p_bounds.add_argument("--tmax", type=float, help="upper time bound (default: max mean time)")
-    p_bounds.add_argument("--profile", choices=bounds.PROFILES, default="general-upper")
+    p_bounds.add_argument("--profile", choices=bounds.PROFILES, default="general-upper",
+                          help="adjacent takes no --c, --d, --tmin or --tmax")
     p_bounds.add_argument("--order", default="optimal")
     p_bounds.add_argument("--strict", action="store_true",
                           help="exit 2 when a bound's assumptions are violated")
 
-    p_vo = sub.add_parser("verify-optimal", parents=[with_input],
-                          help="exact optimum over all orders vs the ordering rule")
-    p_vo.add_argument("--max-n", type=int, default=8,
-                      help="refuse sets larger than this (default 8)")
+    sub.add_parser("verify-optimal", parents=[with_input],
+                   help="exact optimum over all orders vs the ordering rule (N <= 10)")
 
     p_sim = sub.add_parser("simulate", parents=[with_input],
                            help="seeded Monte Carlo estimate of the expected solving time")

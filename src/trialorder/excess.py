@@ -28,7 +28,6 @@ from .schedule import expected_time
 
 __all__ = [
     "ExcessReport",
-    "require_valid_swap",
     "exact_excess_direct",
     "adjacent_swap_excess",
     "general_swap_excess",
@@ -55,14 +54,18 @@ class ExcessReport:
     method: str
 
 
-def require_valid_swap(n_candidates: int, k: int, n: int) -> None:
-    """Check 1 <= k and n >= 1 and k + n <= N, else raise ValueError."""
+def _swap_ends(cset: CandidateSet, ordering: Ordering, k: int, n: int) -> tuple[int, int]:
+    """Candidate indices at positions k and k+n of a valid swap, else ValueError.
+
+    The one gate of every swap function here and in the bounds module: the
+    ordering must fit the set, then n >= 1, then 1 <= k and k + n <= N.
+    """
+    _check_compatible(cset, ordering)
     if n < 1:
         raise ValueError(f"swap distance n={n} must be >= 1")
-    if k < 1 or k + n > n_candidates:
-        raise ValueError(
-            f"swap positions k={k}, k+n={k + n} out of range 1..{n_candidates}"
-        )
+    if k < 1 or k + n > cset.N:
+        raise ValueError(f"swap positions k={k}, k+n={k + n} out of range 1..{cset.N}")
+    return ordering[k - 1], ordering[k + n - 1]
 
 
 def exact_excess_direct(cset: CandidateSet, ordering: Ordering, k: int, n: int) -> float:
@@ -71,8 +74,7 @@ def exact_excess_direct(cset: CandidateSet, ordering: Ordering, k: int, n: int) 
     This is the direct-difference oracle every closed form is checked
     against.  The failure tail is included on both sides and cancels.
     """
-    _check_compatible(cset, ordering)
-    require_valid_swap(cset.N, k, n)
+    _swap_ends(cset, ordering, k, n)
     swapped = ordering.swapped(k - 1, k + n - 1)
     return expected_time(cset, swapped) - expected_time(cset, ordering)
 
@@ -83,8 +85,7 @@ def adjacent_swap_excess(cset: CandidateSet, ordering: Ordering, k: int) -> floa
     (p_k/t_k - p_{k+1}/t_{k+1}) * Q_{k-1} * t_k * t_{k+1}, exact for any
     reference ordering; >= 0 whenever the ordering is ratio-sorted.
     """
-    _check_compatible(cset, ordering)
-    require_valid_swap(cset.N, k, 1)
+    _swap_ends(cset, ordering, k, 1)
     p, t, _, Q = _prefix(cset, ordering, k + 1)
     return (p[k] / t[k] - p[k + 1] / t[k + 1]) * Q[k - 1] * t[k] * t[k + 1]
 
@@ -100,9 +101,8 @@ def general_swap_excess(cset: CandidateSet, ordering: Ordering, k: int, n: int) 
     q2 and q3 divide by (1 - p_k), so p_k = 1 is singular; use
     exact_excess_direct for that case.
     """
-    _check_compatible(cset, ordering)
-    require_valid_swap(cset.N, k, n)
-    if cset.ps[ordering[k - 1]] == 1.0:
+    i, _ = _swap_ends(cset, ordering, k, n)
+    if cset.ps[i] == 1.0:
         raise SingularityError(
             f"p=1 at position k={k}: the q-decomposition divides by (1 - p_k); "
             "use exact_excess_direct instead"
@@ -142,8 +142,7 @@ def equal_p_swap_excess(
     exactly (t_{k+n} - t_k) * (1-p)^k; it is kept only for comparison
     reporting (see README, Errata).
     """
-    _check_compatible(cset, ordering)
-    require_valid_swap(cset.N, k, n)
+    i, j = _swap_ends(cset, ordering, k, n)
     ps = cset.ps
     p_lo, p_hi = min(ps), max(ps)
     if p_hi - p_lo > EQUAL_P_REL_TOL * max(1.0, p_hi):
@@ -153,10 +152,8 @@ def equal_p_swap_excess(
     p = ps[0]
     if not 0.0 < p < 1.0:
         raise AssumptionError(f"shared probability p={p} must lie strictly inside (0, 1)")
-    tk = cset.ts[ordering[k - 1]]
-    tkn = cset.ts[ordering[k + n - 1]]
     q = 1.0 - p
-    base = (tkn - tk) * q ** (k - 1)
+    base = (cset.ts[j] - cset.ts[i]) * q ** (k - 1)
     if use_paper_variant:
         return base * (1.0 + q - q**n)
     return base * (1.0 - q**n)

@@ -6,9 +6,9 @@ closed forms and the scalar evaluator can be cross-checked against a second,
 independent implementation.
 
 Determinism contract: results are a pure function of their arguments.  The
-simulator partitions trials into fixed-size chunks, each driven by its own
-Philox counter-based substream derived from the seed, so the outcome does
-not depend on execution order and is bit-reproducible for a fixed seed.
+simulator partitions trials into chunks sized by N alone, each driven by its
+own Philox counter-based substream derived from the seed, so the outcome
+does not depend on execution order and is bit-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -48,7 +48,8 @@ __all__ = [
 ]
 
 MAX_BRUTE_FORCE_N = 10  # a documented limit; the search itself costs only O(2^N N) steps
-_SIM_CHUNK = 1 << 16
+_SIM_CHUNK = 1 << 16  # trials per chunk, at most
+_SIM_CELLS = 1 << 22  # trials x candidates per chunk, at most
 
 
 @dataclass(frozen=True)
@@ -127,6 +128,23 @@ def brute_force_best_order(cset: CandidateSet) -> BruteForceResult:
     )
 
 
+def _simulate_chunk(g: np.random.Generator, p: np.ndarray, samples: list, m: int):
+    """(time sum, squared-time sum, successes) of m trials; frees its arrays on return."""
+    N = len(samples)
+    success = g.random((m, N)) < p
+    tdraw = np.empty((m, N))
+    for j in range(N):
+        if len(samples[j]) == 1:
+            tdraw[:, j] = samples[j][0]
+        else:
+            tdraw[:, j] = samples[j][g.integers(0, len(samples[j]), size=m)]
+    any_success = success.any(axis=1)
+    attempts = np.where(any_success, success.argmax(axis=1) + 1, N)
+    cum = np.cumsum(tdraw, axis=1)
+    totals = np.take_along_axis(cum, (attempts - 1)[:, None], axis=1)[:, 0]
+    return float(totals.sum()), float((totals * totals).sum()), int(any_success.sum())
+
+
 def simulate(cset: CandidateSet, ordering: Ordering, trials: int, seed: int) -> SimulationResult:
     """Monte Carlo estimate of the expected solving time along ``ordering``.
 
@@ -143,30 +161,18 @@ def simulate(cset: CandidateSet, ordering: Ordering, trials: int, seed: int) -> 
     p = np.array([c.p for c in ordered])
     samples = [np.asarray(c.time_samples, dtype=float) for c in ordered]
 
-    time_sum = 0.0
-    time_sqsum = 0.0
+    time_sum = time_sqsum = 0.0
     wins = 0
-    n_chunks = (trials + _SIM_CHUNK - 1) // _SIM_CHUNK
-    for chunk_index in range(n_chunks):
-        m = min(_SIM_CHUNK, trials - chunk_index * _SIM_CHUNK)
+    rows = max(1, min(_SIM_CHUNK, _SIM_CELLS // N))  # 65,536 up to N = 64
+    for chunk_index in range((trials + rows - 1) // rows):
+        m = min(rows, trials - chunk_index * rows)
         # Every chunk jumps a fresh Philox(seed), so no chunk's stream depends
         # on how many numbers another chunk drew; jumped(0) is Philox(seed).
         g = np.random.Generator(np.random.Philox(seed).jumped(chunk_index))
-        u = g.random((m, N))
-        success = u < p
-        tdraw = np.empty((m, N))
-        for j in range(N):
-            if len(samples[j]) == 1:
-                tdraw[:, j] = samples[j][0]
-            else:
-                tdraw[:, j] = samples[j][g.integers(0, len(samples[j]), size=m)]
-        any_success = success.any(axis=1)
-        attempts = np.where(any_success, success.argmax(axis=1) + 1, N)
-        cum = np.cumsum(tdraw, axis=1)
-        totals = np.take_along_axis(cum, (attempts - 1)[:, None], axis=1)[:, 0]
-        time_sum += float(totals.sum())
-        time_sqsum += float((totals * totals).sum())
-        wins += int(any_success.sum())
+        chunk_sum, chunk_sqsum, chunk_wins = _simulate_chunk(g, p, samples, m)
+        time_sum += chunk_sum
+        time_sqsum += chunk_sqsum
+        wins += chunk_wins
 
     mean = time_sum / trials
     if trials > 1:

@@ -298,3 +298,39 @@ class TestCheckAssumptions:
     def test_adjacent_profile_has_no_set_level_premises(self):
         a = BoundAssumptions(c=0.3, d=0.5, profile="adjacent")
         assert check_assumptions(THREE, a) == ()
+
+
+# Each band evaluator at its own profile; equal-t ones need equal times.
+BAND_EVALUATORS = {
+    "general-upper": swap_excess_upper_general,
+    "general-lower": swap_excess_lower_general,
+    "equal-t-upper": swap_excess_upper_equal_t,
+    "equal-t-lower": swap_excess_lower_equal_t,
+}
+
+
+@pytest.mark.parametrize("profile", sorted(BAND_EVALUATORS))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_evaluator_violations_begin_with_the_audit(profile, data):
+    """An evaluator's violations are check_assumptions at its profile, then swap-local ones."""
+    n_cands = data.draw(st.integers(2, 6))
+    ps = data.draw(st.lists(st.floats(0.05, 0.95), min_size=n_cands, max_size=n_cands))
+    if profile.startswith("equal-t"):
+        ts = [data.draw(st.floats(0.1, 10.0))] * n_cands
+    else:
+        ts = data.draw(st.lists(st.floats(0.1, 10.0), min_size=n_cands, max_size=n_cands))
+    cs = make_set(ps, ts)
+    c = data.draw(st.floats(0.05, 0.9))
+    d = data.draw(st.floats(c, 0.95))
+    t_min = data.draw(st.floats(0.0, 10.0))
+    t_max = data.draw(st.floats(t_min, 20.0).filter(lambda x: x > 0.0))
+    a = BoundAssumptions(c=c, d=d, t_min=t_min, t_max=t_max, profile=profile)
+    ordering = Ordering(tuple(data.draw(st.permutations(range(n_cands)))))
+    k = data.draw(st.integers(1, n_cands - 1))
+    n = data.draw(st.integers(1, n_cands - k))
+
+    audit = check_assumptions(cs, a)
+    violations = BAND_EVALUATORS[profile](cs, ordering, k, n, a).violations
+    assert violations[:len(audit)] == audit
+    assert all(v.subject == f"positions {k},{k + n}" for v in violations[len(audit):])

@@ -191,6 +191,14 @@ class TestCommands:
         assert results["lower"] == pytest.approx(0.1, rel=1e-12)
         assert results["upper"] == pytest.approx(0.1, rel=1e-12)
 
+    @pytest.mark.parametrize("flag", ["--c", "--d", "--tmin", "--tmax"])
+    def test_bounds_adjacent_rejects_band_flags(self, capsys, three, flag):
+        code, out, err = run(capsys, ["bounds", "-i", three, "--k", "1",
+                                      "--profile", "adjacent", flag, "0.5"])
+        assert (code, out) == (1, "")
+        assert err == ("trialorder: error: --profile adjacent reads no --c, --d, "
+                       f"--tmin or --tmax; got {flag}\n")
+
     def test_bounds_band_profiles_require_c_and_d(self, capsys, three):
         code, _, err = run(capsys, ["bounds", "-i", three, "--k", "1", "--n", "2"])
         assert code == 1
@@ -209,11 +217,12 @@ class TestCommands:
         path = tmp_path / "uneq.json"
         path.write_text('{"candidates": [{"id": "a", "p": 0.5, "times": [1]},'
                         ' {"id": "b", "p": 0.4, "times": [2]}]}')
-        code, _, err = run(capsys, ["bounds", "-i", str(path), "--k", "1",
-                                    "--c", "0.3", "--d", "0.5",
-                                    "--profile", "equal-t-upper"])
-        assert code == 2
-        assert "assumption violation" in err
+        code, out, err = run(capsys, ["bounds", "-i", str(path), "--k", "1",
+                                      "--c", "0.3", "--d", "0.5",
+                                      "--profile", "equal-t-upper"])
+        assert (code, out) == (2, "")
+        assert err == ("trialorder: assumption violation: set: field 'times': "
+                       "mean times are not all equal (range 1.0..2.0)\n")
 
     def test_verify_optimal(self, capsys, three):
         code, out, _ = run(capsys, ["verify-optimal", "-i", three, "--format", "json"])
@@ -223,12 +232,23 @@ class TestCommands:
         assert results["evaluated"] == 6
 
     def test_verify_optimal_size_guard(self, capsys, tmp_path):
-        cands = [{"id": f"c{i}", "p": 0.5, "times": [1]} for i in range(9)]
-        path = tmp_path / "nine.json"
+        cands = [{"id": f"c{i}", "p": 0.5, "times": [1]} for i in range(11)]
+        path = tmp_path / "eleven.json"
         path.write_text(json.dumps({"candidates": cands}))
         code, _, err = run(capsys, ["verify-optimal", "-i", str(path)])
         assert code == 1
-        assert "--max-n" in err
+        assert err == "trialorder: error: N=11 exceeds the brute-force guard of 10\n"
+
+    def test_verify_optimal_runs_up_to_the_guard(self, capsys, tmp_path):
+        cands = [{"id": f"c{i}", "p": 0.05 * (i + 1), "times": [1 + i % 3]}
+                 for i in range(10)]
+        path = tmp_path / "ten.json"
+        path.write_text(json.dumps({"candidates": cands}))
+        code, out, _ = run(capsys, ["verify-optimal", "-i", str(path), "--format", "json"])
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["agree"] is True
+        assert results["evaluated"] == 3_628_800
 
     def test_simulate_reports_seed(self, capsys, three):
         code, out, _ = run(capsys, ["simulate", "-i", three, "--trials", "5000",
@@ -288,6 +308,63 @@ class TestCommands:
         code, _, err = run(capsys, ["expect", "-i", three, "--order", "c1,c2"])
         assert code == 1
         assert "every candidate id exactly once" in err
+
+
+class TestSwapGate:
+    """Exit code and stderr of the inputs the swap gate and the evaluators refuse."""
+
+    @pytest.fixture
+    def eight(self, tmp_path):
+        path = tmp_path / "eight.json"
+        path.write_text(json.dumps({"candidates": [
+            {"id": f"c{i}", "p": 0.1 * i, "times": [1.0 + i]} for i in range(1, 9)]}))
+        return str(path)
+
+    @pytest.fixture
+    def certain(self, tmp_path):
+        path = tmp_path / "certain.json"
+        path.write_text('{"candidates": [{"id": "a", "p": 1.0, "times": [1]},'
+                        ' {"id": "b", "p": 0.5, "times": [2]},'
+                        ' {"id": "c", "p": 0.4, "times": [3]}]}')
+        return str(path)
+
+    def test_excess_k_zero(self, capsys, three):
+        code, out, err = run(capsys, ["excess", "-i", three, "--k", "0"])
+        assert (code, out) == (1, "")
+        assert err == "trialorder: error: swap positions k=0, k+n=1 out of range 1..3\n"
+
+    def test_excess_distance_checked_before_positions(self, capsys, three):
+        code, _, err = run(capsys, ["excess", "-i", three, "--k", "0", "--n", "0"])
+        assert code == 1
+        assert err == "trialorder: error: swap distance n=0 must be >= 1\n"
+
+    def test_bounds_swap_past_the_end(self, capsys, eight):
+        code, out, err = run(capsys, ["bounds", "-i", eight, "--k", "7", "--n", "3",
+                                      "--c", "0.1", "--d", "0.9"])
+        assert (code, out) == (1, "")
+        assert err == "trialorder: error: swap positions k=7, k+n=10 out of range 1..8\n"
+
+    def test_excess_certain_candidate_at_k(self, capsys, certain):
+        code, out, err = run(capsys, ["excess", "-i", certain, "--k", "1", "--n", "2"])
+        assert (code, out) == (1, "")
+        assert err == ("trialorder: error: p=1 at position k=1: the q-decomposition "
+                       "divides by (1 - p_k); use exact_excess_direct instead\n")
+
+    def test_bounds_certain_candidate_at_k(self, capsys, certain):
+        code, out, err = run(capsys, ["bounds", "-i", certain, "--k", "1", "--n", "2",
+                                      "--c", "0.3", "--d", "0.9",
+                                      "--profile", "general-upper"])
+        assert (code, out) == (1, "")
+        assert err == "trialorder: error: p=1 at a swap endpoint makes the bound singular\n"
+
+    def test_positions_checked_before_equal_times(self, capsys, tmp_path):
+        uneq = tmp_path / "uneq.json"
+        uneq.write_text('{"candidates": [{"id": "a", "p": 0.5, "times": [1]},'
+                        ' {"id": "b", "p": 0.4, "times": [2]}]}')
+        code, _, err = run(capsys, ["bounds", "-i", str(uneq), "--k", "5", "--c", "0.3",
+                                    "--d", "0.5", "--profile", "equal-t-upper"])
+        assert code == 1
+        assert err == "trialorder: error: swap positions k=5, k+n=6 out of range 1..2\n"
 
 
 class TestEmission:

@@ -5,14 +5,20 @@ from hypothesis import strategies as st
 from helpers import make_set, rel_ok, swaps
 from trialorder import (
     AssumptionError,
+    BoundAssumptions,
     Ordering,
     SingularityError,
+    adjacent_excess_bounds,
     adjacent_swap_excess,
     equal_p_swap_excess,
     exact_excess_direct,
     general_swap_excess,
     is_ratio_sorted,
     solomonoff_order,
+    swap_excess_lower_equal_t,
+    swap_excess_lower_general,
+    swap_excess_upper_equal_t,
+    swap_excess_upper_general,
 )
 
 THREE = make_set([0.5, 0.4, 0.3])
@@ -31,6 +37,47 @@ class TestPositions:
             exact_excess_direct(THREE, IDENT3, 3, 1)
         with pytest.raises(ValueError, match="out of range"):
             adjacent_swap_excess(THREE, IDENT3, 3)
+
+
+_BAND = BoundAssumptions(c=0.2, d=0.6)
+# Every swap function of excess and bounds, as f(cset, ordering, k, n).
+SWAP_FUNCTIONS = {
+    "exact_excess_direct": exact_excess_direct,
+    "adjacent_swap_excess": lambda cs, o, k, n: adjacent_swap_excess(cs, o, k),
+    "general_swap_excess": general_swap_excess,
+    "equal_p_swap_excess": equal_p_swap_excess,
+    "adjacent_excess_bounds": lambda cs, o, k, n: adjacent_excess_bounds(cs, o, k),
+    "swap_excess_upper_general": lambda cs, o, k, n: swap_excess_upper_general(cs, o, k, n, _BAND),
+    "swap_excess_lower_general": lambda cs, o, k, n: swap_excess_lower_general(cs, o, k, n, _BAND),
+    "swap_excess_upper_equal_t": lambda cs, o, k, n: swap_excess_upper_equal_t(cs, o, k, n, _BAND),
+    "swap_excess_lower_equal_t": lambda cs, o, k, n: swap_excess_lower_equal_t(cs, o, k, n, _BAND),
+}
+TAKES_N = [name for name in SWAP_FUNCTIONS if "adjacent" not in name]
+
+
+@pytest.mark.parametrize("name", sorted(SWAP_FUNCTIONS))
+class TestSwapGate:
+    """One gate, in one order: ordering size, then n >= 1, then 1 <= k, k + n <= N.
+
+    THREE has equal times and unequal probabilities, so the equal-p
+    function would raise AssumptionError if it were reached.
+    """
+
+    def test_ordering_size_first(self, name):
+        with pytest.raises(ValueError, match="ordering over 2 positions does not match set of size 3"):
+            SWAP_FUNCTIONS[name](THREE, Ordering.identity(2), 0, 0)
+
+    def test_positions(self, name):
+        with pytest.raises(ValueError, match=r"^swap positions k=0, k\+n=1 out of range 1\.\.3$"):
+            SWAP_FUNCTIONS[name](THREE, IDENT3, 0, 1)
+        with pytest.raises(ValueError, match=r"^swap positions k=3, k\+n=4 out of range 1\.\.3$"):
+            SWAP_FUNCTIONS[name](THREE, IDENT3, 3, 1)
+
+
+@pytest.mark.parametrize("name", sorted(TAKES_N))
+def test_swap_distance_checked_before_positions(name):
+    with pytest.raises(ValueError, match=r"^swap distance n=0 must be >= 1$"):
+        SWAP_FUNCTIONS[name](THREE, IDENT3, 0, 0)
 
 
 class TestExactDirect:

@@ -9,7 +9,13 @@ reports, are the same on every run.
 
 The N=8 cases are the invocations of the benchmark's ``cli_cold`` rotation,
 on a JSON and a CSV file; the N=2,000 cases run ``order``, ``expect``,
-``excess`` and ``bounds`` on a JSON file.  The three ``check`` cases need no
+``excess`` and ``bounds`` on a JSON file.  The premise cases run every band
+profile on reports that list violations (the p and time bands, t_max and
+t_min, both swap-local premises of general-lower, the adjacent ratio order,
+and the same general-lower case under ``--strict``, which exits 2) on the
+N=8 JSON file and on an N=8 file whose mean times are all equal; their
+digests were taken before the swap check and the premise lists each got one
+owner.  The three ``check`` cases need no
 input file; their digests were taken before ``VerificationConfig`` lost its
 generator-range and tolerance fields, and the equal-p one exits 3 (the
 printed equal-p formula misses its oracle), so each digest is pinned beside
@@ -51,6 +57,11 @@ def _csv_text(recs: list[dict]) -> str:
 SMALL = _records(random.Random("golden-small"), 8, 0.05, 0.95)
 SMALL_CSV = _records(random.Random("golden-small-csv"), 8, 0.05, 0.95)
 LARGE = _records(random.Random("golden-large"), 2000, 1e-3, 1e-2)
+EQUAL_T = [dict(r, times=[4.25]) for r in _records(random.Random("golden-equal-t"), 8, 0.05, 0.95)]
+
+
+def _mean(r: dict) -> float:
+    return sum(r["times"]) / len(r["times"])
 
 
 def _small_cases(name: str, recs: list[dict]) -> dict[str, list[str]]:
@@ -88,6 +99,38 @@ def _large_cases() -> dict[str, list[str]]:
     }
 
 
+def _premise_cases() -> dict[str, tuple[str, list[str]]]:
+    """Bound reports that list violations, in the order the premises are checked."""
+    ids = [r["id"] for r in SMALL]
+    # a before b at distance 3 breaks both swap-local premises of general-lower.
+    a, b = next((x, y) for x in SMALL for y in SMALL
+                if x["p"] < y["p"] and _mean(x) > _mean(y))
+    rest = [i for i in ids if i not in (a["id"], b["id"])]
+    against = ",".join(rest[:1] + [a["id"]] + rest[1:3] + [b["id"]] + rest[3:])
+    lower = ["bounds", "--profile", "general-lower", "--order", against, "--k", "2",
+             "--n", "3", "--c", "0.3", "--d", "0.7",
+             "--tmin", repr(sorted(_mean(r) for r in SMALL)[2])]
+    by_ratio = ",".join(r["id"] for r in sorted(SMALL, key=lambda r: r["p"] / _mean(r)))
+    eq_c = min(r["p"] for r in EQUAL_T)
+    eq_d = max(r["p"] for r in EQUAL_T)
+    eq_given = ",".join(r["id"] for r in random.Random("given-equal-t").sample(EQUAL_T, 8))
+    return {
+        "equal_t.json/bounds_equal_t_upper": ("equal_t.json", [
+            "bounds", "--profile", "equal-t-upper", "--k", "2", "--n", "3",
+            "--c", repr(eq_c), "--d", repr(eq_d)]),
+        "equal_t.json/bounds_equal_t_lower": ("equal_t.json", [
+            "bounds", "--profile", "equal-t-lower", "--order", eq_given, "--k", "2",
+            "--n", "4", "--c", "0.3", "--d", "0.7"]),
+        "small.json/bounds_general_upper_narrow": ("small.json", [
+            "bounds", "--profile", "general-upper", "--k", "1", "--n", "3",
+            "--c", "0.3", "--d", "0.7", "--tmax", "5.0"]),
+        "small.json/bounds_general_lower_against": ("small.json", lower),
+        "small.json/bounds_general_lower_against_strict": ("small.json", lower + ["--strict"]),
+        "small.json/bounds_adjacent_against": ("small.json", [
+            "bounds", "--profile", "adjacent", "--order", by_ratio, "--k", "3"]),
+    }
+
+
 def cases() -> dict[str, tuple[str | None, list[str]]]:
     """Case name -> (input file name or None, argv without -i and --format)."""
     out: dict[str, tuple[str | None, list[str]]] = {}
@@ -96,6 +139,7 @@ def cases() -> dict[str, tuple[str | None, list[str]]]:
             out[case] = (name, argv)
     for case, argv in _large_cases().items():
         out[case] = ("large.json", argv)
+    out.update(_premise_cases())
     out["check"] = (None, ["check", "--instances", "10", "--seed", "3"])
     out["check_seed11"] = (None, ["check", "--instances", "200", "--seed", "11"])
     out["check_equal_p"] = (None, ["check", "--equal-p", "--instances", "50", "--seed", "3"])
@@ -106,6 +150,7 @@ def write_inputs(directory) -> None:
     (directory / "small.json").write_text(json.dumps({"candidates": SMALL}))
     (directory / "small.csv").write_text(_csv_text(SMALL_CSV))
     (directory / "large.json").write_text(json.dumps({"candidates": LARGE}))
+    (directory / "equal_t.json").write_text(json.dumps({"candidates": EQUAL_T}))
 
 
 def report_digest(directory, case: str, fmt: str) -> tuple[int, str]:
@@ -130,6 +175,12 @@ GOLDEN: dict[str, tuple[int, str]] = {  # case/format -> (exit code, sha256 of s
     "check_seed11/json": (0, "6a0fd07e9fa84c237952b54e2bc5b72972c846587a0787d135197fff65174bad"),
     "check_seed11/text": (0, "99bc6d773d531dd654b47514e4213f56da82978f5146d4211a82de3bc0cc3042"),
     "check_seed11/csv": (0, "fb6dfe14c4b5c5795c42d487cdba5db3fefca11acf8ed1fd010d58c6417d2fe7"),
+    "equal_t.json/bounds_equal_t_lower/json": (0, "502e81ccf996573b46c1cabc03a5f5810fe13a93408c49e3a3b182bd1f140588"),
+    "equal_t.json/bounds_equal_t_lower/text": (0, "be832ed9639a40a86146e5dbcf404c546b3de9b8d39cf9c896269bcf3e6e524c"),
+    "equal_t.json/bounds_equal_t_lower/csv": (0, "3b5e3ddde9079f2dfb0743de2476ff4575498d6d2da7ebf6a90a426c73adae0e"),
+    "equal_t.json/bounds_equal_t_upper/json": (0, "4210bbbc424ea775a4b7ec48722881c40036f2fb7f6c4db3bf05ee255788b775"),
+    "equal_t.json/bounds_equal_t_upper/text": (0, "f5f539741e31d7666f9cec7e6725224d6156d4876902265ddb3ee0257de08c7a"),
+    "equal_t.json/bounds_equal_t_upper/csv": (0, "120c32375d3c8c844d8e8c7ee16aeeed9e8f1132bae3df20092c1cdfec8f8618"),
     "large.json/bounds_adjacent/json": (0, "1c83db2a3716283a857d76ba09fc2cabd94670db3f57359d50ad60ef30c6de35"),
     "large.json/bounds_adjacent/text": (0, "2afca33765dac7f7c4ec5c56c57cfc6884b66f724360e5bd7402d86ea8857399"),
     "large.json/bounds_adjacent/csv": (0, "6e49496a6985bf3e0074c30bfb00cc6541e94e71c59891b59d838a146ef2fa9d"),
@@ -178,9 +229,21 @@ GOLDEN: dict[str, tuple[int, str]] = {  # case/format -> (exit code, sha256 of s
     "small.json/bounds_adjacent/json": (0, "ea22a3015ed337708e31224440bc15303f9a5a5e2bcfc56d870d5e73edf5feae"),
     "small.json/bounds_adjacent/text": (0, "172ca49d86ebfab2a6abec5565cc2531a78ed07d89fd605e16517ae8abffc6db"),
     "small.json/bounds_adjacent/csv": (0, "0b847cb6c1ee2c0563e235f31b8eef278d72a0c498ae524b68cc4cade2052e9a"),
+    "small.json/bounds_adjacent_against/json": (0, "653696c01d878dfca93eac68944551dc63e2a6b75ab5fe6b7a3ae5973d0bd207"),
+    "small.json/bounds_adjacent_against/text": (0, "1fc8bbd7c50becac912455b5c083e1062e53a5de1f93075ef5115ec987a1dc30"),
+    "small.json/bounds_adjacent_against/csv": (0, "3613457e94f0860a3423d76ed135031ba2251a89b5bf55e1e8b642b078494c0a"),
+    "small.json/bounds_general_lower_against/json": (0, "37e0a05980e74e9032d352c129c848b4637e488ad0187b16b1a4874b785a131f"),
+    "small.json/bounds_general_lower_against/text": (0, "a8184305d36111249a2ba58b2969413aed45bb4df7e05ff049ed92903288344f"),
+    "small.json/bounds_general_lower_against/csv": (0, "0a597844576ea8759b72c0115232cd6096489d832bc718bdbdd0ba2c7805ad92"),
+    "small.json/bounds_general_lower_against_strict/json": (2, "37e0a05980e74e9032d352c129c848b4637e488ad0187b16b1a4874b785a131f"),
+    "small.json/bounds_general_lower_against_strict/text": (2, "a8184305d36111249a2ba58b2969413aed45bb4df7e05ff049ed92903288344f"),
+    "small.json/bounds_general_lower_against_strict/csv": (2, "0a597844576ea8759b72c0115232cd6096489d832bc718bdbdd0ba2c7805ad92"),
     "small.json/bounds_general_upper/json": (0, "1ec9a165125e8b84323b612bd6b8c49bfb52053fd01d602bf8adbcfd02da7455"),
     "small.json/bounds_general_upper/text": (0, "2a721c793d0127469d4a546a28c998b85506d72ab193cb0f36fa713dd8bc0796"),
     "small.json/bounds_general_upper/csv": (0, "c5891a32c1b2c16ead73db39a32e630e83e9a558c75c2d46d8310652ffd85ccb"),
+    "small.json/bounds_general_upper_narrow/json": (0, "601d962a2acee06fd077e1a760b5ea918b0acca3597c214bcfc6c5a1dde55f67"),
+    "small.json/bounds_general_upper_narrow/text": (0, "f4c48f57c14c54c1084459c7f4ed6b098cfc0c7ff99d199730582efbfe36954b"),
+    "small.json/bounds_general_upper_narrow/csv": (0, "876477c1fd5d18c5fd3dd9c65c00af3c368cb6447628810b4058a5e494fb4c67"),
     "small.json/excess/json": (0, "2ed175ab30355fae02c69625997f0b1df2dffdcabb4c14a8fb6993213fdbc519"),
     "small.json/excess/text": (0, "615891c4e0f329bc7da01173211a5f8e93a18205d12455ee00fb71535d52ceea"),
     "small.json/excess/csv": (0, "02eec157449a2be33f4039968c97c841d1356641fd3d833d98ceec54891dfedf"),

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,6 +138,17 @@ class TestSimulate:
         b = simulate(two, Ordering.identity(2), trials=trials, seed=3)
         assert (a.mean_time, a.std_error, a.success_rate) == (
             b.mean_time, b.std_error, b.success_rate)
+
+    def test_chunk_memory_is_bounded_in_n(self):
+        # Full 65,536-row chunks would take about 200 MB at N=128.
+        cs = make_set([0.01] * 128, [1.0] * 128)
+        tracemalloc.start()
+        try:
+            simulate(cs, Ordering.identity(128), trials=65_536, seed=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2**20
 
     def test_seed_changes_the_estimate(self):
         a = simulate(THREE, Ordering.identity(3), trials=2000, seed=1)
