@@ -15,11 +15,9 @@ from .model import (
     Candidate,
     CandidateSet,
     Ordering,
-    PrefixAggregates,
     ValidationReport,
     Violation,
     mean_time,
-    prefix_aggregates,
     ratio,
     validate,
 )
@@ -80,12 +78,10 @@ __all__ = [
     "Candidate",
     "CandidateSet",
     "Ordering",
-    "PrefixAggregates",
     "ValidationReport",
     "Violation",
     "mean_time",
     "ratio",
-    "prefix_aggregates",
     "validate",
     "ExpectationOptions",
     "solomonoff_order",

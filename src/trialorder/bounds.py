@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .errors import AssumptionError, SingularityError
 from .excess import _swap_ends
-from .model import CandidateSet, Ordering, Violation, prefix_aggregates
+from .model import CandidateSet, Ordering, Violation
 
 __all__ = [
     "PROFILES",
@@ -189,6 +189,24 @@ def _p_order_violations(k: int, n: int, pk: float, pkn: float) -> list[Violation
     return []
 
 
+def _prefix_ps(cset: CandidateSet, ordering: Ordering, k: int) -> list[float]:
+    """p_1, ..., p_(k-1): the probabilities of the candidates tried before position k."""
+    return [cset.ps[i] for i in ordering.perm[:k - 1]]
+
+
+def _prefix_sum(cset: CandidateSet, ordering: Ordering, k: int) -> float:
+    """S_(k-1), added left to right from 0.0 (from Python 3.12, sum() rounds otherwise)."""
+    S = 0.0
+    for p in _prefix_ps(cset, ordering, k):
+        S += p
+    return S
+
+
+def _require_nonzero(name: str, divisor: float, a: BoundAssumptions, k: int) -> None:
+    if divisor == 0.0:
+        raise SingularityError(f"divisor {name} underflows to 0 at c={a.c}, d={a.d}, k={k}")
+
+
 def check_assumptions(cset: CandidateSet, a: BoundAssumptions) -> tuple[Violation, ...]:
     """Every violated set-level premise of the selected profile.
 
@@ -223,13 +241,13 @@ def adjacent_excess_bounds(cset: CandidateSet, ordering: Ordering, k: int) -> Bo
     if delta < 0.0:
         violations.append(Violation(f"positions {k},{k + 1}", "ratio",
                                     f"ratio at k ({ra}) below ratio at k+1 ({rb})"))
-    prefix_ps = [ps[idx] for idx in ordering.perm[:k - 1]]
+    prefix_ps = _prefix_ps(cset, ordering, k)
     scale = delta * ts[a] * ts[b]
     upper = scale * product_upper_bound_kn(prefix_ps)
     if k >= 3:
         lower = scale * product_lower_bound_wu(prefix_ps)
-    else:
-        lower = scale * prefix_aggregates(cset, ordering, k - 1).Q
+    else:  # the exact Q_0 = 1 or Q_1 = 1 - p_1
+        lower = scale * (1.0 - prefix_ps[0] if prefix_ps else 1.0)
     return BoundResult(lower=lower, upper=upper, A=None, B=None, violations=tuple(violations))
 
 
@@ -289,7 +307,8 @@ def swap_excess_lower_general(
     and t_k <= t_{k+n}.  The A-term divides by p_k - p_{k+n}; when the
     difference is zero the prefactor cancels it, and the implementation
     evaluates the cancelled (distributed) form, which is also exact for
-    t_min = 0.  A is reported as None when not finitely evaluable.
+    t_min = 0.  A is None when not finitely evaluable: p_k = p_{k+n}, or
+    c * t_min or (1-d)^k is 0 (t_min = 0, or an underflow).
     """
     pk, pkn, tk, tkn = _swap_endpoints(cset, ordering, k, n)
     if pk == 1.0:
@@ -301,8 +320,7 @@ def swap_excess_lower_general(
 
     c, d, t, T = a.c, a.d, a.t_min, a.t_max
     dp = pk - pkn
-    S_km1 = prefix_aggregates(cset, ordering, k - 1).S
-    es = math.exp(-S_km1)
+    es = math.exp(-_prefix_sum(cset, ordering, k))
     A0 = 1.0 / d + k
     B = (1.0 - d / c) * (k + n) + (1.0 - d) / d
     pref = t * (dp / (1.0 - pk)) * (c / d) * (1.0 - d) ** k
@@ -318,7 +336,7 @@ def swap_excess_lower_general(
         - exp_piece
     )
     A: float | None = None
-    if dp > 0.0 and t > 0.0:
+    if dp > 0.0 and c * t > 0.0 and (1.0 - d) ** k > 0.0:
         f = (d * t) / (c * T) if use_paper_variant else (d * T) / (c * t)
         A = A0 + ((1.0 - pk) / dp) * d * k * (1.0 / (1.0 - d) - f * es / (1.0 - d) ** k)
     return BoundResult(lower=lower, upper=None, A=A, B=B, violations=tuple(violations))
@@ -342,7 +360,8 @@ def swap_excess_upper_equal_t(
 
     Premises: equal mean times (within 1e-12 relative — enforced, unequal
     times raise AssumptionError), c <= p_i <= d, and p_k >= p_{k+n} (with
-    equal times a ratio-sorted order gives that for free).
+    equal times a ratio-sorted order gives that for free).  p_k = 1 or an
+    underflow of c^2 to 0 raises SingularityError.
     """
     pk, pkn, _, _ = _swap_endpoints(cset, ordering, k, n)
     T = _common_mean_time(cset)
@@ -350,6 +369,7 @@ def swap_excess_upper_equal_t(
         raise SingularityError("p=1 at position k makes the bound singular")
     violations = _premises(cset, a, "equal-t-upper") + _p_order_violations(k, n, pk, pkn)
     c, d = a.c, a.d
+    _require_nonzero("c^2", c**2, a, k)
     A = 1.0 + k * c * (
         1.0 - ((1.0 - pk) / (1.0 - c)) * (c / d) * ((1.0 - d) / (1.0 - c)) ** (k - 1)
     )
@@ -370,7 +390,8 @@ def swap_excess_lower_equal_t(
         A = 1 + kd [1 - (1-p_k)/(1-d) * (d/c) * e^{-S_{k-1}} / (1-d)^(k-1)]
         B = 1 - d + d(n+k)(1 - d/c)
 
-    Same premises as the equal-time upper bound.
+    Same premises as the equal-time upper bound.  p_k = 1 or an underflow of
+    (1-d)^(k-1) or d^2 to 0 raises SingularityError.
     """
     pk, pkn, _, _ = _swap_endpoints(cset, ordering, k, n)
     T = _common_mean_time(cset)
@@ -378,7 +399,9 @@ def swap_excess_lower_equal_t(
         raise SingularityError("p=1 at position k makes the bound singular")
     violations = _premises(cset, a, "equal-t-lower") + _p_order_violations(k, n, pk, pkn)
     c, d = a.c, a.d
-    es = math.exp(-prefix_aggregates(cset, ordering, k - 1).S)
+    _require_nonzero("(1-d)^(k-1)", (1.0 - d) ** (k - 1), a, k)
+    _require_nonzero("d^2", d**2, a, k)
+    es = math.exp(-_prefix_sum(cset, ordering, k))
     A = 1.0 + k * d * (
         1.0 - ((1.0 - pk) / (1.0 - d)) * (d / c) * es / (1.0 - d) ** (k - 1)
     )

@@ -9,7 +9,8 @@ written: the swap exchanges the k-th and (k+n)-th candidates of the chosen
 ordering.  ``--order`` is either ``optimal`` (the p/t rule, the default) or an
 explicit comma-separated permutation of candidate ids.
 
-Exit codes: 0 success; 1 invalid input or usage; 2 assumption violation (always
+Exit codes: 0 success; 1 invalid input or usage, or a result that is not
+finite (inf or nan; no report is printed); 2 assumption violation (always
 for unsatisfiable ones such as the equal-time profile on unequal times, and for
 flagged ones only under --strict); 3 internal cross-check failure (a closed
 form disagreed with its oracle).
@@ -22,6 +23,7 @@ import csv as _csv
 import hashlib
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -31,8 +33,6 @@ from .errors import AssumptionError
 from .model import CandidateSet, Ordering
 
 __all__ = ["main", "build_parser", "ingest", "emit", "CliInputError"]
-
-ORACLE_REL_TOL = 1e-9
 
 
 class CliInputError(Exception):
@@ -184,6 +184,18 @@ def _emit_csv(report: dict) -> str:
     return buf.getvalue()
 
 
+def _non_finite(key: str, value):
+    """``(key, value)`` for every float in ``value`` that is inf or nan."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _non_finite(f"{key}.{k}", v)
+    elif isinstance(value, (list, tuple)):
+        for i, v in enumerate(value):
+            yield from _non_finite(f"{key}[{i}]", v)
+    elif isinstance(value, float) and not math.isfinite(value):
+        yield key, value
+
+
 def _render_value(v) -> str:
     if isinstance(v, float):
         return repr(v)
@@ -263,8 +275,7 @@ def _cmd_excess(args, cset: CandidateSet):
     ordering = _resolve_ordering(args.order, cset)
     rep = excess.general_swap_excess(cset, ordering, args.k, args.n)
     direct = excess.exact_excess_direct(cset, ordering, args.k, args.n)
-    diff = abs(rep.total - direct)
-    agree = diff <= ORACLE_REL_TOL * max(1.0, abs(direct))
+    agree = model._agrees(rep.total, direct)
     results = {
         "ordering": [cset[i].id for i in ordering],
         "k": rep.k,
@@ -275,7 +286,7 @@ def _cmd_excess(args, cset: CandidateSet):
         "total": rep.total,
         "method": rep.method,
         "direct_oracle": direct,
-        "oracle_abs_diff": diff,
+        "oracle_abs_diff": abs(rep.total - direct),
         "oracle_agrees": agree,
     }
     return results, (0 if agree else 3)
@@ -339,9 +350,7 @@ def _cmd_verify_optimal(args, cset: CandidateSet):
     bf = oracle.brute_force_best_order(cset)
     rule_order = schedule.solomonoff_order(cset)
     rule_value = schedule.expected_time(cset, rule_order)
-    agree = abs(rule_value - bf.best_expected_time) <= ORACLE_REL_TOL * max(
-        1.0, abs(bf.best_expected_time)
-    )
+    agree = model._agrees(rule_value, bf.best_expected_time)
     results = {
         "evaluated": bf.evaluated,
         "best_order": [cset[i].id for i in bf.best_order],
@@ -486,6 +495,10 @@ def main(argv=None) -> int:
         return 2
     except ValueError as e:
         print(f"trialorder: error: {e}", file=sys.stderr)
+        return 1
+    bad = [f"{k} is not finite: {v!r}" for k, v in _non_finite("results", results)]
+    if bad:  # JSON has no inf or nan, so such a report is not printed in any format
+        print("\n".join(f"trialorder: error: {b}" for b in bad), file=sys.stderr)
         return 1
 
     report = {

@@ -1,4 +1,4 @@
-"""Core domain types: candidates, candidate sets, orderings, prefix aggregates.
+"""Core domain types: candidates, candidate sets, orderings, the prefix walk.
 
 A candidate is one way of attempting a problem: a success probability ``p`` in
 [0, 1] and one or more strictly positive observed execution times (arbitrary
@@ -22,12 +22,10 @@ __all__ = [
     "Candidate",
     "CandidateSet",
     "Ordering",
-    "PrefixAggregates",
     "Violation",
     "ValidationReport",
     "mean_time",
     "ratio",
-    "prefix_aggregates",
     "validate",
 ]
 
@@ -239,21 +237,6 @@ class Ordering:
         return self.perm[i]
 
 
-@dataclass(frozen=True)
-class PrefixAggregates:
-    """Running quantities over the first m candidates of an ordering.
-
-    S: sum of probabilities, T: sum of mean times, P: product of
-    probabilities, Q: product of complements (1 - p).  For the empty prefix
-    S = T = 0 and P = Q = 1.
-    """
-
-    S: float
-    T: float
-    P: float
-    Q: float
-
-
 def mean_time(c: Candidate) -> float:
     """Arithmetic mean of the candidate's execution time samples."""
     return math.fsum(c.time_samples) / len(c.time_samples)
@@ -262,6 +245,11 @@ def mean_time(c: Candidate) -> float:
 def ratio(c: Candidate) -> float:
     """Success-probability-to-mean-time ratio p / mean_time, the ordering score."""
     return c.p / mean_time(c)
+
+
+def _agrees(value: float, reference: float) -> bool:
+    """Whether a closed form agrees with its oracle: 1e-9 relative, absolute below 1."""
+    return abs(value - reference) <= 1e-9 * max(1.0, abs(reference))
 
 
 def _check_compatible(cset: CandidateSet, ordering: Ordering) -> None:
@@ -276,8 +264,8 @@ def _walk(cset: CandidateSet, perm: Sequence[int]) -> Iterator[tuple[float, floa
 
     T_m is the sum of the first m mean times and Q_m the product of their
     (1 - p), accumulated left to right as ``T += t`` and ``Q *= 1 - p``.
-    Every formula that walks an ordering takes its sums and products from
-    here, so all of them round alike.
+    Every formula that reads T or Q along an ordering takes them from here,
+    so all of them round alike.
     """
     ps, ts = cset.ps, cset.ts
     T = 0.0
@@ -298,23 +286,6 @@ def _prefix(cset: CandidateSet, ordering: Ordering, m: int):
     in the closed forms.
     """
     return zip((0.0, 0.0, 0.0, 1.0), *_walk(cset, ordering.perm[:m]))
-
-
-def prefix_aggregates(cset: CandidateSet, ordering: Ordering, m: int) -> PrefixAggregates:
-    """S, T, P, Q over the first m candidates of ``ordering``.
-
-    Computed in linear space, so P and Q underflow to 0 past a few hundred
-    factors.
-    """
-    _check_compatible(cset, ordering)
-    if not 0 <= m <= cset.N:
-        raise ValueError(f"prefix length m={m} out of range 0..{cset.N}")
-    S = T = 0.0
-    P = Q = 1.0
-    for p, _, T, Q in _walk(cset, ordering.perm[:m]):
-        S += p
-        P *= p
-    return PrefixAggregates(S=S, T=T, P=P, Q=Q)
 
 
 def validate(candidates: Iterable) -> ValidationReport:

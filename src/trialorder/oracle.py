@@ -32,7 +32,7 @@ from .excess import (
     exact_excess_direct,
     general_swap_excess,
 )
-from .model import Candidate, CandidateSet, Ordering, _check_compatible
+from .model import Candidate, CandidateSet, Ordering, _agrees, _check_compatible
 from .schedule import expected_time, solomonoff_order
 
 __all__ = [
@@ -197,14 +197,14 @@ def simulate(cset: CandidateSet, ordering: Ordering, trials: int, seed: int) -> 
 # The one verification protocol behind every reported check: candidate counts,
 # generator ranges, samples per candidate and tolerances.  ``_IDENTITY_TOL``
 # is absolute (double-precision accumulation over <= 10 terms);
-# ``_SANDWICH_SLACK`` is the absolute slack allowed on each bound inequality.
+# ``_SANDWICH_SLACK`` is the absolute slack allowed on each bound inequality;
+# optimality is model._agrees, the rule every oracle comparison uses.
 _N_CANDIDATES = (2, 8)
 _P_RANGE = (0.05, 0.95)
 _T_RANGE = (0.1, 10.0)
 _MAX_SAMPLES = 3
 _IDENTITY_TOL = 1e-10
 _SANDWICH_SLACK = 1e-9
-_OPTIMALITY_REL_TOL = 1e-9
 _OPTIMALITY_MAX_N = 8
 
 
@@ -285,6 +285,15 @@ class _Tally:
         runs[1] += 0 if ok else 1
         runs[2] = max(runs[2], residual)
 
+    def identity(self, name: str, got: float, want: float) -> None:
+        """An exact identity: passes when |got - want| is within _IDENTITY_TOL."""
+        residual = abs(got - want)
+        self.record(name, residual, residual <= _IDENTITY_TOL)
+
+    def sandwich(self, name: str, overshoot: float, premises_ok: bool) -> None:
+        """A bound inequality: passes with its premises and an overshoot <= _SANDWICH_SLACK."""
+        self.record(name, max(0.0, overshoot), premises_ok and overshoot <= _SANDWICH_SLACK)
+
     def as_checks(self) -> tuple[CheckStats, ...]:
         return tuple(
             CheckStats(name=k, runs=v[0], failures=v[1], max_residual=v[2])
@@ -322,8 +331,6 @@ def verify_bounds_random(config: VerificationConfig) -> VerificationReport:
     """
     rng = np.random.default_rng(config.seed)
     tally = _Tally()
-    tol = _IDENTITY_TOL
-    slack = _SANDWICH_SLACK
 
     for _ in range(config.instances):
         if config.equal_p_only:
@@ -338,27 +345,23 @@ def verify_bounds_random(config: VerificationConfig) -> VerificationReport:
         # Exactness of the q-decomposition, and its adjacent reduction.
         direct = exact_excess_direct(cset, order, k, n)
         rep = general_swap_excess(cset, order, k, n)
-        tally.record("decomposition-identity", abs(rep.total - direct),
-                     abs(rep.total - direct) <= tol)
+        tally.identity("decomposition-identity", rep.total, direct)
         ka = int(rng.integers(1, N))
         adj = adjacent_swap_excess(cset, order, ka)
         dadj = exact_excess_direct(cset, order, ka, 1)
-        tally.record("adjacent-exact", abs(adj - dadj), abs(adj - dadj) <= tol)
+        tally.identity("adjacent-exact", adj, dadj)
         radj = general_swap_excess(cset, order, ka, 1).total
-        tally.record("adjacent-reduction", abs(radj - adj), abs(radj - adj) <= tol)
+        tally.identity("adjacent-reduction", radj, adj)
 
         badj = adjacent_excess_bounds(cset, order, ka)
-        res_adj = max(badj.lower - dadj, dadj - badj.upper)
-        tally.record("sandwich-adjacent", max(0.0, res_adj), res_adj <= slack)
+        tally.sandwich("sandwich-adjacent", max(badj.lower - dadj, dadj - badj.upper), True)
 
         # General upper bound on the ratio-sorted order; premises by construction.
         ps, mts = cset.ps, cset.ts
         a_up = BoundAssumptions(c=min(ps), d=max(ps), t_min=min(mts), t_max=max(mts),
                                 profile="general-upper")
         up = swap_excess_upper_general(cset, order, k, n, a_up)
-        res_up = direct - up.upper
-        tally.record("sandwich-upper-general", max(0.0, res_up),
-                     up.assumptions_ok and res_up <= slack)
+        tally.sandwich("sandwich-upper-general", direct - up.upper, up.assumptions_ok)
 
         # General lower bound: build a premise-satisfying instance
         # (p descending, t ascending is ratio-sorted and satisfies the
@@ -374,9 +377,7 @@ def verify_bounds_random(config: VerificationConfig) -> VerificationReport:
                                 profile="general-lower")
         lo = swap_excess_lower_general(cset_lo, order_lo, k2, n2, a_lo)
         exc_lo = exact_excess_direct(cset_lo, order_lo, k2, n2)
-        res_lo = lo.lower - exc_lo
-        tally.record("sandwich-lower-general", max(0.0, res_lo),
-                     lo.assumptions_ok and res_lo <= slack)
+        tally.sandwich("sandwich-lower-general", lo.lower - exc_lo, lo.assumptions_ok)
 
         # Equal-time sandwich.
         ps_eq = rng.uniform(*_P_RANGE, N)
@@ -389,12 +390,8 @@ def verify_bounds_random(config: VerificationConfig) -> VerificationReport:
         exc_eq = exact_excess_direct(cset_eq, order_eq, k3, n3)
         up_eq = swap_excess_upper_equal_t(cset_eq, order_eq, k3, n3, a_eq)
         lo_eq = swap_excess_lower_equal_t(cset_eq, order_eq, k3, n3, a_eq)
-        res_uq = exc_eq - up_eq.upper
-        res_lq = lo_eq.lower - exc_eq
-        tally.record("sandwich-upper-equal-t", max(0.0, res_uq),
-                     up_eq.assumptions_ok and res_uq <= slack)
-        tally.record("sandwich-lower-equal-t", max(0.0, res_lq),
-                     lo_eq.assumptions_ok and res_lq <= slack)
+        tally.sandwich("sandwich-upper-equal-t", exc_eq - up_eq.upper, up_eq.assumptions_ok)
+        tally.sandwich("sandwich-lower-equal-t", lo_eq.lower - exc_eq, lo_eq.assumptions_ok)
 
         _equal_p_checks(rng, tally, count_paper_variant=False)
 
@@ -402,9 +399,8 @@ def verify_bounds_random(config: VerificationConfig) -> VerificationReport:
         if N <= _OPTIMALITY_MAX_N:
             bf = brute_force_best_order(cset)
             rule = expected_time(cset, order)
-            res_opt = abs(rule - bf.best_expected_time)
-            tally.record("optimality", res_opt,
-                         res_opt <= _OPTIMALITY_REL_TOL * max(1.0, bf.best_expected_time))
+            tally.record("optimality", abs(rule - bf.best_expected_time),
+                         _agrees(rule, bf.best_expected_time))
 
     return VerificationReport(
         instances=config.instances,
@@ -423,7 +419,7 @@ def _equal_p_checks(rng, tally, count_paper_variant: bool) -> None:
     k, n = _draw_kn(rng, N)
     direct = exact_excess_direct(cset, order, k, n)
     corr = equal_p_swap_excess(cset, order, k, n)
-    tally.record("equal-p-corrected", abs(corr - direct), abs(corr - direct) <= _IDENTITY_TOL)
+    tally.identity("equal-p-corrected", corr, direct)
     if count_paper_variant:
         tk = cset.ts[order[k - 1]]
         tkn = cset.ts[order[k + n - 1]]
@@ -431,5 +427,4 @@ def _equal_p_checks(rng, tally, count_paper_variant: bool) -> None:
             paper = equal_p_swap_excess(cset, order, k, n, use_paper_variant=True)
             # "failure" means the printed formula misses the oracle, which it
             # does by exactly (t_{k+n} - t_k) (1-p)^k on every such instance.
-            tally.record("equal-p-paper-variant", abs(paper - direct),
-                         abs(paper - direct) <= _IDENTITY_TOL)
+            tally.identity("equal-p-paper-variant", paper, direct)

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -365,6 +367,91 @@ class TestSwapGate:
                                     "--d", "0.5", "--profile", "equal-t-upper"])
         assert code == 1
         assert err == "trialorder: error: swap positions k=5, k+n=6 out of range 1..2\n"
+
+
+class TestUnderflow:
+    """A factor that underflows to 0 under a bound's division gives a report or one error line."""
+
+    @staticmethod
+    def _band_file(tmp_path, equal_times: bool) -> str:
+        # p falling and t rising along the file: every swap has p_k > p_(k+n), so A is evaluated.
+        rng = random.Random(400)
+        ps = sorted((rng.uniform(0.5, 0.9) for _ in range(400)), reverse=True)
+        ts = [1.5] * 400 if equal_times else sorted(rng.uniform(1.0, 2.0) for _ in range(400))
+        cands = [{"id": f"c{i}", "p": p, "times": [t]} for i, (p, t) in enumerate(zip(ps, ts))]
+        path = tmp_path / "band.json"
+        path.write_text(json.dumps({"candidates": cands}))
+        return str(path)
+
+    BAND = ["--k", "350", "--n", "5", "--c", "0.5", "--d", "0.9"]
+
+    def test_general_lower_reports_a_as_null(self, capsys, tmp_path):
+        path = self._band_file(tmp_path, equal_times=False)
+        code, out, err = run(capsys, ["bounds", "-i", path, "--profile", "general-lower",
+                                      *self.BAND, "--format", "json"])
+        assert (code, err) == (0, "")
+        results = json.loads(out)["results"]
+        assert results["A"] is None
+        assert math.isfinite(results["lower"]) and math.isfinite(results["B"])
+
+    def test_general_lower_reports_a_as_null_when_c_tmin_underflows(self, capsys, tmp_path):
+        path = tmp_path / "abc.json"
+        path.write_text('{"candidates": [{"id": "a", "p": 0.5, "times": [1.0]},'
+                        ' {"id": "b", "p": 0.4, "times": [2.0]},'
+                        ' {"id": "c", "p": 0.3, "times": [3.0]}]}')
+        code, out, _ = run(capsys, ["bounds", "-i", str(path), "--profile", "general-lower",
+                                    "--k", "1", "--n", "2", "--c", "1e-200", "--d", "0.9",
+                                    "--tmin", "1e-200", "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["results"]["A"] is None
+
+    def test_equal_t_lower_names_the_factor(self, capsys, tmp_path):
+        path = self._band_file(tmp_path, equal_times=True)
+        code, out, err = run(capsys, ["bounds", "-i", path, "--profile", "equal-t-lower",
+                                      *self.BAND])
+        assert (code, out) == (1, "")
+        assert err == ("trialorder: error: divisor (1-d)^(k-1) underflows to 0 "
+                       "at c=0.5, d=0.9, k=350\n")
+
+    @pytest.mark.parametrize("profile, d, factor", [("equal-t-upper", "0.9", "c^2"),
+                                                    ("equal-t-lower", "1e-200", "d^2")])
+    def test_equal_t_names_the_squared_band_end(self, capsys, tmp_path, profile, d, factor):
+        path = tmp_path / "abc.json"
+        path.write_text('{"candidates": [{"id": "a", "p": 0.5, "times": [2.0]},'
+                        ' {"id": "b", "p": 0.4, "times": [2.0]},'
+                        ' {"id": "c", "p": 0.3, "times": [2.0]}]}')
+        code, out, err = run(capsys, ["bounds", "-i", str(path), "--profile", profile,
+                                      "--k", "1", "--n", "2", "--c", "1e-200", "--d", d])
+        assert (code, out) == (1, "")
+        assert err == (f"trialorder: error: divisor {factor} underflows to 0 "
+                       f"at c=1e-200, d={d}, k=1\n")
+
+
+class TestNonFiniteResults:
+    """JSON has no inf or nan: a report holding one is not printed, and every such key is named."""
+
+    @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+    def test_infinite_time_band(self, capsys, tmp_path, fmt):
+        path = tmp_path / "abc.json"
+        path.write_text('{"candidates": [{"id": "a", "p": 0.5, "times": [1.0]},'
+                        ' {"id": "b", "p": 0.4, "times": [2.0]},'
+                        ' {"id": "c", "p": 0.3, "times": [3.0]}]}')
+        code, out, err = run(capsys, ["bounds", "-i", str(path), "--k", "1", "--n", "2",
+                                      "--c", "0.3", "--d", "0.5", "--tmax", "inf",
+                                      "--format", fmt])
+        assert (code, out) == (1, "")
+        assert err == ("trialorder: error: results.t_max is not finite: inf\n"
+                       "trialorder: error: results.upper is not finite: inf\n")
+
+    @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+    def test_overflowing_expected_time(self, capsys, tmp_path, fmt):
+        path = tmp_path / "huge.json"
+        path.write_text('{"candidates": [{"id": "a", "p": 1.0, "times": [1e308]},'
+                        ' {"id": "b", "p": 0.5, "times": [1e308]}]}')
+        code, out, err = run(capsys, ["expect", "-i", str(path), "--order", "b,a",
+                                      "--format", fmt])
+        assert (code, out) == (1, "")
+        assert err == "trialorder: error: results.expected_time is not finite: nan\n"
 
 
 class TestEmission:

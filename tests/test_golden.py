@@ -15,8 +15,11 @@ t_min, both swap-local premises of general-lower, the adjacent ratio order,
 and the same general-lower case under ``--strict``, which exits 2) on the
 N=8 JSON file and on an N=8 file whose mean times are all equal; their
 digests were taken before the swap check and the premise lists each got one
-owner.  The three ``check`` cases need no
-input file; their digests were taken before ``VerificationConfig`` lost its
+owner.  The prefix cases run the bounds where they read S_(k-1) or
+Q_(k-1): adjacent at k = 1 and 2 (the exact Q), general-lower at k = 1,500
+on the N=2,000 file and equal-t-lower at k = 5; their digests were taken
+before the bounds read their prefix sums in one place.  The three ``check``
+cases need no input file; their digests were taken before ``VerificationConfig`` lost its
 generator-range and tolerance fields, and the equal-p one exits 3 (the
 printed equal-p formula misses its oracle), so each digest is pinned beside
 its exit code.  Each case is emitted as json, text and csv.
@@ -131,6 +134,30 @@ def _premise_cases() -> dict[str, tuple[str, list[str]]]:
     }
 
 
+def _prefix_cases() -> dict[str, tuple[str, list[str]]]:
+    """Bound reports at the prefix lengths where the bounds read S_(k-1) or Q_(k-1).
+
+    The adjacent bound takes the exact Q_(k-1) at k = 1 and 2; general-lower
+    adds up 1,499 probabilities at k = 1,500; equal-t-lower reads S_4.
+    """
+    c = min(r["p"] for r in LARGE)
+    d = max(r["p"] for r in LARGE)
+    eq_c = min(r["p"] for r in EQUAL_T)
+    eq_d = max(r["p"] for r in EQUAL_T)
+    return {
+        "small.json/bounds_adjacent_k1": ("small.json", [
+            "bounds", "--profile", "adjacent", "--k", "1"]),
+        "small.json/bounds_adjacent_k2": ("small.json", [
+            "bounds", "--profile", "adjacent", "--k", "2"]),
+        "large.json/bounds_general_lower_k1500": ("large.json", [
+            "bounds", "--profile", "general-lower", "--k", "1500", "--n", "5",
+            "--c", repr(c), "--d", repr(d)]),
+        "equal_t.json/bounds_equal_t_lower_k5": ("equal_t.json", [
+            "bounds", "--profile", "equal-t-lower", "--k", "5", "--n", "3",
+            "--c", repr(eq_c), "--d", repr(eq_d)]),
+    }
+
+
 def cases() -> dict[str, tuple[str | None, list[str]]]:
     """Case name -> (input file name or None, argv without -i and --format)."""
     out: dict[str, tuple[str | None, list[str]]] = {}
@@ -140,6 +167,7 @@ def cases() -> dict[str, tuple[str | None, list[str]]]:
     for case, argv in _large_cases().items():
         out[case] = ("large.json", argv)
     out.update(_premise_cases())
+    out.update(_prefix_cases())
     out["check"] = (None, ["check", "--instances", "10", "--seed", "3"])
     out["check_seed11"] = (None, ["check", "--instances", "200", "--seed", "11"])
     out["check_equal_p"] = (None, ["check", "--equal-p", "--instances", "50", "--seed", "3"])
@@ -178,6 +206,9 @@ GOLDEN: dict[str, tuple[int, str]] = {  # case/format -> (exit code, sha256 of s
     "equal_t.json/bounds_equal_t_lower/json": (0, "502e81ccf996573b46c1cabc03a5f5810fe13a93408c49e3a3b182bd1f140588"),
     "equal_t.json/bounds_equal_t_lower/text": (0, "be832ed9639a40a86146e5dbcf404c546b3de9b8d39cf9c896269bcf3e6e524c"),
     "equal_t.json/bounds_equal_t_lower/csv": (0, "3b5e3ddde9079f2dfb0743de2476ff4575498d6d2da7ebf6a90a426c73adae0e"),
+    "equal_t.json/bounds_equal_t_lower_k5/json": (0, "e3fa01e40ddb3501836f8da2242431c1e88de33764bc8f4878733908e6909de7"),
+    "equal_t.json/bounds_equal_t_lower_k5/text": (0, "0a4ff241a249da94a226d3fbeceb8e2c51a3c6ee3676a7cd49add6596043ec7e"),
+    "equal_t.json/bounds_equal_t_lower_k5/csv": (0, "2c5406492bc025061ec9e0cfea0e487d31a1dc81992412375748572465b21549"),
     "equal_t.json/bounds_equal_t_upper/json": (0, "4210bbbc424ea775a4b7ec48722881c40036f2fb7f6c4db3bf05ee255788b775"),
     "equal_t.json/bounds_equal_t_upper/text": (0, "f5f539741e31d7666f9cec7e6725224d6156d4876902265ddb3ee0257de08c7a"),
     "equal_t.json/bounds_equal_t_upper/csv": (0, "120c32375d3c8c844d8e8c7ee16aeeed9e8f1132bae3df20092c1cdfec8f8618"),
@@ -187,6 +218,9 @@ GOLDEN: dict[str, tuple[int, str]] = {  # case/format -> (exit code, sha256 of s
     "large.json/bounds_general_lower/json": (0, "5299f9d2fe330ba6f87fcb69241a569763a33ba5ea4adddb924f6e996c5b80bd"),
     "large.json/bounds_general_lower/text": (0, "a0a7df12c39aad80f0bf8b7dbc7f0a870f401409d6bf9777864f38a5b01df9af"),
     "large.json/bounds_general_lower/csv": (0, "32be444d5a9266dbc86c45176290f8c42f07f49d9be5b13b081eea9a23000bf6"),
+    "large.json/bounds_general_lower_k1500/json": (0, "e9237ec8e4478b20b4aa5a53471a9517a67d1e7f6b5ffb1954758f369b9f69f4"),
+    "large.json/bounds_general_lower_k1500/text": (0, "17bba15c6af1964de52d812c2d9ce2e52e44e9ab3d26c84d41e1ba9f92ba0826"),
+    "large.json/bounds_general_lower_k1500/csv": (0, "2f893434d146f54e670971153e3f6f8b328841aec5884c74438dbb348cd37f33"),
     "large.json/bounds_general_upper/json": (0, "20646a250bbf7e17197dac8a9356ad3abc275a4e5094e53ac00f5c4d3b4d13eb"),
     "large.json/bounds_general_upper/text": (0, "8077a3426b2c8bdeaeb77580c4d946578d91404ce66bd0080c0fd8236242ce8b"),
     "large.json/bounds_general_upper/csv": (0, "6e79c2a21c1f284ca10b06bbc7a37ddf188917b39efb3f74cedb8f12269d1d01"),
@@ -232,6 +266,12 @@ GOLDEN: dict[str, tuple[int, str]] = {  # case/format -> (exit code, sha256 of s
     "small.json/bounds_adjacent_against/json": (0, "653696c01d878dfca93eac68944551dc63e2a6b75ab5fe6b7a3ae5973d0bd207"),
     "small.json/bounds_adjacent_against/text": (0, "1fc8bbd7c50becac912455b5c083e1062e53a5de1f93075ef5115ec987a1dc30"),
     "small.json/bounds_adjacent_against/csv": (0, "3613457e94f0860a3423d76ed135031ba2251a89b5bf55e1e8b642b078494c0a"),
+    "small.json/bounds_adjacent_k1/json": (0, "c4b40b95473bdb2e1ce5b605600d7e40858092617187d7e7bcc02dbb40d50563"),
+    "small.json/bounds_adjacent_k1/text": (0, "7cd3835db5c32a53d83019c270e6a26efe33eaa060c3fe7f035ccda136472619"),
+    "small.json/bounds_adjacent_k1/csv": (0, "c7676d07fcff3365784c1d76249f82f1567795c1eacd4a04351b5459032d1de3"),
+    "small.json/bounds_adjacent_k2/json": (0, "6d6441aedcc1dd52f110eb9461383b47eaf6eb6bcd3212fee4534341fffdae4b"),
+    "small.json/bounds_adjacent_k2/text": (0, "51b6f3edff03e1b496e5f5cab78fcf0a971012a7c8467e346a97cf69078705a5"),
+    "small.json/bounds_adjacent_k2/csv": (0, "5b03e1ff29db2d6cef6dcbb475a348573c3fc482dabac40e82fe9651134a6109"),
     "small.json/bounds_general_lower_against/json": (0, "37e0a05980e74e9032d352c129c848b4637e488ad0187b16b1a4874b785a131f"),
     "small.json/bounds_general_lower_against/text": (0, "a8184305d36111249a2ba58b2969413aed45bb4df7e05ff049ed92903288344f"),
     "small.json/bounds_general_lower_against/csv": (0, "0a597844576ea8759b72c0115232cd6096489d832bc718bdbdd0ba2c7805ad92"),

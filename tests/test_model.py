@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import candidate_sets, make_set, sets_with_ordering
+from helpers import candidate_sets, make_set
 from trialorder import (
     Candidate,
     CandidateSet,
     Ordering,
     mean_time,
-    prefix_aggregates,
     ratio,
     validate,
 )
@@ -25,6 +24,10 @@ class TestCandidate:
     def test_mean_time_is_arithmetic_mean(self):
         assert mean_time(Candidate("a", 0.5, (1, 2, 3))) == 2.0
         assert mean_time(Candidate("a", 0.5, (1.0, 2.0))) == 1.5
+
+    @given(st.floats(0.01, 100, allow_nan=False), st.integers(1, 5))
+    def test_mean_of_identical_samples(self, t, n):
+        assert mean_time(Candidate("a", 0.5, (t,) * n)) == pytest.approx(t, rel=1e-15)
 
     def test_ratio(self):
         assert ratio(Candidate("a", 0.5, (1.0,))) == 0.5
@@ -144,69 +147,6 @@ class TestOrdering:
 
     def test_swapped(self):
         assert Ordering((0, 1, 2)).swapped(0, 2).perm == (2, 1, 0)
-
-
-class TestPrefixAggregates:
-    def test_empty_prefix_convention(self):
-        cs = make_set([0.5, 0.4])
-        agg = prefix_aggregates(cs, Ordering.identity(2), 0)
-        assert (agg.S, agg.T, agg.P, agg.Q) == (0.0, 0.0, 1.0, 1.0)
-
-    def test_two_term_arithmetic(self):
-        cs = make_set([0.5, 0.4], [1.0, 1.0])
-        agg = prefix_aggregates(cs, Ordering.identity(2), 2)
-        assert agg.S == pytest.approx(0.9, rel=1e-15)
-        assert agg.T == 2.0
-        assert agg.P == pytest.approx(0.2, rel=1e-15)
-        assert agg.Q == pytest.approx(0.3, rel=1e-15)
-
-    def test_complement_product(self):
-        cs = make_set([0.5, 0.4, 0.3])
-        agg = prefix_aggregates(cs, Ordering.identity(3), 2)
-        assert agg.Q == pytest.approx((1 - 0.5) * (1 - 0.4), rel=1e-15)
-
-    def test_m_out_of_range(self):
-        cs = make_set([0.5])
-        with pytest.raises(ValueError, match="out of range"):
-            prefix_aggregates(cs, Ordering.identity(1), 2)
-        with pytest.raises(ValueError, match="out of range"):
-            prefix_aggregates(cs, Ordering.identity(1), -1)
-
-    def test_ordering_size_mismatch(self):
-        cs = make_set([0.5, 0.4])
-        with pytest.raises(ValueError, match="does not match"):
-            prefix_aggregates(cs, Ordering.identity(3), 1)
-
-    @given(sets_with_ordering(max_size=6), st.data())
-    @settings(max_examples=150)
-    def test_recurrence(self, so, data):
-        cset, ordering = so
-        m = data.draw(st.integers(0, cset.N - 1))
-        cur = prefix_aggregates(cset, ordering, m)
-        nxt = prefix_aggregates(cset, ordering, m + 1)
-        c = cset[ordering[m]]
-        assert nxt.S == cur.S + c.p
-        assert nxt.T == cur.T + mean_time(c)
-        assert nxt.P == cur.P * c.p
-        assert nxt.Q == cur.Q * (1.0 - c.p)
-
-    @given(sets_with_ordering(max_size=6), st.data())
-    @settings(max_examples=150)
-    def test_prefix_permutation_invariance(self, so, data):
-        cset, ordering = so
-        m = data.draw(st.integers(0, cset.N))
-        shuffled_prefix = data.draw(st.permutations(ordering.perm[:m]))
-        other = Ordering(tuple(shuffled_prefix) + ordering.perm[m:])
-        a = prefix_aggregates(cset, ordering, m)
-        b = prefix_aggregates(cset, other, m)
-        assert a.S == pytest.approx(b.S, rel=1e-12, abs=1e-15)
-        assert a.T == pytest.approx(b.T, rel=1e-12, abs=1e-15)
-        assert a.P == pytest.approx(b.P, rel=1e-12, abs=1e-15)
-        assert a.Q == pytest.approx(b.Q, rel=1e-12, abs=1e-15)
-
-    @given(st.floats(0.01, 100, allow_nan=False), st.integers(1, 5))
-    def test_mean_of_identical_samples(self, t, n):
-        assert mean_time(Candidate("a", 0.5, (t,) * n)) == pytest.approx(t, rel=1e-15)
 
 
 class TestValidate:
