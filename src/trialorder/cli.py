@@ -30,7 +30,7 @@ from pathlib import Path
 from . import __version__
 from . import bounds, excess, model, schedule
 from .errors import AssumptionError
-from .model import CandidateSet, Ordering
+from .model import Candidate, CandidateSet, Ordering
 
 __all__ = ["main", "build_parser", "ingest", "emit", "CliInputError"]
 
@@ -53,7 +53,7 @@ def _read_source(source: str) -> bytes:
         raise CliInputError(f"cannot read {source!r}: {e}") from e
 
 
-def _records_from_json(text: str):
+def _json_items(text: str) -> list:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -63,16 +63,45 @@ def _records_from_json(text: str):
     items = doc["candidates"]
     if not isinstance(items, list):
         raise CliInputError('JSON parse error: "candidates" must be a list')
-    records, labels = [], []
+    return items
+
+
+def _clean_json_set(items: list) -> CandidateSet | None:
+    """The set of JSON records that are all plainly clean, else None.
+
+    Plainly clean: an object whose p is a float in [0, 1], whose times is a
+    non-empty list of finite positive floats and whose id is new.  Any other
+    record, an int p included, leaves the whole file to _records_from_json
+    and the full check, which words every problem.
+    """
+    cands, seen = [], set()
+    for i, item in enumerate(items):
+        if type(item) is not dict:
+            return None
+        p, times = item.get("p"), item.get("times")
+        if not (type(p) is float and 0.0 <= p <= 1.0 and type(times) is list and times):
+            return None
+        for t in times:
+            if not (type(t) is float and 0.0 < t < math.inf):
+                return None
+        rid = str(item["id"]) if "id" in item else f"#{i}"
+        if rid in seen:
+            return None
+        seen.add(rid)
+        cands.append(Candidate._unchecked(rid, p, tuple(times)))
+    return CandidateSet(tuple(cands))
+
+
+def _records_from_json(items: list) -> list[tuple]:
+    records = []
     for i, item in enumerate(items):
         if not isinstance(item, dict):
             raise CliInputError(f"JSON parse error: candidates[{i}] is not an object")
         records.append((str(item.get("id", f"#{i}")), item.get("p"), item.get("times", ())))
-        labels.append(f"candidates[{i}]")
-    return records, labels
+    return records
 
 
-def _records_from_csv(text: str):
+def _records_from_csv(text: str) -> list[tuple]:
     rows = list(_csv.reader(io.StringIO(text)))
     rows = [r for r in rows if any(cell.strip() for cell in r)]
     if not rows:
@@ -83,14 +112,13 @@ def _records_from_csv(text: str):
             "CSV parse error: header must be 'id,p,<time columns...>', got "
             + ",".join(rows[0])
         )
-    records, labels = [], []
-    for rownum, row in enumerate(rows[1:], start=2):
+    records = []
+    for row in rows[1:]:  # blank rows are gone, so record i is row i + 2 of the file
         rid = row[0].strip() if row else ""
         p = row[1].strip() if len(row) > 1 else None
         times = [cell.strip() for cell in row[2:] if cell.strip()]
         records.append((rid, p, times))
-        labels.append(f"row {rownum}")
-    return records, labels
+    return records
 
 
 def ingest(source: str, fmt: str) -> tuple[CandidateSet, str]:
@@ -106,15 +134,20 @@ def ingest(source: str, fmt: str) -> tuple[CandidateSet, str]:
     except UnicodeDecodeError as e:
         raise CliInputError(f"input is not valid UTF-8: {e}") from e
     if fmt == "json":
-        records, labels = _records_from_json(text)
+        items = _json_items(text)
+        if items:
+            cset = _clean_json_set(items)
+            if cset is not None:
+                return cset, digest
+        records, label = _records_from_json(items), "candidates[{}]".format
     elif fmt == "csv":
-        records, labels = _records_from_csv(text)
+        records, label = _records_from_csv(text), (lambda i: f"row {i + 2}")
     else:  # pragma: no cover - argparse restricts choices
         raise CliInputError(f"unknown input format {fmt!r}")
 
     if not records:
         raise CliInputError("empty set: no candidates in input")
-    problems = model._checked_rows(records, labels)
+    problems = model._checked_rows(records, label)
     if problems:
         raise CliInputError("\n".join(str(v) for v in problems))
     return CandidateSet._from_rows(records), digest

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import AssumptionError, SingularityError
-from .model import CandidateSet, Ordering, _check_compatible, _prefix
+from .model import CandidateSet, Ordering, _check_compatible, _fold, _numpy_for, _prefix
 from .schedule import expected_time
 
 __all__ = [
@@ -85,9 +85,10 @@ def adjacent_swap_excess(cset: CandidateSet, ordering: Ordering, k: int) -> floa
     (p_k/t_k - p_{k+1}/t_{k+1}) * Q_{k-1} * t_k * t_{k+1}, exact for any
     reference ordering; >= 0 whenever the ordering is ratio-sorted.
     """
-    _swap_ends(cset, ordering, k, 1)
-    p, t, _, Q = _prefix(cset, ordering, k + 1)
-    return (p[k] / t[k] - p[k + 1] / t[k + 1]) * Q[k - 1] * t[k] * t[k + 1]
+    i, j = _swap_ends(cset, ordering, k, 1)
+    pk, pk1, tk, tk1 = cset.ps[i], cset.ps[j], cset.ts[i], cset.ts[j]
+    *_, Q = _prefix(cset, ordering, k - 1)
+    return (pk / tk - pk1 / tk1) * float(Q[k - 1]) * tk * tk1
 
 
 def general_swap_excess(cset: CandidateSet, ordering: Ordering, k: int, n: int) -> ExcessReport:
@@ -101,23 +102,32 @@ def general_swap_excess(cset: CandidateSet, ordering: Ordering, k: int, n: int) 
     q2 and q3 divide by (1 - p_k), so p_k = 1 is singular; use
     exact_excess_direct for that case.
     """
-    i, _ = _swap_ends(cset, ordering, k, n)
-    if cset.ps[i] == 1.0:
+    i, j = _swap_ends(cset, ordering, k, n)
+    pk, pkn, tk, tkn = cset.ps[i], cset.ps[j], cset.ts[i], cset.ts[j]
+    if pk == 1.0:
         raise SingularityError(
             f"p=1 at position k={k}: the q-decomposition divides by (1 - p_k); "
             "use exact_excess_direct instead"
         )
-    p, t, T, Q = _prefix(cset, ordering, k + n)
-    pk, pkn = p[k], p[k + n]
-    tk, tkn = t[k], t[k + n]
+    p, _, T, Q = _prefix(cset, ordering, k + n)
+    T_k1, Q_k1 = float(T[k - 1]), float(Q[k - 1])  # T_{k-1}, Q_{k-1}
+    T_kn, Q_kn1 = float(T[k + n]), float(Q[k + n - 1])  # T_{k+n}, Q_{k+n-1}
 
-    q1 = T[k - 1] * Q[k - 1] * (pkn - pk) + Q[k - 1] * (tkn * pkn - tk * pk)
-    q2 = 0.0
-    for l in range(k + 1, k + n):
-        q2 += Q[l - 1] * p[l] * (
-            T[l] * (pk - pkn) / (1.0 - pk) + (tkn - tk) * (1.0 - pkn) / (1.0 - pk)
-        )
-    q3 = T[k + n] * Q[k + n - 1] * (pk - pkn) / (1.0 - pk)
+    q1 = T_k1 * Q_k1 * (pkn - pk) + Q_k1 * (tkn * pkn - tk * pk)
+    np = _numpy_for(k + n)
+    if np is None:
+        q2 = 0.0
+        for l in range(k + 1, k + n):
+            q2 += Q[l - 1] * p[l] * (
+                T[l] * (pk - pkn) / (1.0 - pk) + (tkn - tk) * (1.0 - pkn) / (1.0 - pk)
+            )
+    else:  # the same terms, l = k+1 .. k+n-1 as slices, grouped as above
+        l, l1 = slice(k + 1, k + n), slice(k, k + n - 1)
+        with np.errstate(all="ignore"):
+            q2 = _fold(Q[l1] * p[l] * (
+                T[l] * (pk - pkn) / (1.0 - pk) + (tkn - tk) * (1.0 - pkn) / (1.0 - pk)
+            ))
+    q3 = T_kn * Q_kn1 * (pk - pkn) / (1.0 - pk)
 
     return ExcessReport(k=k, n=n, q1=q1, q2=q2, q3=q3, total=q1 + q2 + q3,
                         method="q-decomposition")

@@ -14,9 +14,11 @@ unrestricted concurrent use is safe.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
     "Candidate",
@@ -63,38 +65,39 @@ def _is_bool(v) -> bool:
     return isinstance(v, bool) or getattr(getattr(v, "dtype", None), "kind", None) == "b"
 
 
-def _value_violations(subject: str, p, times) -> list[Violation]:
+def _value_problems(p, times) -> list[tuple[str, str]]:
+    """Every ``(field, message)`` wrong with one record's p and times."""
     # A boolean passes float() as 0.0 or 1.0, yet it is not a number here.
-    out: list[Violation] = []
+    out: list[tuple[str, str]] = []
     try:
         value = float(p)
     except (TypeError, ValueError):
         value = None
     if value is None or (type(p) is not float and _is_bool(p)):
-        out.append(Violation(subject, "p", f"not a number: {p!r}"))
+        out.append(("p", f"not a number: {p!r}"))
     elif not (0.0 <= value <= 1.0):
-        out.append(Violation(subject, "p", f"probability {value!r} out of [0, 1]"))
+        out.append(("p", f"probability {value!r} out of [0, 1]"))
 
     try:
         if isinstance(times, (str, bytes)):  # a sequence of characters, not of samples
             raise TypeError
         times = tuple(times)
     except TypeError:
-        out.append(Violation(subject, "times", f"not a sequence: {times!r}"))
+        out.append(("times", f"not a sequence: {times!r}"))
         return out
     if not times:
-        out.append(Violation(subject, "times", "no execution time samples"))
+        out.append(("times", "no execution time samples"))
     for t in times:
         try:
             value = float(t)
         except (TypeError, ValueError):
             value = None
         if value is None or (type(t) is not float and _is_bool(t)):
-            out.append(Violation(subject, "times", f"not a number: {t!r}"))
+            out.append(("times", f"not a number: {t!r}"))
         elif not math.isfinite(value):
-            out.append(Violation(subject, "times", f"non-finite time sample {value!r}"))
+            out.append(("times", f"non-finite time sample {value!r}"))
         elif value <= 0.0:
-            out.append(Violation(subject, "times", f"non-positive time sample {value!r}"))
+            out.append(("times", f"non-positive time sample {value!r}"))
     return out
 
 
@@ -120,17 +123,17 @@ class Candidate:
             except TypeError:
                 pass  # let the checker report it
         # Check the raw values: float() would take True as 1.0.
-        problems = _value_violations(f"candidate {self.id!r}", self.p, samples)
+        problems = _checked_rows([(self.id, self.p, samples)])
         if problems:
             raise ValueError("; ".join(str(v) for v in problems))
         object.__setattr__(self, "p", float(self.p))
         object.__setattr__(self, "time_samples", tuple(map(float, samples)))
 
     @classmethod
-    def _unchecked(cls, id, p, time_samples) -> "Candidate":
-        """A candidate from values _checked_rows found clean: coerced as above, not checked."""
+    def _unchecked(cls, id: str, p: float, time_samples: tuple[float, ...]) -> "Candidate":
+        """A candidate from clean values already coerced as above: stored, not checked."""
         c = object.__new__(cls)
-        c.__dict__.update(id=str(id), p=float(p), time_samples=tuple(map(float, time_samples)))
+        c.__dict__.update(id=id, p=p, time_samples=time_samples)
         return c
 
 
@@ -157,6 +160,14 @@ class CandidateSet:
             seen.add(c.id)
         object.__setattr__(self, "ps", tuple(c.p for c in self.candidates))
         object.__setattr__(self, "ts", tuple(mean_time(c) for c in self.candidates))
+
+    @cached_property
+    def _arrays(self):
+        """``ps`` and ``ts`` as read-only float64 arrays, built when the array path first needs them."""
+        np = sys.modules["numpy"]
+        ps, ts = np.array(self.ps, dtype=float), np.array(self.ts, dtype=float)
+        ps.flags.writeable = ts.flags.writeable = False
+        return ps, ts
 
     @property
     def N(self) -> int:
@@ -190,7 +201,8 @@ class CandidateSet:
     @classmethod
     def _from_rows(cls, rows) -> "CandidateSet":
         """A set from ``(id, p, times)`` rows that _checked_rows found clean."""
-        return cls(tuple(Candidate._unchecked(*row) for row in rows))
+        return cls(tuple(Candidate._unchecked(str(rid), float(p), tuple(map(float, times)))
+                         for rid, p, times in rows))
 
 
 def _coerce_record(rec, i: int):
@@ -217,15 +229,30 @@ class Ordering:
         if sorted(perm) != list(range(len(perm))):
             raise ValueError(f"perm {perm!r} is not a permutation of 0..{len(perm) - 1}")
 
+    @cached_property
+    def _index(self):
+        """``perm`` as a read-only intp array, built when the array path first needs it."""
+        np = sys.modules["numpy"]
+        index = np.fromiter(self.perm, np.intp, len(self.perm))
+        index.flags.writeable = False
+        return index
+
+    @classmethod
+    def _trusted(cls, perm: tuple[int, ...]) -> "Ordering":
+        """An ordering over a tuple of ints built here as a permutation: stored, not checked."""
+        o = object.__new__(cls)
+        o.__dict__["perm"] = perm
+        return o
+
     @classmethod
     def identity(cls, n: int) -> "Ordering":
-        return cls(tuple(range(n)))
+        return cls._trusted(tuple(range(n)))
 
     def swapped(self, i: int, j: int) -> "Ordering":
         """New ordering with 0-based positions i and j interchanged."""
         perm = list(self.perm)
         perm[i], perm[j] = perm[j], perm[i]
-        return Ordering(tuple(perm))
+        return Ordering._trusted(tuple(perm))
 
     def __len__(self) -> int:
         return len(self.perm)
@@ -245,6 +272,13 @@ def mean_time(c: Candidate) -> float:
 def ratio(c: Candidate) -> float:
     """Success-probability-to-mean-time ratio p / mean_time, the ordering score."""
     return c.p / mean_time(c)
+
+
+# Walk length from which the array path runs (see _numpy_for).  Measured on
+# a 2-core x86-64 machine, the two paths took the same time near N = 64-96
+# for expected_time and N = 32-64 for general_swap_excess,
+# adjacent_swap_excess and failure_tail_term.
+_ARRAY_MIN_N = 64
 
 
 def _agrees(value: float, reference: float) -> bool:
@@ -283,9 +317,47 @@ def _prefix(cset: CandidateSet, ordering: Ordering, m: int):
 
     Index 0 is the empty prefix (T_0 = 0, Q_0 = 1; p_0 = t_0 = 0 are never
     read), so ``T[l]``, ``Q[l - 1]`` and ``p[l]`` read as T_l, Q_{l-1} and p_l
-    in the closed forms.
+    in the closed forms.  On the array path (see _numpy_for) the columns are
+    float64 arrays, T from np.add.accumulate and Q from np.multiply.accumulate:
+    both run strictly left to right, as _walk does, so every entry is _walk's
+    to the bit.  Otherwise they are tuples.  Read single entries through
+    float(), so that no numpy scalar reaches a result.
     """
-    return zip((0.0, 0.0, 0.0, 1.0), *_walk(cset, ordering.perm[:m]))
+    np = _numpy_for(m)
+    if np is None:
+        return zip((0.0, 0.0, 0.0, 1.0), *_walk(cset, ordering.perm[:m]))
+    perm = ordering._index[:m]
+    ps, ts = cset._arrays
+    p, t, T, Q = np.empty(m + 1), np.empty(m + 1), np.empty(m + 1), np.empty(m + 1)
+    p[0] = t[0] = T[0] = 0.0
+    Q[0] = 1.0
+    p[1:], t[1:] = ps[perm], ts[perm]
+    with np.errstate(all="ignore"):  # T may overflow to inf, as _walk's does, silently
+        np.add.accumulate(t[1:], out=T[1:])
+        np.multiply.accumulate(1.0 - p[1:], out=Q[1:])
+    return p, t, T, Q
+
+
+def _numpy_for(n: int):
+    """numpy if a computation over n positions takes the array path, else None.
+
+    The array path needs n >= _ARRAY_MIN_N and numpy already imported; this
+    never imports it, so the command line's cold start stays numpy-free.
+    Both paths return the same floats, so the rule only sets speed.
+    """
+    return sys.modules.get("numpy") if n >= _ARRAY_MIN_N else None
+
+
+def _fold(terms) -> float:
+    """0.0 + terms[0] + terms[1] + ..., added left to right, as the loop paths add.
+
+    np.add.accumulate adds in order (np.sum would add pairwise and move the
+    last bits); the leading 0.0 + turns a lone -0.0 into 0.0, as a loop
+    starting from 0.0 does.
+    """
+    if not len(terms):
+        return 0.0
+    return 0.0 + float(sys.modules["numpy"].add.accumulate(terms)[-1])
 
 
 def validate(candidates: Iterable) -> ValidationReport:
@@ -319,18 +391,22 @@ def _check_records(records: Iterable) -> tuple:
     return rows, malformed + problems
 
 
-def _checked_rows(rows: Sequence[tuple], subjects: Sequence[str] | None = None) -> list[Violation]:
+def _checked_rows(rows: Sequence[tuple],
+                  label: Callable[[int], str] | None = None) -> list[Violation]:
     """Every violated invariant of ``(id, p, times)`` rows, in one pass.
 
     Violations come in row order, each row's value problems before its
-    duplicate id, under ``subjects[i]`` (default ``candidate '<id>'``).
+    duplicate id, under ``label(i)`` (default ``candidate '<id>'``), which is
+    called only for a row with a problem.
     """
     out: list[Violation] = []
     seen: set[str] = set()
     for i, (rid, p, times) in enumerate(rows):
-        subject = subjects[i] if subjects is not None else f"candidate {rid!r}"
-        out.extend(_value_violations(subject, p, times))
+        problems = _value_problems(p, times)
         if rid in seen:
-            out.append(Violation(subject, "id", f"duplicate candidate id {rid!r}"))
+            problems.append(("id", f"duplicate candidate id {rid!r}"))
+        if problems:
+            subject = label(i) if label is not None else f"candidate {rid!r}"
+            out.extend(Violation(subject, f, message) for f, message in problems)
         seen.add(rid)
     return out

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import CandidateSet, Ordering, _check_compatible, _walk
+from .model import CandidateSet, Ordering, _check_compatible, _fold, _numpy_for, _prefix, _walk
 
 __all__ = [
     "ExpectationOptions",
@@ -46,9 +46,15 @@ def solomonoff_order(cset: CandidateSet) -> Ordering:
     so any deterministic tie-break is correct, and the stable one is
     reproducible.
     """
-    scores = [p / t for p, t in zip(cset.ps, cset.ts)]
-    perm = sorted(range(cset.N), key=lambda i: -scores[i])
-    return Ordering(tuple(perm))
+    np = _numpy_for(cset.N)
+    if np is None:
+        scores = [p / t for p, t in zip(cset.ps, cset.ts)]
+        perm = sorted(range(cset.N), key=lambda i: -scores[i])
+    else:
+        ps, ts = cset._arrays
+        with np.errstate(all="ignore"):  # p / t may overflow to inf, as a float quotient does
+            perm = np.argsort(-(ps / ts), kind="stable").tolist()
+    return Ordering._trusted(tuple(perm))
 
 
 def expected_time(
@@ -66,13 +72,29 @@ def expected_time(
     _check_compatible(cset, ordering)
     if opts is None:
         opts = ExpectationOptions()
-    total = 0.0
-    Q_prev = 1.0
-    for p, _, T, Q in _walk(cset, ordering.perm):
-        total += T * Q_prev * p
-        Q_prev = Q
-    if opts.include_failure_tail:
-        total += T * Q
+    # Q never grows, and once it is exactly 0 every later term and the tail
+    # are exactly 0 wherever T is finite.  Both paths stop there, so a T that
+    # overflowed later adds nothing, where inf * 0 would make the total nan.
+    N = cset.N
+    np = _numpy_for(N)
+    if np is None:
+        total = 0.0
+        Q_prev = 1.0
+        for p, _, T, Q in _walk(cset, ordering.perm):
+            total += T * Q_prev * p
+            if Q == 0.0:
+                return total
+            Q_prev = Q
+        if opts.include_failure_tail:
+            total += T * Q
+        return total
+    p, _, T, Q = _prefix(cset, ordering, N)
+    live = int(np.count_nonzero(Q))  # Q_0 .. Q_(live-1) are > 0, the rest exactly 0
+    m = min(live, N)
+    with np.errstate(all="ignore"):
+        total = _fold(T[1:m + 1] * Q[:m] * p[1:m + 1])
+    if opts.include_failure_tail and live > N:
+        total += float(T[N]) * float(Q[N])
     return total
 
 
@@ -93,6 +115,6 @@ def failure_tail_term(cset: CandidateSet, ordering: Ordering | None = None) -> f
     if ordering is None:
         ordering = Ordering.identity(cset.N)
     _check_compatible(cset, ordering)
-    for _, _, T, Q in _walk(cset, ordering.perm):
-        pass
-    return T * Q
+    _, _, T, Q = _prefix(cset, ordering, cset.N)
+    T_N, Q_N = float(T[-1]), float(Q[-1])
+    return T_N * Q_N if Q_N != 0.0 else 0.0  # a T_N that overflowed meets no Q_N = 0

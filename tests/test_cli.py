@@ -132,6 +132,18 @@ class TestIngest:
         assert (cset.ps, cset.ts) == ((0.9, 1.0), (3.0, 1.75))
         assert all(type(v) is float for c in cset for v in (c.p, *c.time_samples))
 
+    def test_clean_json_builds_the_public_constructor_set(self, tmp_path):
+        recs = [{"id": "a", "p": 0.5, "times": [1.0, 2.5]}, {"id": "b", "p": -0.0, "times": [3.0]},
+                {"id": "c", "p": 1, "times": [2, 4]}, {"id": "d", "p": 1.0, "times": [0.5]}]
+        for rows in (recs[:2] + recs[3:], recs):  # all-float records, then one with int p and times
+            path = tmp_path / "set.json"
+            path.write_text(json.dumps({"candidates": rows}))
+            cset, _ = cli.ingest(str(path), "json")
+            want = trialorder.CandidateSet.from_records(rows)
+            assert (cset, cset.ps, cset.ts) == (want, want.ps, want.ts)
+            assert [math.copysign(1.0, p) for p in cset.ps] == [math.copysign(1.0, p) for p in want.ps]
+            assert all(type(v) is float for c in cset for v in (c.p, *c.time_samples))
+
     def test_csv_header_required(self, capsys, tmp_path):
         path = tmp_path / "headerless.csv"
         path.write_text("a,0.5,1\n")
@@ -427,6 +439,65 @@ class TestUnderflow:
                        f"at c=1e-200, d={d}, k=1\n")
 
 
+class TestIngestPins:
+    """Exit code and full stderr of JSON ingestion, as taken before clean records got a fast path.
+
+    Each odd record follows clean ones, so a fast path that stops at it
+    must hand the whole file to the full check; the accepted ones must
+    build what CandidateSet.from_records builds.
+    """
+
+    CLEAN = [{"id": "a", "p": 0.5, "times": [1.0, 2.0]}, {"id": "z", "p": 0.125, "times": [4.0, 8.0]}]
+    ODD = [
+        ({"id": "int-p", "p": 1, "times": [3.0]}, ""),
+        ({"id": "bool-p", "p": True, "times": [1.0]}, "field 'p': not a number: True"),
+        ({"id": "str-p", "p": "0.5", "times": [1.0]}, ""),
+        ({"id": "nan-t", "p": 0.25, "times": [math.nan]}, "field 'times': non-finite time sample nan"),
+        ({"id": "inf-t", "p": 0.25, "times": [math.inf]}, "field 'times': non-finite time sample inf"),
+        ({"id": "zero-t", "p": 0.25, "times": [0]}, "field 'times': non-positive time sample 0.0"),
+        ({"id": "neg-t", "p": 0.25, "times": [-1]}, "field 'times': non-positive time sample -1.0"),
+        ({"id": "empty-t", "p": 0.25, "times": []}, "field 'times': no execution time samples"),
+        ({"id": "str-t", "p": 0.25, "times": "12"}, "field 'times': not a sequence: '12'"),
+        ({"id": "num-t", "p": 0.25, "times": 5}, "field 'times': not a sequence: 5"),
+        ({"id": "a", "p": 0.75, "times": [2.0]}, "field 'id': duplicate candidate id 'a'"),
+        ({"p": 0.5, "times": [1.0]}, ""),
+        ({"id": 7, "p": 0.5, "times": [1.0]}, ""),
+    ]
+
+    def _order(self, capsys, tmp_path, rows):
+        path = tmp_path / "odd.json"
+        path.write_text(json.dumps({"candidates": rows}))
+        return run(capsys, ["order", "-i", str(path)])
+
+    @pytest.mark.parametrize("rec,problem", ODD, ids=[r.get("id", "no-id") for r, _ in ODD])
+    def test_odd_record_after_clean_ones(self, capsys, tmp_path, rec, problem):
+        rows = self.CLEAN + [rec]
+        code, out, err = self._order(capsys, tmp_path, rows)
+        if problem:
+            assert (code, out, err) == (1, "", f"trialorder: error: candidates[2]: {problem}\n")
+        else:
+            assert (code, err) == (0, "")
+            cset, _ = cli.ingest(str(tmp_path / "odd.json"), "json")
+            want = trialorder.CandidateSet.from_records(rows)
+            assert (cset, cset.ps, cset.ts) == (want, want.ps, want.ts)
+
+    def test_mixed_file(self, capsys, tmp_path):
+        rows = self.CLEAN[:1] + [rec for rec, _ in self.ODD] + self.CLEAN[1:]
+        code, out, err = self._order(capsys, tmp_path, rows)
+        assert (code, out) == (1, "")
+        assert err == (
+            "trialorder: error: candidates[2]: field 'p': not a number: True\n"
+            "candidates[4]: field 'times': non-finite time sample nan\n"
+            "candidates[5]: field 'times': non-finite time sample inf\n"
+            "candidates[6]: field 'times': non-positive time sample 0.0\n"
+            "candidates[7]: field 'times': non-positive time sample -1.0\n"
+            "candidates[8]: field 'times': no execution time samples\n"
+            "candidates[9]: field 'times': not a sequence: '12'\n"
+            "candidates[10]: field 'times': not a sequence: 5\n"
+            "candidates[11]: field 'id': duplicate candidate id 'a'\n"
+        )
+
+
 class TestNonFiniteResults:
     """JSON has no inf or nan: a report holding one is not printed, and every such key is named."""
 
@@ -451,7 +522,12 @@ class TestNonFiniteResults:
         code, out, err = run(capsys, ["expect", "-i", str(path), "--order", "b,a",
                                       "--format", fmt])
         assert (code, out) == (1, "")
-        assert err == "trialorder: error: results.expected_time is not finite: nan\n"
+        # T_2 overflows (the exact 1.5e308 would need another fold); Q_2 = 0 keeps it from nan.
+        assert err == "trialorder: error: results.expected_time is not finite: inf\n"
+        code, out, err = run(capsys, ["expect", "-i", str(path), "--order", "a,b",
+                                      "--format", "json"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["results"]["expected_time"] == 1e308
 
 
 class TestEmission:
@@ -539,12 +615,21 @@ class TestLazyNumpy:
     def test_import_and_order_leave_numpy_unloaded(self, tmp_path):
         path = tmp_path / "three.json"
         path.write_text(THREE_JSON)
+        # Above the array path's size, which only runs where numpy is already loaded.
+        n = 2 * trialorder.model._ARRAY_MIN_N
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps({"candidates": [
+            {"id": f"c{i}", "p": 0.25 + 0.5 * i / n, "times": [1.0 + i % 7]} for i in range(n)]}))
         code = (
             "import sys\n"
             "import trialorder.cli\n"
             "assert 'numpy' not in sys.modules, 'import'\n"
             f"assert trialorder.cli.main(['order', '-i', {str(path)!r}]) == 0\n"
             "assert 'numpy' not in sys.modules, 'order'\n"
+            f"for argv in (['order'], ['expect'], ['excess', '--k', '1', '--n', '{n - 1}'],\n"
+            "             ['bounds', '--profile', 'adjacent', '--k', '2']):\n"
+            f"    assert trialorder.cli.main(argv + ['-i', {str(big)!r}]) == 0, argv\n"
+            "    assert 'numpy' not in sys.modules, argv\n"
             "import trialorder\n"
             "trialorder.simulate\n"
             "assert 'numpy' in sys.modules, 'oracle names load the oracle'\n"

@@ -140,10 +140,9 @@ class TestOrdering:
         assert Ordering.identity(3).perm == (0, 1, 2)
 
     def test_rejects_non_permutation(self):
-        with pytest.raises(ValueError):
-            Ordering((0, 0, 1))
-        with pytest.raises(ValueError):
-            Ordering((1, 2, 3))
+        for perm in [(0, 0, 1), (1, 2, 3), (0, 0), (1, 2)]:
+            with pytest.raises(ValueError):
+                Ordering(perm)
 
     def test_swapped(self):
         assert Ordering((0, 1, 2)).swapped(0, 2).perm == (2, 1, 0)

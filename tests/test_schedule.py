@@ -117,6 +117,28 @@ class TestFailureTail:
         assert rel_ok(a, b, 1e-12)
 
 
+class TestOverflowBeyondCertainSuccess:
+    """Once Q reaches exactly 0, a T that overflowed later adds nothing (inf * 0 was nan).
+
+    N = 2 runs the loop path and N = 100 the array path (numpy is loaded here).
+    """
+
+    def test_two_candidates(self):
+        cs = make_set([1.0, 0.5], [1e308, 1e308])
+        assert failure_tail_term(cs) == 0.0
+        assert expected_time(cs, Ordering((0, 1))) == 1e308
+        assert expected_time(cs, Ordering((0, 1)), NO_TAIL) == 1e308
+        assert expected_time(cs, Ordering((1, 0))) == float("inf")  # exact 1.5e308 needs another fold
+
+    def test_hundred_candidates(self):
+        import numpy  # noqa: F401  the array path runs only once numpy is loaded
+
+        cs = make_set([1.0] + [0.5] * 99, [1e307] * 100)
+        assert failure_tail_term(cs) == 0.0
+        assert expected_time(cs, Ordering.identity(100)) == 1e307
+        assert expected_time(cs, solomonoff_order(cs)) == 1e307
+
+
 class TestOptimality:
     @given(sets_with_ordering(min_size=1, max_size=5))
     @settings(max_examples=60, deadline=None)
