@@ -163,7 +163,7 @@ class CandidateSet:
 
     @cached_property
     def _arrays(self):
-        """``ps`` and ``ts`` as read-only float64 arrays, built when the array path first needs them."""
+        """``ps`` and ``ts`` as read-only float64 arrays, built when the array path needs them."""
         np = sys.modules["numpy"]
         ps, ts = np.array(self.ps, dtype=float), np.array(self.ts, dtype=float)
         ps.flags.writeable = ts.flags.writeable = False

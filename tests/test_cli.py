@@ -133,15 +133,19 @@ class TestIngest:
         assert all(type(v) is float for c in cset for v in (c.p, *c.time_samples))
 
     def test_clean_json_builds_the_public_constructor_set(self, tmp_path):
-        recs = [{"id": "a", "p": 0.5, "times": [1.0, 2.5]}, {"id": "b", "p": -0.0, "times": [3.0]},
-                {"id": "c", "p": 1, "times": [2, 4]}, {"id": "d", "p": 1.0, "times": [0.5]}]
-        for rows in (recs[:2] + recs[3:], recs):  # all-float records, then one with int p and times
+        recs = [{"id": "a", "p": 0.5, "times": [1.0, 2.5]},
+                {"id": "b", "p": -0.0, "times": [3.0]},
+                {"id": "c", "p": 1, "times": [2, 4]},
+                {"id": "d", "p": 1.0, "times": [0.5]}]
+        # All-float records, then the same with one int p and int times.
+        for rows in (recs[:2] + recs[3:], recs):
             path = tmp_path / "set.json"
             path.write_text(json.dumps({"candidates": rows}))
             cset, _ = cli.ingest(str(path), "json")
             want = trialorder.CandidateSet.from_records(rows)
             assert (cset, cset.ps, cset.ts) == (want, want.ps, want.ts)
-            assert [math.copysign(1.0, p) for p in cset.ps] == [math.copysign(1.0, p) for p in want.ps]
+            signs = [math.copysign(1.0, p) for p in cset.ps]
+            assert signs == [math.copysign(1.0, p) for p in want.ps]
             assert all(type(v) is float for c in cset for v in (c.p, *c.time_samples))
 
     def test_csv_header_required(self, capsys, tmp_path):
@@ -447,7 +451,8 @@ class TestIngestPins:
     build what CandidateSet.from_records builds.
     """
 
-    CLEAN = [{"id": "a", "p": 0.5, "times": [1.0, 2.0]}, {"id": "z", "p": 0.125, "times": [4.0, 8.0]}]
+    CLEAN = [{"id": "a", "p": 0.5, "times": [1.0, 2.0]},
+             {"id": "z", "p": 0.125, "times": [4.0, 8.0]}]
     ODD = [
         ({"id": "int-p", "p": 1, "times": [3.0]}, ""),
         ({"id": "bool-p", "p": True, "times": [1.0]}, "field 'p': not a number: True"),

@@ -128,7 +128,8 @@ class TestOverflowBeyondCertainSuccess:
         assert failure_tail_term(cs) == 0.0
         assert expected_time(cs, Ordering((0, 1))) == 1e308
         assert expected_time(cs, Ordering((0, 1)), NO_TAIL) == 1e308
-        assert expected_time(cs, Ordering((1, 0))) == float("inf")  # exact 1.5e308 needs another fold
+        # The exact 1.5e308 would need another fold; T_2 overflows, and Q_2 = 0 keeps it from nan.
+        assert expected_time(cs, Ordering((1, 0))) == float("inf")
 
     def test_hundred_candidates(self):
         import numpy  # noqa: F401  the array path runs only once numpy is loaded
