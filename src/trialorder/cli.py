@@ -30,7 +30,7 @@ from pathlib import Path
 from . import __version__
 from . import bounds, excess, model, schedule
 from .errors import AssumptionError
-from .model import Candidate, CandidateSet, Ordering
+from .model import CandidateSet, Ordering
 
 __all__ = ["main", "build_parser", "ingest", "emit", "CliInputError"]
 
@@ -66,39 +66,11 @@ def _json_items(text: str) -> list:
     return items
 
 
-def _clean_json_set(items: list) -> CandidateSet | None:
-    """The set of JSON records that are all plainly clean, else None.
-
-    Plainly clean: an object whose p is a float in [0, 1], whose times is a
-    non-empty list of finite positive floats and whose id is new.  Any other
-    record, an int p included, leaves the whole file to _records_from_json
-    and the full check, which words every problem.
-    """
-    cands, seen = [], set()
-    for i, item in enumerate(items):
-        if type(item) is not dict:
-            return None
-        p, times = item.get("p"), item.get("times")
-        if not (type(p) is float and 0.0 <= p <= 1.0 and type(times) is list and times):
-            return None
-        for t in times:
-            if not (type(t) is float and 0.0 < t < math.inf):
-                return None
-        rid = str(item["id"]) if "id" in item else f"#{i}"
-        if rid in seen:
-            return None
-        seen.add(rid)
-        cands.append(Candidate._unchecked(rid, p, tuple(times)))
-    return CandidateSet(tuple(cands))
-
-
-def _records_from_json(items: list) -> list[tuple]:
-    records = []
+def _records_from_json(items: list):
     for i, item in enumerate(items):
         if not isinstance(item, dict):
             raise CliInputError(f"JSON parse error: candidates[{i}] is not an object")
-        records.append((str(item.get("id", f"#{i}")), item.get("p"), item.get("times", ())))
-    return records
+        yield str(item["id"]) if "id" in item else f"#{i}", item.get("p"), item.get("times", ())
 
 
 def _records_from_csv(text: str) -> list[tuple]:
@@ -134,23 +106,18 @@ def ingest(source: str, fmt: str) -> tuple[CandidateSet, str]:
     except UnicodeDecodeError as e:
         raise CliInputError(f"input is not valid UTF-8: {e}") from e
     if fmt == "json":
-        items = _json_items(text)
-        if items:
-            cset = _clean_json_set(items)
-            if cset is not None:
-                return cset, digest
-        records, label = _records_from_json(items), "candidates[{}]".format
+        records, label = _records_from_json(_json_items(text)), "candidates[{}]".format
     elif fmt == "csv":
         records, label = _records_from_csv(text), (lambda i: f"row {i + 2}")
     else:  # pragma: no cover - argparse restricts choices
         raise CliInputError(f"unknown input format {fmt!r}")
 
-    if not records:
-        raise CliInputError("empty set: no candidates in input")
-    problems = model._checked_rows(records, label)
+    candidates, problems = model._checked_rows(records, label)
     if problems:
         raise CliInputError("\n".join(str(v) for v in problems))
-    return CandidateSet._from_rows(records), digest
+    if not candidates:
+        raise CliInputError("empty set: no candidates in input")
+    return CandidateSet(candidates), digest
 
 
 def _infer_format(source: str, explicit: str | None) -> str:

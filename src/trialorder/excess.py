@@ -110,19 +110,26 @@ def general_swap_excess(cset: CandidateSet, ordering: Ordering, k: int, n: int) 
             "use exact_excess_direct instead"
         )
     p, _, T, Q = _prefix(cset, ordering, k + n)
-    T_k1, Q_k1 = float(T[k - 1]), float(Q[k - 1])  # T_{k-1}, Q_{k-1}
-    T_kn, Q_kn1 = float(T[k + n]), float(Q[k + n - 1])  # T_{k+n}, Q_{k+n-1}
+    # Q never grows, and a term whose Q is exactly 0 is a signed 0 wherever T is
+    # finite: T reads as 1.0 beside it in q1 and q3, and q2 stops at the first
+    # l with Q_{l-1} = 0, so a T that overflowed cannot make inf * 0 = nan.
+    Q_k1, Q_kn1 = float(Q[k - 1]), float(Q[k + n - 1])  # Q_{k-1}, Q_{k+n-1}
+    T_k1 = float(T[k - 1]) if Q_k1 != 0.0 else 1.0  # T_{k-1}
+    T_kn = float(T[k + n]) if Q_kn1 != 0.0 else 1.0  # T_{k+n}
 
     q1 = T_k1 * Q_k1 * (pkn - pk) + Q_k1 * (tkn * pkn - tk * pk)
     np = _numpy_for(k + n)
     if np is None:
         q2 = 0.0
         for l in range(k + 1, k + n):
+            if Q[l - 1] == 0.0:
+                break
             q2 += Q[l - 1] * p[l] * (
                 T[l] * (pk - pkn) / (1.0 - pk) + (tkn - tk) * (1.0 - pkn) / (1.0 - pk)
             )
-    else:  # the same terms, l = k+1 .. k+n-1 as slices, grouped as above
-        l, l1 = slice(k + 1, k + n), slice(k, k + n - 1)
+    else:  # the same terms, l = k+1 .. up to k+n-1 as slices, grouped as above
+        stop = k + int(np.count_nonzero(Q[k:k + n - 1]))  # Q_{l-1} > 0 for l - 1 < stop
+        l, l1 = slice(k + 1, stop + 1), slice(k, stop)
         with np.errstate(all="ignore"):
             q2 = _fold(Q[l1] * p[l] * (
                 T[l] * (pk - pkn) / (1.0 - pk) + (tkn - tk) * (1.0 - pkn) / (1.0 - pk)

@@ -116,16 +116,12 @@ class Candidate:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "id", str(self.id))
-        samples = self.time_samples
-        if not isinstance(samples, (str, bytes)):
-            try:
-                samples = tuple(samples)  # read an iterator once
-            except TypeError:
-                pass  # let the checker report it
+        samples = _samples(self.time_samples)
         # Check the raw values: float() would take True as 1.0.
-        problems = _checked_rows([(self.id, self.p, samples)])
+        problems = _value_problems(self.p, samples)
         if problems:
-            raise ValueError("; ".join(str(v) for v in problems))
+            subject = f"candidate {self.id!r}"
+            raise ValueError("; ".join(str(Violation(subject, f, m)) for f, m in problems))
         object.__setattr__(self, "p", float(self.p))
         object.__setattr__(self, "time_samples", tuple(map(float, samples)))
 
@@ -133,7 +129,8 @@ class Candidate:
     def _unchecked(cls, id: str, p: float, time_samples: tuple[float, ...]) -> "Candidate":
         """A candidate from clean values already coerced as above: stored, not checked."""
         c = object.__new__(cls)
-        c.__dict__.update(id=id, p=p, time_samples=time_samples)
+        d = c.__dict__
+        d["id"], d["p"], d["time_samples"] = id, p, time_samples
         return c
 
 
@@ -193,16 +190,10 @@ class CandidateSet:
         A record is a mapping with keys ``id``, ``p``, ``times`` (or
         ``time_samples``), a 3-sequence ``(id, p, times)``, or a Candidate.
         """
-        rows, problems = _check_records(records)
+        candidates, problems = _check_records(records)
         if problems:
             raise ValueError(str(ValidationReport(tuple(problems))))
-        return cls._from_rows(rows)
-
-    @classmethod
-    def _from_rows(cls, rows) -> "CandidateSet":
-        """A set from ``(id, p, times)`` rows that _checked_rows found clean."""
-        return cls(tuple(Candidate._unchecked(str(rid), float(p), tuple(map(float, times)))
-                         for rid, p, times in rows))
+        return cls(candidates)
 
 
 def _coerce_record(rec, i: int):
@@ -210,9 +201,9 @@ def _coerce_record(rec, i: int):
     if isinstance(rec, Candidate):
         return rec.id, rec.p, rec.time_samples
     if isinstance(rec, Mapping):
-        rid = rec.get("id", f"#{i}")
-        times = rec.get("times", rec.get("time_samples", ()))
-        return str(rid), rec.get("p"), times
+        rid = str(rec["id"]) if "id" in rec else f"#{i}"
+        times = rec["times"] if "times" in rec else rec.get("time_samples", ())
+        return rid, rec.get("p"), times
     rid, p, times = rec
     return str(rid), p, times
 
@@ -364,49 +355,81 @@ def validate(candidates: Iterable) -> ValidationReport:
     """List every violated invariant of a candidate set, or report clean.
 
     Accepts a constructed CandidateSet (always clean by construction) or raw
-    records (see CandidateSet.from_records), which is what file ingestion
-    uses to surface all problems at once: probability out of range,
-    non-positive time, empty sample list, duplicate id, empty set.
+    records (see CandidateSet.from_records), checked on the route from_records
+    and file ingestion take, so all three list the same problems at once:
+    probability out of range, non-positive time, empty sample list, duplicate
+    id, empty set.
     """
     return ValidationReport(tuple(_check_records(candidates)[1]))
 
 
-def _check_records(records: Iterable) -> tuple:
-    """Coerce and check raw records (see from_records): ``(rows, violations)``.
+def _check_records(records: Iterable) -> tuple[list[Candidate], list[Violation]]:
+    """Check and build raw records (see from_records): ``(candidates, violations)``.
 
-    ``rows`` holds each well-formed record as ``(id, p, times)``.  Malformed
-    records are listed first, then _checked_rows' problems; an input without
-    records is an empty set.
+    Malformed records are listed first, then _checked_rows' problems; an
+    input without records is an empty set.
     """
-    rows = []
     malformed: list[Violation] = []
-    for i, rec in enumerate(records):
-        try:
-            rows.append(_coerce_record(rec, i))
-        except (TypeError, ValueError):
-            malformed.append(Violation(f"record #{i}", "record", f"malformed record: {rec!r}"))
-    problems = _checked_rows(rows)
-    if not rows and not malformed:
+
+    def rows():
+        for i, rec in enumerate(records):
+            try:
+                row = _coerce_record(rec, i)
+            except (TypeError, ValueError):
+                malformed.append(Violation(f"record #{i}", "record", f"malformed record: {rec!r}"))
+                continue
+            yield row
+
+    candidates, problems = _checked_rows(rows())
+    if not candidates and not problems and not malformed:
         problems.append(Violation("set", "candidates", "empty candidate set"))
-    return rows, malformed + problems
+    return candidates, malformed + problems
 
 
-def _checked_rows(rows: Sequence[tuple],
-                  label: Callable[[int], str] | None = None) -> list[Violation]:
-    """Every violated invariant of ``(id, p, times)`` rows, in one pass.
+def _samples(times):
+    """``times`` read once into a tuple; a string or non-iterable is left for _value_problems."""
+    if isinstance(times, (str, bytes)):
+        return times
+    try:
+        return tuple(times)
+    except TypeError:
+        return times
 
+
+def _checked_rows(rows: Iterable[tuple], label: Callable[[int], str] | None = None
+                  ) -> tuple[list[Candidate], list[Violation]]:
+    """Check and build ``(id, p, times)`` rows in one pass: ``(candidates, violations)``.
+
+    The one route from records to candidates.  A row whose p is a float in
+    [0, 1], whose times is a non-empty list or tuple of finite positive floats
+    and whose id is new is stored as it stands; any other goes through
+    _value_problems and, if clean, is coerced as Candidate(...) coerces it.
     Violations come in row order, each row's value problems before its
     duplicate id, under ``label(i)`` (default ``candidate '<id>'``), which is
     called only for a row with a problem.
     """
+    candidates: list[Candidate] = []
     out: list[Violation] = []
     seen: set[str] = set()
     for i, (rid, p, times) in enumerate(rows):
+        # A plain for/else, not all(...): a comprehension is one more call per row.
+        if (type(p) is float and 0.0 <= p <= 1.0
+                and (type(times) is list or type(times) is tuple) and times and rid not in seen):
+            for t in times:
+                if not (type(t) is float and 0.0 < t < math.inf):
+                    break
+            else:
+                seen.add(rid)
+                candidates.append(Candidate._unchecked(rid, p, tuple(times)))
+                continue
+        times = _samples(times)
         problems = _value_problems(p, times)
         if rid in seen:
             problems.append(("id", f"duplicate candidate id {rid!r}"))
         if problems:
             subject = label(i) if label is not None else f"candidate {rid!r}"
             out.extend(Violation(subject, f, message) for f, message in problems)
+        else:
+            candidates.append(Candidate._unchecked(rid, float(p), tuple(map(float, times))))
         seen.add(rid)
-    return out
+    return candidates, out

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -503,6 +504,37 @@ class TestIngestPins:
         )
 
 
+def _pairs(text: str, sep: str) -> list:
+    """The (field, message) of every "<subject>: field '<field>': <message>" in text."""
+    return [re.fullmatch(r".*?: field '(\w+)': (.*)", part).groups()
+            for part in text.split(sep) if part]
+
+
+@pytest.mark.parametrize("rec,problem", TestIngestPins.ODD,
+                         ids=[r.get("id", "no-id") for r, _ in TestIngestPins.ODD])
+def test_every_route_words_a_record_as_the_cli_does(capsys, tmp_path, rec, problem):
+    rows = TestIngestPins.CLEAN + [rec]
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps({"candidates": rows}))
+    code, _, err = run(capsys, ["order", "-i", str(path)])
+    want = _pairs(err, "\n")
+    assert (code, len(want)) == ((1, 1) if problem else (0, 0))
+
+    try:
+        trialorder.CandidateSet.from_records(rows)
+        from_records = []
+    except ValueError as e:
+        from_records = _pairs(str(e), "; ")
+    try:
+        trialorder.Candidate(rec.get("id", "#2"), rec["p"], rec["times"])
+        alone = []
+    except ValueError as e:
+        alone = _pairs(str(e), "; ")
+    assert from_records == want
+    assert [(v.field, v.message) for v in trialorder.validate(rows).violations] == want
+    assert alone == [pair for pair in want if pair[0] != "id"]  # one record has no duplicate
+
+
 class TestNonFiniteResults:
     """JSON has no inf or nan: a report holding one is not printed, and every such key is named."""
 
@@ -533,6 +565,20 @@ class TestNonFiniteResults:
                                       "--format", "json"])
         assert (code, err) == (0, "")
         assert json.loads(out)["results"]["expected_time"] == 1e308
+
+
+    def test_swap_behind_certain_success(self, capsys, tmp_path):
+        # Q_2 = 0 and T_3 = inf: every q-term is exactly 0, as the direct difference is.
+        path = tmp_path / "abc.json"
+        path.write_text('{"candidates": [{"id": "a", "p": 1.0, "times": [1e308]},'
+                        ' {"id": "b", "p": 0.5, "times": [1e308]},'
+                        ' {"id": "c", "p": 0.5, "times": [1.0]}]}')
+        code, out, err = run(capsys, ["excess", "-i", str(path), "--order", "a,b,c",
+                                      "--k", "2", "--n", "1", "--format", "json"])
+        assert (code, err) == (0, "")
+        results = json.loads(out)["results"]
+        assert results["oracle_agrees"] is True
+        assert [results[key] for key in ("q1", "q2", "q3", "total", "direct_oracle")] == [0.0] * 5
 
 
 class TestEmission:

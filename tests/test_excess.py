@@ -1,8 +1,10 @@
+import numpy  # noqa: F401  the array path runs only once numpy is loaded
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_set, rel_ok, swaps
+from trialorder import model
 from trialorder import (
     AssumptionError,
     BoundAssumptions,
@@ -154,6 +156,22 @@ class TestGeneralDecomposition:
         cs = make_set([1.0, 0.5])
         with pytest.raises(SingularityError, match="exact_excess_direct"):
             general_swap_excess(cs, Ordering.identity(2), 1, 1)
+
+    # p = 1 first makes every later Q exactly 0, and T_2 overflows to inf.
+    CERTAIN_FIRST = {
+        "n1": (make_set([1.0, 0.5, 0.5], [1e308, 1e308, 1.0]), 2, 1),
+        "n2": (make_set([1.0, 0.5, 0.5, 0.5], [1e308, 1e308, 1.0, 2.0]), 2, 2),
+    }
+
+    @pytest.mark.parametrize("min_n", [10**9, 0], ids=["loop", "arrays"])
+    @pytest.mark.parametrize("case", list(CERTAIN_FIRST))
+    def test_terms_with_zero_q_are_zero_not_nan(self, monkeypatch, case, min_n):
+        cset, k, n = self.CERTAIN_FIRST[case]
+        monkeypatch.setattr(model, "_ARRAY_MIN_N", min_n)
+        ordering = Ordering.identity(cset.N)
+        rep = general_swap_excess(cset, ordering, k, n)
+        parts = [rep.q1, rep.q2, rep.q3, rep.total, exact_excess_direct(cset, ordering, k, n)]
+        assert [x.hex() for x in parts] == [(0.0).hex()] * 5
 
     @given(swaps(max_size=6, safe=True))
     @settings(max_examples=300)

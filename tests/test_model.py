@@ -1,12 +1,14 @@
 import math
 import re
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import candidate_sets, make_set
+from trialorder import model
 from trialorder import (
     Candidate,
     CandidateSet,
@@ -133,6 +135,70 @@ class TestCandidateSet:
         assert cs == CandidateSet((Candidate("7", 0.5, (1.0, 2.0)), Candidate("b", 1.0, (3.0,))))
         assert all(type(v) is float for c in cs for v in (c.p, *c.time_samples))
         assert (cs.ps, cs.ts) == ((0.5, 1.0), (1.5, 3.0))
+
+    def test_from_records_reads_an_iterator_of_times_once(self):
+        cs = CandidateSet.from_records([("a", 0.5, iter([1.0, 2.0])),
+                                        {"id": "b", "p": 0.5, "times": (t for t in [3, 4])}])
+        assert cs == CandidateSet((Candidate("a", 0.5, (1.0, 2.0)), Candidate("b", 0.5, (3.0, 4.0))))
+
+
+# Values on both sides of the plain-float check: the ends of [0, 1], -0.0,
+# the smallest subnormal, the float just above 1, nan and inf, and look-alikes
+# that are no Python float (int, bool, numpy scalars, str).
+_P_EDGES = [0.0, -0.0, 1.0, 5e-324, math.nextafter(1.0, 2.0), -5e-324, math.nan, math.inf,
+            0, 1, True, False, np.float64(0.5), np.float64(-0.0), np.bool_(True), "0.5", None]
+_T_EDGES = [math.inf, 1.7976931348623157e308, 5e-324, 0.0, -0.0, -1.0, math.nan, 2, True,
+            np.float64(2.0), np.bool_(True), "3", None]
+_p_values = st.one_of(st.sampled_from(_P_EDGES), st.floats(0.0, 1.0), st.floats(),
+                      st.floats(0.0, 1.0).map(np.float64))
+_t_values = st.one_of(st.sampled_from(_T_EDGES), st.floats(min_value=5e-324), st.floats())
+_times = st.one_of(st.lists(_t_values, max_size=3), st.lists(_t_values, max_size=3).map(tuple),
+                   st.sampled_from(["12", 5, None]))
+
+
+def _bits(c: Candidate) -> list:
+    values = (c.p, *c.time_samples)
+    assert all(type(x) is float for x in values)
+    return [c.id] + [x.hex() for x in values]
+
+
+class TestOneRecordRule:
+    """_checked_rows, the one route from rows to candidates, agrees with Candidate(...)."""
+
+    @given(_p_values, _times)
+    @settings(max_examples=400)
+    @example(0.0, [1.0])
+    @example(-0.0, (1.0,))
+    @example(1.0, [1.7976931348623157e308])
+    @example(5e-324, (5e-324, 2.0))
+    @example(math.nextafter(1.0, 2.0), [1.0])
+    @example(math.nan, [1.0])
+    @example(1, [1.0])
+    @example(True, [1.0])
+    @example(np.float64(0.5), [1.0])
+    @example(np.bool_(False), [1.0])
+    @example("0.5", [1.0])
+    @example(0.5, [math.inf])
+    @example(0.5, (1.0, math.inf))
+    def test_a_row_builds_what_the_constructor_builds(self, p, times):
+        with patch.object(model, "_value_problems", wraps=model._value_problems) as full_check:
+            candidates, violations = model._checked_rows([("a", p, times)])
+        if not full_check.called:  # the plain-float check admitted the row
+            assert model._value_problems(p, times) == []
+        try:
+            want = Candidate("a", p, times)
+        except ValueError as e:
+            assert (candidates, "; ".join(map(str, violations))) == ([], str(e))
+        else:
+            assert violations == []
+            assert [_bits(c) for c in candidates] == [_bits(want)]
+
+    def test_plain_floats_skip_the_full_check(self):
+        with patch.object(model, "_value_problems", wraps=model._value_problems) as full_check:
+            model._checked_rows([("a", 0.5, [1.0, 2.0]), ("b", -0.0, (3.0,))])
+            assert not full_check.called
+            model._checked_rows([("a", 1, [1.0])])
+            assert full_check.called
 
 
 class TestOrdering:

@@ -46,6 +46,13 @@ def _huge(n: int) -> model.CandidateSet:
     return make_set([1.0] + [rng.choice((0.0, 0.5)) for _ in range(n - 1)], [1e307] * n)
 
 
+def _certain_first(n: int) -> model.CandidateSet:
+    # Q is exactly 0 from position 1 on, and T overflows at position 2.
+    rng = random.Random(f"certain-first-{n}")
+    return make_set([1.0] + [rng.choice((0.25, 0.5)) for _ in range(n - 1)],
+                    [1e308, 1e308] + [rng.uniform(0.1, 10.0) for _ in range(n - 2)])
+
+
 def _outcomes(cset: model.CandidateSet) -> list:
     """What every consumer returns on cset, in a fixed order."""
     N = cset.N
@@ -76,7 +83,8 @@ def _same(a, b) -> bool:
 SIZES = [C - 1, C, C + 1, 100, 10_000]
 SETS = [("continuous", _continuous), ("degenerate", _degenerate),
         ("no-certain", lambda n: _degenerate(n, (0.0, -0.0, 0.25, 0.5))),
-        ("minus-zero", lambda n: _degenerate(n, (-0.0,))), ("huge", _huge)]
+        ("minus-zero", lambda n: _degenerate(n, (-0.0,))), ("huge", _huge),
+        ("certain-first", _certain_first)]
 
 
 @pytest.mark.parametrize("n", SIZES)
