@@ -566,7 +566,6 @@ class TestNonFiniteResults:
         assert (code, err) == (0, "")
         assert json.loads(out)["results"]["expected_time"] == 1e308
 
-
     def test_swap_behind_certain_success(self, capsys, tmp_path):
         # Q_2 = 0 and T_3 = inf: every q-term is exactly 0, as the direct difference is.
         path = tmp_path / "abc.json"
