@@ -98,15 +98,30 @@ class BoundResult:
         return not self.violations
 
 
+def _unit_sum(xs: Sequence[float]) -> float:
+    """fsum(xs), once every x_i is known to lie in [0, 1]; else ValueError on the first that is not.
+
+    min and max test the whole sequence at once, but they pass over a nan
+    that is not first; the sum of numbers in [0, 1] is nan exactly when one
+    of them is, so the sum is the guard.  Only when a test fails are the
+    elements walked one by one, to name the first bad one.
+    """
+    if len(xs) and 0.0 <= min(xs) and max(xs) <= 1.0:
+        total = math.fsum(xs)
+        if total == total:
+            return total
+    for i, x in enumerate(xs):
+        if not 0.0 <= x <= 1.0:
+            raise ValueError(f"element {i} out of [0, 1]: {x!r}")
+    return math.fsum(xs)
+
+
 def product_upper_bound_kn(xs: Sequence[float]) -> float:
     """Klamkin–Newman surrogate exp(-sum x_i) >= prod(1 - x_i), x_i in [0, 1].
 
     Equality at the empty/zero-sum boundary, hence the non-strict reading.
     """
-    for i, x in enumerate(xs):
-        if not 0.0 <= x <= 1.0:
-            raise ValueError(f"element {i} out of [0, 1]: {x!r}")
-    return math.exp(-math.fsum(xs))
+    return math.exp(-_unit_sum(xs))
 
 
 def product_lower_bound_wu(xs: Sequence[float]) -> float:
@@ -117,11 +132,9 @@ def product_lower_bound_wu(xs: Sequence[float]) -> float:
     n = len(xs)
     if n < 2:
         raise ValueError(f"needs at least 2 elements, got {n}")
-    for i, x in enumerate(xs):
-        if not 0.0 <= x <= 1.0:
-            raise ValueError(f"element {i} out of [0, 1]: {x!r}")
+    total = _unit_sum(xs)
     prod = math.prod(xs)
-    return 1.0 - math.fsum(xs) + (n - 1) * prod ** (n / (2 * n - 2))
+    return 1.0 - total + (n - 1) * prod ** (n / (2 * n - 2))
 
 
 def weighted_geometric_sum(r: float, n: int) -> float:
@@ -139,7 +152,11 @@ def weighted_geometric_sum(r: float, n: int) -> float:
     return r / (1.0 - r) ** 2 * (n * r ** (n + 1) - (n + 1) * r**n + 1.0)
 
 
+# ps and ts hold no nan (the record rule admits none), so min and max settle
+# a whole column at once; the element walk only runs to word a violation.
 def _band_violations(cset: CandidateSet, a: BoundAssumptions) -> list[Violation]:
+    if a.c <= min(cset.ps) and max(cset.ps) <= a.d:
+        return []
     out = []
     for c, p in zip(cset, cset.ps):
         if not a.c <= p <= a.d:
@@ -149,6 +166,8 @@ def _band_violations(cset: CandidateSet, a: BoundAssumptions) -> list[Violation]
 
 
 def _time_violations(cset: CandidateSet, t_min: float, t_max: float) -> list[Violation]:
+    if t_min <= min(cset.ts) and max(cset.ts) <= t_max:
+        return []
     out = []
     for c, mt in zip(cset, cset.ts):
         if mt > t_max:
@@ -191,7 +210,8 @@ def _p_order_violations(k: int, n: int, pk: float, pkn: float) -> list[Violation
 
 def _prefix_ps(cset: CandidateSet, ordering: Ordering, k: int) -> list[float]:
     """p_1, ..., p_(k-1): the probabilities of the candidates tried before position k."""
-    return [cset.ps[i] for i in ordering.perm[:k - 1]]
+    ps = cset.ps
+    return [ps[i] for i in ordering.perm[:k - 1]]
 
 
 def _prefix_sum(cset: CandidateSet, ordering: Ordering, k: int) -> float:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv as _csv
+import functools
 import hashlib
 import io
 import json
@@ -112,12 +113,12 @@ def ingest(source: str, fmt: str) -> tuple[CandidateSet, str]:
     else:  # pragma: no cover - argparse restricts choices
         raise CliInputError(f"unknown input format {fmt!r}")
 
-    candidates, problems = model._checked_rows(records, label)
+    candidates, ps, ts, problems = model._checked_rows(records, label)
     if problems:
         raise CliInputError("\n".join(str(v) for v in problems))
     if not candidates:
         raise CliInputError("empty set: no candidates in input")
-    return CandidateSet(candidates), digest
+    return CandidateSet._trusted(tuple(candidates), tuple(ps), tuple(ts)), digest
 
 
 def _infer_format(source: str, explicit: str | None) -> str:
@@ -224,15 +225,72 @@ def _emit_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+_CONTAINERS = (list, tuple, dict)
+
+
+@functools.cache
+def _json_encoder(level: int) -> json.JSONEncoder:
+    """The C encoder for the items of a container at depth ``level``: its separator indents them."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * (level + 1), ": "))
+
+
+def _json_key(key) -> str:
+    """A dict key as json converts it: a str as it is, an int, float, bool or None as its JSON text."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _json_encoder(0).encode(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _json(value, level: int, path: set) -> str:
+    """``value`` as json.dumps(value, sort_keys=True, indent=2) writes it at depth ``level``.
+
+    The stdlib's C encoder writes every scalar and every container that holds
+    no container, with the indented item separator of its depth; a flat
+    container's brackets are then moved onto their own lines.  Python walks
+    only containers that hold containers, meeting keys and values in json's
+    order, so a value json refuses raises the same exception here.  ``path``
+    holds the ids of the containers being walked, for json's circular
+    reference check.
+    """
+    enc = _json_encoder(level)
+    if isinstance(value, dict):
+        children = value.values()
+    elif isinstance(value, (list, tuple)):
+        children = value
+    else:
+        return enc.encode(value)
+    sep = enc.item_separator
+    if not any(issubclass(t, _CONTAINERS) for t in set(map(type, children))):
+        text = enc.encode(value)
+        if not children:
+            return text
+        return f"{text[0]}{sep[1:]}{text[1:-1]}\n{'  ' * level}{text[-1]}"
+    if id(value) in path:
+        raise ValueError("Circular reference detected")
+    path.add(id(value))
+    if isinstance(value, dict):
+        items = [f"{enc.encode(_json_key(k))}: {_json(v, level + 1, path)}"
+                 for k, v in sorted(value.items())]
+        brackets = "{}"
+    else:
+        items = [_json(v, level + 1, path) for v in value]
+        brackets = "[]"
+    path.remove(id(value))
+    return f"{brackets[0]}{sep[1:]}{sep.join(items)}\n{'  ' * level}{brackets[1]}"
+
+
 def emit(report: dict, fmt: str) -> str:
     """Serialize a report; identical reports yield byte-identical output.
 
-    JSON is stable-key-ordered and round-trips losslessly; text is a
-    human-readable rendering; CSV flattens the numeric payload (or emits the
-    table for tabular results).
+    JSON is the bytes of json.dumps(report, sort_keys=True, indent=2), written
+    by the stdlib's C encoder (see _json); it is stable-key-ordered and
+    round-trips losslessly.  Text is a human-readable rendering; CSV flattens
+    the numeric payload (or emits the table for tabular results).
     """
     if fmt == "json":
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+        return _json(report, 0, set()) + "\n"
     if fmt == "csv":
         return _emit_csv(report)
     return _emit_text(report)

@@ -87,6 +87,7 @@ def _value_problems(p, times) -> list[tuple[str, str]]:
         return out
     if not times:
         out.append(("times", "no execution time samples"))
+    values = []
     for t in times:
         try:
             value = float(t)
@@ -98,6 +99,13 @@ def _value_problems(p, times) -> list[tuple[str, str]]:
             out.append(("times", f"non-finite time sample {value!r}"))
         elif value <= 0.0:
             out.append(("times", f"non-positive time sample {value!r}"))
+        else:
+            values.append(value)
+    if values and len(values) == len(times):  # every sample is fine on its own
+        try:
+            math.fsum(values)  # as mean_time sums them
+        except OverflowError:
+            out.append(("times", "sum of time samples overflows"))
     return out
 
 
@@ -158,6 +166,15 @@ class CandidateSet:
         object.__setattr__(self, "ps", tuple(c.p for c in self.candidates))
         object.__setattr__(self, "ts", tuple(mean_time(c) for c in self.candidates))
 
+    @classmethod
+    def _trusted(cls, candidates: tuple[Candidate, ...], ps: tuple[float, ...],
+                 ts: tuple[float, ...]) -> "CandidateSet":
+        """A non-empty set _checked_rows built, with its columns: stored, not checked."""
+        s = object.__new__(cls)
+        d = s.__dict__
+        d["candidates"], d["ps"], d["ts"] = candidates, ps, ts
+        return s
+
     @cached_property
     def _arrays(self):
         """``ps`` and ``ts`` as read-only float64 arrays, built when the array path needs them."""
@@ -190,10 +207,10 @@ class CandidateSet:
         A record is a mapping with keys ``id``, ``p``, ``times`` (or
         ``time_samples``), a 3-sequence ``(id, p, times)``, or a Candidate.
         """
-        candidates, problems = _check_records(records)
+        candidates, ps, ts, problems = _check_records(records)
         if problems:
             raise ValueError(str(ValidationReport(tuple(problems))))
-        return cls(candidates)
+        return cls._trusted(tuple(candidates), tuple(ps), tuple(ts))
 
 
 def _coerce_record(rec, i: int):
@@ -256,7 +273,12 @@ class Ordering:
 
 
 def mean_time(c: Candidate) -> float:
-    """Arithmetic mean of the candidate's execution time samples."""
+    """Arithmetic mean of the candidate's execution time samples.
+
+    fsum rounds once, so the mean does not depend on the samples' order.  A
+    candidate whose samples' sum leaves the float range is refused (see
+    _value_problems), so fsum never raises OverflowError here.
+    """
     return math.fsum(c.time_samples) / len(c.time_samples)
 
 
@@ -360,11 +382,12 @@ def validate(candidates: Iterable) -> ValidationReport:
     probability out of range, non-positive time, empty sample list, duplicate
     id, empty set.
     """
-    return ValidationReport(tuple(_check_records(candidates)[1]))
+    return ValidationReport(tuple(_check_records(candidates)[-1]))
 
 
-def _check_records(records: Iterable) -> tuple[list[Candidate], list[Violation]]:
-    """Check and build raw records (see from_records): ``(candidates, violations)``.
+def _check_records(records: Iterable) -> tuple[list[Candidate], list[float], list[float],
+                                               list[Violation]]:
+    """Check and build raw records (see from_records): ``(candidates, ps, ts, violations)``.
 
     Malformed records are listed first, then _checked_rows' problems; an
     input without records is an empty set.
@@ -380,10 +403,10 @@ def _check_records(records: Iterable) -> tuple[list[Candidate], list[Violation]]
                 continue
             yield row
 
-    candidates, problems = _checked_rows(rows())
+    candidates, ps, ts, problems = _checked_rows(rows())
     if not candidates and not problems and not malformed:
         problems.append(Violation("set", "candidates", "empty candidate set"))
-    return candidates, malformed + problems
+    return candidates, ps, ts, malformed + problems
 
 
 def _samples(times):
@@ -397,31 +420,44 @@ def _samples(times):
 
 
 def _checked_rows(rows: Iterable[tuple], label: Callable[[int], str] | None = None
-                  ) -> tuple[list[Candidate], list[Violation]]:
-    """Check and build ``(id, p, times)`` rows in one pass: ``(candidates, violations)``.
+                  ) -> tuple[list[Candidate], list[float], list[float], list[Violation]]:
+    """Check and build ``(id, p, times)`` rows in one pass: ``(candidates, ps, ts, violations)``.
 
-    The one route from records to candidates.  A row whose p is a float in
-    [0, 1], whose times is a non-empty list or tuple of finite positive floats
-    and whose id is new is stored as it stands; any other goes through
-    _value_problems and, if clean, is coerced as Candidate(...) coerces it.
-    Violations come in row order, each row's value problems before its
-    duplicate id, under ``label(i)`` (default ``candidate '<id>'``), which is
-    called only for a row with a problem.
+    The one route from records to candidates; ``ps`` and ``ts`` are the
+    columns CandidateSet keeps (see CandidateSet._trusted), each row's mean
+    computed once, by mean_time's rule.  A row whose p is a float in [0, 1],
+    whose times is a non-empty list or tuple of finite positive floats with a
+    finite sum and whose id is new is stored as it stands; any other goes
+    through _value_problems and, if clean, is coerced as Candidate(...)
+    coerces it.  Violations come in row order, each row's value problems
+    before its duplicate id, under ``label(i)`` (default ``candidate
+    '<id>'``), which is called only for a row with a problem.
     """
     candidates: list[Candidate] = []
+    ps: list[float] = []
+    ts: list[float] = []
     out: list[Violation] = []
     seen: set[str] = set()
+    fsum, inf = math.fsum, math.inf
     for i, (rid, p, times) in enumerate(rows):
-        # A plain for/else, not all(...): a comprehension is one more call per row.
+        # A plain for/else, not all(...), and mean_time's rule written out:
+        # a call per row costs more than the checks.
         if (type(p) is float and 0.0 <= p <= 1.0
                 and (type(times) is list or type(times) is tuple) and times and rid not in seen):
             for t in times:
-                if not (type(t) is float and 0.0 < t < math.inf):
+                if not (type(t) is float and 0.0 < t < inf):
                     break
             else:
-                seen.add(rid)
-                candidates.append(Candidate._unchecked(rid, p, tuple(times)))
-                continue
+                try:
+                    mean = fsum(times) / len(times)
+                except OverflowError:  # left for _value_problems to word
+                    pass
+                else:
+                    seen.add(rid)
+                    candidates.append(Candidate._unchecked(rid, p, tuple(times)))
+                    ps.append(p)
+                    ts.append(mean)
+                    continue
         times = _samples(times)
         problems = _value_problems(p, times)
         if rid in seen:
@@ -430,6 +466,9 @@ def _checked_rows(rows: Iterable[tuple], label: Callable[[int], str] | None = No
             subject = label(i) if label is not None else f"candidate {rid!r}"
             out.extend(Violation(subject, f, message) for f, message in problems)
         else:
-            candidates.append(Candidate._unchecked(rid, float(p), tuple(map(float, times))))
+            c = Candidate._unchecked(rid, float(p), tuple(map(float, times)))
+            candidates.append(c)
+            ps.append(c.p)
+            ts.append(mean_time(c))
         seen.add(rid)
-    return candidates, out
+    return candidates, ps, ts, out

@@ -10,6 +10,7 @@ from trialorder import (
     AssumptionError,
     BoundAssumptions,
     Ordering,
+    Violation,
     adjacent_excess_bounds,
     adjacent_swap_excess,
     check_assumptions,
@@ -334,3 +335,118 @@ def test_evaluator_violations_begin_with_the_audit(profile, data):
     violations = BAND_EVALUATORS[profile](cs, ordering, k, n, a).violations
     assert violations[:len(audit)] == audit
     assert all(v.subject == f"positions {k},{k + n}" for v in violations[len(audit):])
+
+
+def _first_out_of_unit(xs):
+    """The message of the first element outside [0, 1], walked one by one, or None."""
+    for i, x in enumerate(xs):
+        if not 0.0 <= x <= 1.0:
+            return f"element {i} out of [0, 1]: {x!r}"
+    return None
+
+
+class TestProductBoundScans:
+    """A whole-sequence range test must name the same element as a walk, nan included."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.25, 1.5])
+    @pytest.mark.parametrize("at", [0, 3, 6])
+    @pytest.mark.parametrize("container", [list, tuple, np.array])
+    @pytest.mark.parametrize("bound", [product_upper_bound_kn, product_lower_bound_wu])
+    def test_one_bad_element_anywhere(self, bound, container, at, bad):
+        values = [0.25, 0.5, 0.0, 1.0, 0.75, 0.125, 0.5]
+        values[at] = bad
+        xs = container(values)
+        want = _first_out_of_unit(xs)
+        assert want is not None and f"element {at} " in want
+        with pytest.raises(ValueError) as info:
+            bound(xs)
+        assert str(info.value) == want
+
+    @pytest.mark.parametrize("bound", [product_upper_bound_kn, product_lower_bound_wu])
+    def test_the_first_of_several_is_named(self, bound):
+        xs = [0.5, 0.5, math.nan, 2.0, -1.0, math.nan]
+        for container in (list, tuple, np.array):
+            with pytest.raises(ValueError) as info:
+                bound(container(xs))
+            assert str(info.value) == _first_out_of_unit(container(xs))
+
+    @given(st.lists(st.one_of(unit_floats, st.floats()), min_size=2, max_size=12))
+    @settings(max_examples=300)
+    def test_same_outcome_as_a_walk(self, xs):
+        want = _first_out_of_unit(xs)
+        for bound, formula in ((product_upper_bound_kn, lambda: math.exp(-math.fsum(xs))),
+                               (product_lower_bound_wu, lambda: 1.0 - math.fsum(xs) + (
+                                   len(xs) - 1) * math.prod(xs) ** (len(xs) / (2 * len(xs) - 2)))):
+            if want is None:
+                assert bound(xs) == formula()
+            else:
+                with pytest.raises(ValueError) as info:
+                    bound(xs)
+                assert str(info.value) == want
+
+
+def _walked_premises(cset, a):
+    """check_assumptions written as the element-by-element walk over every candidate."""
+    out = []
+    if a.profile == "adjacent":
+        return out
+    for c, p in zip(cset, cset.ps):
+        if not a.c <= p <= a.d:
+            out.append(Violation(f"candidate {c.id!r}", "p",
+                                 f"probability {p} outside [{a.c}, {a.d}]"))
+    if a.profile.startswith("general"):
+        t_min = a.t_min if a.profile == "general-lower" else 0.0
+        for c, mt in zip(cset, cset.ts):
+            if mt > a.t_max:
+                out.append(Violation(f"candidate {c.id!r}", "times",
+                                     f"mean time {mt} above t_max={a.t_max}"))
+            if mt < t_min:
+                out.append(Violation(f"candidate {c.id!r}", "times",
+                                     f"mean time {mt} below t_min={t_min}"))
+    return out
+
+
+class TestPremiseScans:
+    """Sets that break the band or the time band at several positions list what a walk lists."""
+
+    # p outside [0.2, 0.6] at positions 0, 3 and 7; mean times outside [1, 4] at 0, 2, 5 and 7.
+    PS = [0.1, 0.3, 0.4, 0.9, 0.5, 0.2, 0.6, 0.65]
+    TS = [0.5, 2.0, 4.5, 3.0, 1.0, 7.0, 4.0, 0.25]
+    BAND = dict(c=0.2, d=0.6, t_min=1.0, t_max=4.0)
+
+    @pytest.mark.parametrize("profile", ["general-upper", "general-lower", "adjacent"])
+    def test_audit_lists_what_the_walk_lists(self, profile):
+        cs = make_set(self.PS, self.TS)
+        a = BoundAssumptions(profile=profile, **self.BAND)
+        want = _walked_premises(cs, a)
+        assert check_assumptions(cs, a) == tuple(want)
+        subjects = {"general-upper": ["c1", "c4", "c8", "c3", "c6"],
+                    "general-lower": ["c1", "c4", "c8", "c1", "c3", "c6", "c8"],
+                    "adjacent": []}[profile]
+        assert [v.subject for v in want] == [f"candidate {s!r}" for s in subjects]
+
+    @pytest.mark.parametrize("profile", sorted(BAND_EVALUATORS))
+    def test_each_evaluator_lists_what_the_walk_lists(self, profile):
+        ts = [2.0] * len(self.PS) if profile.startswith("equal-t") else self.TS
+        cs = make_set(self.PS, ts)
+        a = BoundAssumptions(profile=profile, **self.BAND)
+        ordering = Ordering.identity(cs.N)
+        walked = _walked_premises(cs, a)
+        assert walked  # the band breaks in every profile
+        violations = BAND_EVALUATORS[profile](cs, ordering, 2, 3, a).violations
+        assert violations[:len(walked)] == tuple(walked)
+        assert all(v.subject == "positions 2,5" for v in violations[len(walked):])
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_sets(self, data):
+        n_cands = data.draw(st.integers(1, 12))
+        ps = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n_cands, max_size=n_cands))
+        ts = data.draw(st.lists(st.floats(0.01, 10.0), min_size=n_cands, max_size=n_cands))
+        cs = make_set(ps, ts)
+        c = data.draw(st.floats(0.05, 0.9))
+        a = BoundAssumptions(c=c, d=data.draw(st.floats(c, 0.95)),
+                             t_min=data.draw(st.floats(0.0, 5.0)),
+                             t_max=data.draw(st.floats(5.0, 10.0)),
+                             profile=data.draw(st.sampled_from(["general-upper", "general-lower"])))
+        assert check_assumptions(cs, a) == tuple(_walked_premises(cs, a))

@@ -5,9 +5,13 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trialorder
 import trialorder.excess as excess_mod
@@ -580,6 +584,68 @@ class TestNonFiniteResults:
         assert [results[key] for key in ("q1", "q2", "q3", "total", "direct_oracle")] == [0.0] * 5
 
 
+class TestOverflowingSamples:
+    """Samples whose sum leaves the float range are a times problem, worded alike on every route."""
+
+    JSON = ('{"candidates":[{"id":"a","p":0.5,"times":[1e308,1e308]},'
+            '{"id":"b","p":0.5,"times":[1.0]}]}')
+    PROBLEM = "field 'times': sum of time samples overflows"
+
+    @pytest.mark.parametrize("command", [
+        ["order"], ["expect"], ["excess", "--k", "1"], ["bounds", "--profile", "adjacent", "--k", "1"],
+        ["verify-optimal"], ["simulate", "--trials", "10"]], ids=lambda argv: argv[0])
+    def test_every_command_exits_1_naming_the_record(self, capsys, tmp_path, command):
+        path = tmp_path / "huge.json"
+        path.write_text(self.JSON)
+        code, out, err = run(capsys, command + ["-i", str(path)])
+        assert (code, out, err) == (1, "", f"trialorder: error: candidates[0]: {self.PROBLEM}\n")
+
+    def test_csv(self, capsys, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("id,p,t1,t2\na,0.5,1e308,1e308\nb,0.5,1.0,\n")
+        code, out, err = run(capsys, ["order", "-i", str(path)])
+        assert (code, out, err) == (1, "", f"trialorder: error: row 2: {self.PROBLEM}\n")
+
+    def test_listed_with_the_records_other_problems(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"candidates": [
+            {"id": "a", "p": 2.0, "times": [1e308, 1e308]},
+            {"id": "b", "p": 0.5, "times": [1.0]},
+            {"id": "b", "p": 0.5, "times": (1e308, 8e307)},
+            {"id": "c", "p": 0.5, "times": [1e308, math.inf, 1e308]},
+        ]}))
+        code, out, err = run(capsys, ["order", "-i", str(path)])
+        assert (code, out) == (1, "")
+        assert err == ("trialorder: error: candidates[0]: field 'p': probability 2.0 out of [0, 1]\n"
+                       f"candidates[0]: {self.PROBLEM}\n"
+                       f"candidates[2]: {self.PROBLEM}\n"
+                       "candidates[2]: field 'id': duplicate candidate id 'b'\n"
+                       "candidates[3]: field 'times': non-finite time sample inf\n")
+
+    @pytest.mark.parametrize("times", [[1e308, 1e308], (1.7976931348623157e308, 1e292),
+                                       [1e308, 5e307, 5e307], [1e308, 1e308, "1"]])
+    def test_every_route_words_it_alike(self, times):
+        want = [("times", "sum of time samples overflows")]
+        with pytest.raises(ValueError) as alone:
+            trialorder.Candidate("a", 0.5, times)
+        with pytest.raises(ValueError) as from_records:
+            trialorder.CandidateSet.from_records([("a", 0.5, times)])
+        assert _pairs(str(alone.value), "; ") == want
+        assert _pairs(str(from_records.value), "; ") == want
+        report = trialorder.validate([{"id": "a", "p": 0.5, "times": times}])
+        assert [(v.field, v.message) for v in report.violations] == want
+
+    def test_a_sum_at_the_largest_float_is_admitted(self, capsys, tmp_path):
+        # fsum rounds the exact sum once: this one rounds down to the largest float.
+        times = [1.7976931348623157e308, 9.979201547673597e291]
+        assert math.fsum(times) == 1.7976931348623157e308
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps({"candidates": [{"id": "a", "p": 0.5, "times": times}]}))
+        code, out, err = run(capsys, ["order", "-i", str(path), "--format", "json"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["results"]["table"][0]["mean_time"] == 1.7976931348623157e308 / 2
+
+
 class TestEmission:
     def test_json_round_trip(self, capsys, three):
         _, out, _ = run(capsys, ["excess", "-i", three, "--k", "1", "--n", "2",
@@ -617,6 +683,104 @@ class TestEmission:
         code, out, _ = run(capsys, ["order", "-i", three])
         assert code == 0
         assert "order: c1, c2, c3" in out
+
+
+def _json_outcome(fn):
+    """What fn returns, or the type of the exception it raises."""
+    try:
+        return fn()
+    except Exception as e:  # the type is the outcome compared
+        return type(e)
+
+
+_text = st.one_of(
+    st.text(alphabet=st.characters(exclude_categories=())),  # lone surrogates too
+    st.lists(st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x7f", "\u2028", "é", "€", "😀",
+                              "\ud800", "\udfff", ",\n  ", "a"])).map("".join),
+)
+_json_scalars = st.one_of(
+    _text, st.integers(), st.integers(min_value=2**64, max_value=10**400), st.booleans(),
+    st.none(), st.floats(), st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+    st.floats().map(np.float64),
+)
+# One key type per dict, as sort_keys needs keys it can compare; int and bool keys mix.
+_json_keys = st.sampled_from([_text, st.integers(), st.floats(allow_nan=False), st.booleans(),
+                              st.none(), st.one_of(st.integers(), st.booleans())])
+_refused = st.sampled_from([np.int64(3), np.bool_(True), {1, 2}, frozenset(), b"bytes", 1j,
+                            object()])
+
+
+def _json_values(leaves):
+    return st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.lists(children, max_size=6), st.lists(children, max_size=6).map(tuple),
+            _json_keys.flatmap(lambda keys: st.dictionaries(keys, children, max_size=6))),
+        max_leaves=40)
+
+
+class TestJsonEmission:
+    """cli.emit's JSON is the stdlib's json.dumps(sort_keys=True, indent=2) output, byte for byte."""
+
+    @staticmethod
+    def _both(report):
+        return (_json_outcome(lambda: cli.emit(report, "json")),
+                _json_outcome(lambda: json.dumps(report, sort_keys=True, indent=2) + "\n"))
+
+    @given(_json_values(_json_scalars))
+    @settings(max_examples=300, deadline=None)
+    def test_any_report(self, report):
+        got, want = self._both(report)
+        assert got == want
+
+    @given(_json_values(st.one_of(_json_scalars, _refused)))
+    @settings(max_examples=150, deadline=None)
+    def test_refused_values_raise_what_json_raises(self, report):
+        got, want = self._both(report)
+        assert got == want
+
+    @pytest.mark.parametrize("report", [
+        {"a": [np.int64(1)]}, {"a": [1, {2, 3}]}, {"a": {(1, 2): 3}}, {"a": {"b": 1}, 2: 3},
+        {"a": [[1], 10**5000]}, {1: {"x": [1]}, 2.5: np.float64(2.0), 3: object()},
+        # json writes the value of key 1 (too many digits) before it meets the Fraction key.
+        {1: 10**5000, Fraction(3, 2): [1]},
+    ])
+    def test_refused_examples(self, report):
+        got, want = self._both(report)
+        assert isinstance(want, type) and got is want
+
+    def test_circular_reference(self):
+        report = {"results": {"rows": []}}
+        report["results"]["rows"].append(report)
+        assert self._both(report) == (ValueError, ValueError)
+
+    def test_large_n_report(self):
+        # The shape of the large-N benchmark's report: two 10^4 lists among scalars.
+        rng = random.Random(9)
+        n = 10_000
+        perm = rng.sample(range(n), n)
+        report = {
+            "command": "analyse", "version": trialorder.__version__, "input_sha256": "ab" * 32,
+            "results": {
+                "order": [f"c{i + 1}" for i in perm], "perm": perm,
+                "expected_time": rng.uniform(1e3, 1e4), "k": 1, "n": n - 1,
+                "q1": rng.random(), "q2": -0.0, "q3": np.float64(rng.random()),
+                "upper_assumptions_ok": True, "A": None, "table": [
+                    {"position": i + 1, "id": f"c{j + 1}", "ratio": rng.random() / 7}
+                    for i, j in enumerate(perm)],
+            },
+        }
+        got, want = self._both(report)
+        assert isinstance(want, str) and got == want
+
+    def test_order_report_at_large_n(self, capsys, tmp_path):
+        n = 10_000
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"candidates": [
+            {"id": f"c{i}", "p": (i % 97) / 97, "times": [1.0 + i % 13, 0.5]} for i in range(n)]}))
+        code, out, err = run(capsys, ["order", "-i", str(path), "--format", "json"])
+        assert (code, err) == (0, "")
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
 class TestExitCodes:

@@ -180,18 +180,21 @@ class TestOneRecordRule:
     @example("0.5", [1.0])
     @example(0.5, [math.inf])
     @example(0.5, (1.0, math.inf))
+    @example(0.5, [1.7976931348623157e308, 1.7976931348623157e308])
+    @example(1, (1e308, 1e308, 1.0))
     def test_a_row_builds_what_the_constructor_builds(self, p, times):
         with patch.object(model, "_value_problems", wraps=model._value_problems) as full_check:
-            candidates, violations = model._checked_rows([("a", p, times)])
+            candidates, ps, ts, violations = model._checked_rows([("a", p, times)])
         if not full_check.called:  # the plain-float check admitted the row
             assert model._value_problems(p, times) == []
         try:
             want = Candidate("a", p, times)
         except ValueError as e:
-            assert (candidates, "; ".join(map(str, violations))) == ([], str(e))
+            assert (candidates, ps, ts, "; ".join(map(str, violations))) == ([], [], [], str(e))
         else:
             assert violations == []
             assert [_bits(c) for c in candidates] == [_bits(want)]
+            assert [x.hex() for x in ps + ts] == [want.p.hex(), mean_time(want).hex()]
 
     def test_plain_floats_skip_the_full_check(self):
         with patch.object(model, "_value_problems", wraps=model._value_problems) as full_check:
