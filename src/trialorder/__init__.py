@@ -10,106 +10,41 @@ cross-validated against exact-search and Monte Carlo oracles.
 
 __version__ = "0.1.0"
 
-from .errors import AssumptionError, SingularityError
-from .model import (
-    Candidate,
-    CandidateSet,
-    Ordering,
-    ValidationReport,
-    Violation,
-    mean_time,
-    ratio,
-    validate,
-)
-from .schedule import (
-    ExpectationOptions,
-    expected_time,
-    failure_tail_term,
-    is_ratio_sorted,
-    solomonoff_order,
-)
-from .excess import (
-    ExcessReport,
-    adjacent_swap_excess,
-    equal_p_swap_excess,
-    exact_excess_direct,
-    general_swap_excess,
-)
-from .bounds import (
-    BoundAssumptions,
-    BoundResult,
-    adjacent_excess_bounds,
-    check_assumptions,
-    product_lower_bound_wu,
-    product_upper_bound_kn,
-    swap_excess_lower_equal_t,
-    swap_excess_lower_general,
-    swap_excess_upper_equal_t,
-    swap_excess_upper_general,
-    weighted_geometric_sum,
-)
+# Every public name, by the submodule that defines it.  A name is imported on
+# first use, so `import trialorder` loads no submodule and a command loads only
+# what it runs; the oracles, which need numpy, stay unloaded until called.
+_EXPORTS = {
+    "errors": ("AssumptionError", "SingularityError"),
+    "model": ("Candidate", "CandidateSet", "Ordering", "ValidationReport", "Violation",
+              "mean_time", "ratio", "validate"),
+    "schedule": ("ExpectationOptions", "solomonoff_order", "expected_time", "is_ratio_sorted",
+                 "failure_tail_term"),
+    "excess": ("ExcessReport", "exact_excess_direct", "adjacent_swap_excess",
+               "general_swap_excess", "equal_p_swap_excess"),
+    "bounds": ("BoundAssumptions", "BoundResult", "product_upper_bound_kn",
+               "product_lower_bound_wu", "weighted_geometric_sum", "adjacent_excess_bounds",
+               "swap_excess_upper_general", "swap_excess_lower_general",
+               "swap_excess_upper_equal_t", "swap_excess_lower_equal_t", "check_assumptions"),
+    "oracle": ("SimulationResult", "BruteForceResult", "brute_force_best_order", "simulate",
+               "VerificationConfig", "VerificationReport", "CheckStats", "verify_bounds_random"),
+}
+_LAZY = {name: module for module, names in _EXPORTS.items() for name in names}
 
-# The oracles need numpy; load them on first use so that importing the
-# package, or running a CLI command that never calls them, does not.
-_ORACLE_NAMES = frozenset({
-    "BruteForceResult",
-    "CheckStats",
-    "SimulationResult",
-    "VerificationConfig",
-    "VerificationReport",
-    "brute_force_best_order",
-    "simulate",
-    "verify_bounds_random",
-})
+__all__ = ["__version__", *_LAZY]
 
 
 def __getattr__(name: str):
-    if name in _ORACLE_NAMES:
-        from . import oracle
+    import importlib
 
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name in _LAZY:
+        value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    elif name in _EXPORTS:  # a submodule, as `trialorder.bounds`
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
 
 
-__all__ = [
-    "__version__",
-    "AssumptionError",
-    "SingularityError",
-    "Candidate",
-    "CandidateSet",
-    "Ordering",
-    "ValidationReport",
-    "Violation",
-    "mean_time",
-    "ratio",
-    "validate",
-    "ExpectationOptions",
-    "solomonoff_order",
-    "expected_time",
-    "is_ratio_sorted",
-    "failure_tail_term",
-    "ExcessReport",
-    "exact_excess_direct",
-    "adjacent_swap_excess",
-    "general_swap_excess",
-    "equal_p_swap_excess",
-    "BoundAssumptions",
-    "BoundResult",
-    "product_upper_bound_kn",
-    "product_lower_bound_wu",
-    "weighted_geometric_sum",
-    "adjacent_excess_bounds",
-    "swap_excess_upper_general",
-    "swap_excess_lower_general",
-    "swap_excess_upper_equal_t",
-    "swap_excess_lower_equal_t",
-    "check_assumptions",
-    "SimulationResult",
-    "BruteForceResult",
-    "brute_force_best_order",
-    "simulate",
-    "VerificationConfig",
-    "VerificationReport",
-    "CheckStats",
-    "verify_bounds_random",
-]
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _LAZY.keys() | _EXPORTS.keys())

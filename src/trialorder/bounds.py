@@ -20,12 +20,11 @@ Building blocks (classical product inequalities, x_i in [0, 1]):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import AssumptionError, SingularityError
 from .excess import _swap_ends
-from .model import CandidateSet, Ordering, Violation
+from .model import PROFILES, CandidateSet, Ordering, Violation, _Record
 
 __all__ = [
     "PROFILES",
@@ -42,55 +41,43 @@ __all__ = [
     "check_assumptions",
 ]
 
-PROFILES = (
-    "general-upper",
-    "general-lower",
-    "equal-t-upper",
-    "equal-t-lower",
-    "adjacent",
-)
-
 EQUAL_T_REL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class BoundAssumptions:
+class BoundAssumptions(_Record):
     """Probability band [c, d] and time band [t_min, t_max] a bound relies on.
 
     ``profile`` selects which premise set check_assumptions verifies:
     general-upper | general-lower | equal-t-upper | equal-t-lower | adjacent.
     """
 
-    c: float
-    d: float
-    t_min: float = 0.0
-    t_max: float = math.inf
-    profile: str = "general-upper"
+    _fields = ("c", "d", "t_min", "t_max", "profile")
 
-    def __post_init__(self) -> None:
-        if not (0.0 < self.c <= self.d < 1.0):
-            raise ValueError(f"need 0 < c <= d < 1, got c={self.c}, d={self.d}")
-        if not 0.0 <= self.t_min <= self.t_max:
-            raise ValueError(f"need 0 <= t_min <= t_max, got {self.t_min}, {self.t_max}")
-        if self.t_max <= 0.0:
-            raise ValueError(f"t_max must be positive, got {self.t_max}")
-        if self.profile not in PROFILES:
-            raise ValueError(f"unknown profile {self.profile!r}; choose from {PROFILES}")
+    def __init__(self, c: float, d: float, t_min: float = 0.0, t_max: float = math.inf,
+                 profile: str = "general-upper") -> None:
+        if not (0.0 < c <= d < 1.0):
+            raise ValueError(f"need 0 < c <= d < 1, got c={c}, d={d}")
+        if not 0.0 <= t_min <= t_max:
+            raise ValueError(f"need 0 <= t_min <= t_max, got {t_min}, {t_max}")
+        if t_max <= 0.0:
+            raise ValueError(f"t_max must be positive, got {t_max}")
+        if profile not in PROFILES:
+            raise ValueError(f"unknown profile {profile!r}; choose from {PROFILES}")
+        self.__dict__.update(c=c, d=d, t_min=t_min, t_max=t_max, profile=profile)
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class BoundResult(_Record):
     """Bound value(s) plus the A/B intermediates and the assumption audit.
 
     ``lower <= upper`` is guaranteed only when ``assumptions_ok`` and both
     sides are present.
     """
 
-    lower: float | None
-    upper: float | None
-    A: float | None
-    B: float | None
-    violations: tuple[Violation, ...]
+    _fields = ("lower", "upper", "A", "B", "violations")
+
+    def __init__(self, lower: float | None, upper: float | None, A: float | None,
+                 B: float | None, violations: tuple[Violation, ...]) -> None:
+        self.__dict__.update(lower=lower, upper=upper, A=A, B=B, violations=violations)
 
     @property
     def assumptions_ok(self) -> bool:
@@ -132,9 +119,13 @@ def product_lower_bound_wu(xs: Sequence[float]) -> float:
     n = len(xs)
     if n < 2:
         raise ValueError(f"needs at least 2 elements, got {n}")
-    total = _unit_sum(xs)
-    prod = math.prod(xs)
-    return 1.0 - total + (n - 1) * prod ** (n / (2 * n - 2))
+    return _wu(xs, _unit_sum(xs))
+
+
+def _wu(xs: Sequence[float], total: float) -> float:
+    """The Wu surrogate of 2 or more x_i in [0, 1] whose fsum is ``total``."""
+    n = len(xs)
+    return 1.0 - total + (n - 1) * math.prod(xs) ** (n / (2 * n - 2))
 
 
 def weighted_geometric_sum(r: float, n: int) -> float:
@@ -262,10 +253,11 @@ def adjacent_excess_bounds(cset: CandidateSet, ordering: Ordering, k: int) -> Bo
         violations.append(Violation(f"positions {k},{k + 1}", "ratio",
                                     f"ratio at k ({ra}) below ratio at k+1 ({rb})"))
     prefix_ps = _prefix_ps(cset, ordering, k)
+    S = _unit_sum(prefix_ps)  # checked and summed once, for both surrogates
     scale = delta * ts[a] * ts[b]
-    upper = scale * product_upper_bound_kn(prefix_ps)
+    upper = scale * math.exp(-S)  # Klamkin-Newman, as product_upper_bound_kn
     if k >= 3:
-        lower = scale * product_lower_bound_wu(prefix_ps)
+        lower = scale * _wu(prefix_ps, S)
     else:  # the exact Q_0 = 1 or Q_1 = 1 - p_1
         lower = scale * (1.0 - prefix_ps[0] if prefix_ps else 1.0)
     return BoundResult(lower=lower, upper=upper, A=None, B=None, violations=tuple(violations))

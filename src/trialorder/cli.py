@@ -19,9 +19,7 @@ form disagreed with its oracle).
 from __future__ import annotations
 
 import argparse
-import csv as _csv
 import functools
-import hashlib
 import io
 import json
 import math
@@ -29,7 +27,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from . import bounds, excess, model, schedule
+from . import model, schedule  # csv, hashlib, excess, bounds, oracle: loaded where used
 from .errors import AssumptionError
 from .model import CandidateSet, Ordering
 
@@ -75,7 +73,9 @@ def _records_from_json(items: list):
 
 
 def _records_from_csv(text: str) -> list[tuple]:
-    rows = list(_csv.reader(io.StringIO(text)))
+    import csv
+
+    rows = list(csv.reader(io.StringIO(text)))
     rows = [r for r in rows if any(cell.strip() for cell in r)]
     if not rows:
         raise CliInputError("CSV parse error: empty file")
@@ -100,6 +100,8 @@ def ingest(source: str, fmt: str) -> tuple[CandidateSet, str]:
     Every violation is reported at once, each naming the row/element and the
     offending field.
     """
+    import hashlib
+
     raw = _read_source(source)
     digest = hashlib.sha256(raw).hexdigest()
     try:
@@ -160,8 +162,10 @@ def _flatten(prefix: str, value, out: dict) -> None:
 
 
 def _emit_csv(report: dict) -> str:
+    import csv
+
     buf = io.StringIO()
-    w = _csv.writer(buf, lineterminator="\n")
+    w = csv.writer(buf, lineterminator="\n")
     results = report.get("results", {})
     table = None
     for key in ("table", "checks"):
@@ -330,6 +334,8 @@ def _cmd_expect(args, cset: CandidateSet):
 
 
 def _cmd_excess(args, cset: CandidateSet):
+    from . import excess
+
     ordering = _resolve_ordering(args.order, cset)
     rep = excess.general_swap_excess(cset, ordering, args.k, args.n)
     direct = excess.exact_excess_direct(cset, ordering, args.k, args.n)
@@ -351,6 +357,8 @@ def _cmd_excess(args, cset: CandidateSet):
 
 
 def _cmd_bounds(args, cset: CandidateSet):
+    from . import bounds, excess
+
     ordering = _resolve_ordering(args.order, cset)
     k, n = args.k, args.n
     assumptions = None
@@ -504,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--d", type=float, help="upper probability bound in (0,1)")
     p_bounds.add_argument("--tmin", type=float, help="lower time bound (default: min mean time)")
     p_bounds.add_argument("--tmax", type=float, help="upper time bound (default: max mean time)")
-    p_bounds.add_argument("--profile", choices=bounds.PROFILES, default="general-upper",
+    p_bounds.add_argument("--profile", choices=model.PROFILES, default="general-upper",
                           help="adjacent takes no --c, --d, --tmin or --tmax")
     p_bounds.add_argument("--order", default="optimal")
     p_bounds.add_argument("--strict", action="store_true",

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["AssumptionError", "SingularityError"]
+
 
 class AssumptionError(ValueError):
     """The mathematical assumptions of an operation do not hold for its input."""

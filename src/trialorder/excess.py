@@ -20,10 +20,8 @@ upper bound); the test suite asserts equality with the direct route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import AssumptionError, SingularityError
-from .model import CandidateSet, Ordering, _check_compatible, _fold, _numpy_for, _prefix
+from .model import CandidateSet, Ordering, _check_compatible, _fold, _numpy_for, _prefix, _Record
 from .schedule import expected_time
 
 __all__ = [
@@ -37,21 +35,18 @@ __all__ = [
 EQUAL_P_REL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ExcessReport:
+class ExcessReport(_Record):
     """Signed swap penalty with its q1/q2/q3 decomposition.
 
     ``total == q1 + q2 + q3`` whenever ``method`` is the general
     decomposition; positive total means the swap makes things worse.
     """
 
-    k: int
-    n: int
-    q1: float
-    q2: float
-    q3: float
-    total: float
-    method: str
+    _fields = ("k", "n", "q1", "q2", "q3", "total", "method")
+
+    def __init__(self, k: int, n: int, q1: float, q2: float, q3: float, total: float,
+                 method: str) -> None:
+        self.__dict__.update(k=k, n=n, q1=q1, q2=q2, q3=q3, total=total, method=method)
 
 
 def _swap_ends(cset: CandidateSet, ordering: Ordering, k: int, n: int) -> tuple[int, int]:

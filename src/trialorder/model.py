@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -32,21 +31,69 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Violation:
+# The bound profiles, one premise set each (see bounds.check_assumptions).  They
+# live here so that the command line's parser can list them without loading
+# the bounds module; bounds re-exports them.
+PROFILES = (
+    "general-upper",
+    "general-lower",
+    "equal-t-upper",
+    "equal-t-lower",
+    "adjacent",
+)
+
+
+class _Record:
+    """Base of the immutable value types: ``==``, ``hash`` and ``repr`` over ``_fields``.
+
+    A subclass names its fields in ``_fields`` and its __init__ stores them in
+    ``__dict__``; anything else there (a cache) takes no part in equality.
+    Instances of different classes are never equal.  After construction no
+    attribute can be assigned or deleted.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        d = self.__dict__
+        return tuple(d[name] for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        d = self.__dict__
+        return f"{type(self).__qualname__}({', '.join(f'{n}={d[n]!r}' for n in self._fields)})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Violation(_Record):
     """One violated invariant: where it was found, which field, and why."""
 
-    subject: str
-    field: str
-    message: str
+    _fields = ("subject", "field", "message")
+
+    def __init__(self, subject: str, field: str, message: str) -> None:
+        self.__dict__.update(subject=subject, field=field, message=message)
 
     def __str__(self) -> str:
         return f"{self.subject}: field '{self.field}': {self.message}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...]
+class ValidationReport(_Record):
+    _fields = ("violations",)
+
+    def __init__(self, violations: tuple[Violation, ...]) -> None:
+        self.__dict__["violations"] = violations
 
     @property
     def ok(self) -> bool:
@@ -109,8 +156,7 @@ def _value_problems(p, times) -> list[tuple[str, str]]:
     return out
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(_Record):
     """One solution candidate: success probability plus observed run times.
 
     ``p = 0`` and ``p = 1`` are admitted here; operations whose closed forms
@@ -118,20 +164,17 @@ class Candidate:
     strictly positive (success-to-time ratios divide by the mean time).
     """
 
-    id: str
-    p: float
-    time_samples: tuple[float, ...]
+    _fields = ("id", "p", "time_samples")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "id", str(self.id))
-        samples = _samples(self.time_samples)
+    def __init__(self, id: str, p: float, time_samples: tuple[float, ...]) -> None:
+        id = str(id)
+        samples = _samples(time_samples)
         # Check the raw values: float() would take True as 1.0.
-        problems = _value_problems(self.p, samples)
+        problems = _value_problems(p, samples)
         if problems:
-            subject = f"candidate {self.id!r}"
+            subject = f"candidate {id!r}"
             raise ValueError("; ".join(str(Violation(subject, f, m)) for f, m in problems))
-        object.__setattr__(self, "p", float(self.p))
-        object.__setattr__(self, "time_samples", tuple(map(float, samples)))
+        self.__dict__.update(id=id, p=float(p), time_samples=tuple(map(float, samples)))
 
     @classmethod
     def _unchecked(cls, id: str, p: float, time_samples: tuple[float, ...]) -> "Candidate":
@@ -142,29 +185,27 @@ class Candidate:
         return c
 
 
-@dataclass(frozen=True)
-class CandidateSet:
+class CandidateSet(_Record):
     """Ordered, immutable collection of candidates with unique ids.
 
     ``ps`` and ``ts`` hold each candidate's p and mean time (as mean_time
-    computes it), in input order; they are computed once, at construction.
+    computes it), in input order; they are computed once, at construction,
+    and take no part in equality, hashing or repr.
     """
 
-    candidates: tuple[Candidate, ...]
-    ps: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    ts: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _fields = ("candidates",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "candidates", tuple(self.candidates))
-        if not self.candidates:
+    def __init__(self, candidates: Iterable[Candidate]) -> None:
+        candidates = tuple(candidates)
+        if not candidates:
             raise ValueError("empty candidate set")
         seen: set[str] = set()
-        for c in self.candidates:
+        for c in candidates:
             if c.id in seen:
                 raise ValueError(f"duplicate candidate id {c.id!r}")
             seen.add(c.id)
-        object.__setattr__(self, "ps", tuple(c.p for c in self.candidates))
-        object.__setattr__(self, "ts", tuple(mean_time(c) for c in self.candidates))
+        self.__dict__.update(candidates=candidates, ps=tuple(c.p for c in candidates),
+                             ts=tuple(mean_time(c) for c in candidates))
 
     @classmethod
     def _trusted(cls, candidates: tuple[Candidate, ...], ps: tuple[float, ...],
@@ -225,17 +266,16 @@ def _coerce_record(rec, i: int):
     return str(rid), p, times
 
 
-@dataclass(frozen=True)
-class Ordering:
+class Ordering(_Record):
     """A permutation of candidate indices 0..N-1 defining the trial sequence."""
 
-    perm: tuple[int, ...]
+    _fields = ("perm",)
 
-    def __post_init__(self) -> None:
-        perm = tuple(int(i) for i in self.perm)
-        object.__setattr__(self, "perm", perm)
+    def __init__(self, perm: Iterable[int]) -> None:
+        perm = tuple(int(i) for i in perm)
         if sorted(perm) != list(range(len(perm))):
             raise ValueError(f"perm {perm!r} is not a permutation of 0..{len(perm) - 1}")
+        self.__dict__["perm"] = perm
 
     @cached_property
     def _index(self):

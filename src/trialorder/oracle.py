@@ -14,25 +14,10 @@ does not depend on execution order and is bit-reproducible for a fixed seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import (
-    BoundAssumptions,
-    adjacent_excess_bounds,
-    swap_excess_lower_equal_t,
-    swap_excess_lower_general,
-    swap_excess_upper_equal_t,
-    swap_excess_upper_general,
-)
-from .excess import (
-    adjacent_swap_excess,
-    equal_p_swap_excess,
-    exact_excess_direct,
-    general_swap_excess,
-)
-from .model import Candidate, CandidateSet, Ordering, _agrees, _check_compatible
+from .model import Candidate, CandidateSet, Ordering, _agrees, _check_compatible, _Record
 from .schedule import expected_time, solomonoff_order
 
 __all__ = [
@@ -52,25 +37,25 @@ _SIM_CHUNK = 1 << 16  # trials per chunk, at most
 _SIM_CELLS = 1 << 22  # trials x candidates per chunk, at most
 
 
-@dataclass(frozen=True)
-class SimulationResult:
+class SimulationResult(_Record):
     """Monte Carlo estimate of the expected solving time for one ordering."""
 
-    trials: int
-    mean_time: float
-    std_error: float
-    success_rate: float
-    seed: int
-    generator: str = "philox"
+    _fields = ("trials", "mean_time", "std_error", "success_rate", "seed", "generator")
+
+    def __init__(self, trials: int, mean_time: float, std_error: float, success_rate: float,
+                 seed: int, generator: str = "philox") -> None:
+        self.__dict__.update(trials=trials, mean_time=mean_time, std_error=std_error,
+                             success_rate=success_rate, seed=seed, generator=generator)
 
 
-@dataclass(frozen=True)
-class BruteForceResult:
+class BruteForceResult(_Record):
     """Minimizer of the expected solving time over all N! orderings."""
 
-    best_order: Ordering
-    best_expected_time: float
-    evaluated: int
+    _fields = ("best_order", "best_expected_time", "evaluated")
+
+    def __init__(self, best_order: Ordering, best_expected_time: float, evaluated: int) -> None:
+        self.__dict__.update(best_order=best_order, best_expected_time=best_expected_time,
+                             evaluated=evaluated)
 
 
 def _eq2_for_perms(p: np.ndarray, t: np.ndarray, perms: np.ndarray) -> np.ndarray:
@@ -208,8 +193,7 @@ _SANDWICH_SLACK = 1e-9
 _OPTIMALITY_MAX_N = 8
 
 
-@dataclass(frozen=True)
-class VerificationConfig:
+class VerificationConfig(_Record):
     """How many instances verify_bounds_random draws, from which seed.
 
     ``equal_p_only`` pins the generator to equal-probability instances and
@@ -218,29 +202,28 @@ class VerificationConfig:
     different times — see README, Errata).
     """
 
-    instances: int
-    seed: int
-    equal_p_only: bool = False
+    _fields = ("instances", "seed", "equal_p_only")
 
-    def __post_init__(self) -> None:
-        if self.instances < 0:
-            raise ValueError(f"instances must be >= 0, got {self.instances}")
-
-
-@dataclass(frozen=True)
-class CheckStats:
-    name: str
-    runs: int
-    failures: int
-    max_residual: float
+    def __init__(self, instances: int, seed: int, equal_p_only: bool = False) -> None:
+        if instances < 0:
+            raise ValueError(f"instances must be >= 0, got {instances}")
+        self.__dict__.update(instances=instances, seed=seed, equal_p_only=equal_p_only)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    instances: int
-    seed: int
-    equal_p_only: bool
-    checks: tuple[CheckStats, ...]
+class CheckStats(_Record):
+    _fields = ("name", "runs", "failures", "max_residual")
+
+    def __init__(self, name: str, runs: int, failures: int, max_residual: float) -> None:
+        self.__dict__.update(name=name, runs=runs, failures=failures, max_residual=max_residual)
+
+
+class VerificationReport(_Record):
+    _fields = ("instances", "seed", "equal_p_only", "checks")
+
+    def __init__(self, instances: int, seed: int, equal_p_only: bool,
+                 checks: tuple[CheckStats, ...]) -> None:
+        self.__dict__.update(instances=instances, seed=seed, equal_p_only=equal_p_only,
+                             checks=checks)
 
     @property
     def total_failures(self) -> int:
@@ -329,6 +312,13 @@ def verify_bounds_random(config: VerificationConfig) -> VerificationReport:
     rule optimality for N <= _OPTIMALITY_MAX_N.  Failures are report
     entries, never exceptions.
     """
+    # The checks load bounds and excess here, so that brute_force_best_order and
+    # simulate (verify-optimal, simulate) run without them.
+    from .bounds import (BoundAssumptions, adjacent_excess_bounds, swap_excess_lower_equal_t,
+                         swap_excess_lower_general, swap_excess_upper_equal_t,
+                         swap_excess_upper_general)
+    from .excess import adjacent_swap_excess, exact_excess_direct, general_swap_excess
+
     rng = np.random.default_rng(config.seed)
     tally = _Tally()
 
@@ -412,6 +402,8 @@ def verify_bounds_random(config: VerificationConfig) -> VerificationReport:
 
 def _equal_p_checks(rng, tally, count_paper_variant: bool) -> None:
     """Equal-probability instance: corrected identity, optional erratum count."""
+    from .excess import equal_p_swap_excess, exact_excess_direct
+
     N = int(rng.integers(_N_CANDIDATES[0], _N_CANDIDATES[1] + 1))
     p = float(rng.uniform(*_P_RANGE))
     cset = _build_set([p] * N, _draw_times(rng, N))

@@ -18,9 +18,8 @@ penalties.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .model import CandidateSet, Ordering, _check_compatible, _fold, _numpy_for, _prefix, _walk
+from .model import (CandidateSet, Ordering, _check_compatible, _fold, _numpy_for, _prefix,
+                    _Record, _walk)
 
 __all__ = [
     "ExpectationOptions",
@@ -31,11 +30,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ExpectationOptions:
+class ExpectationOptions(_Record):
     """Whether expected_time adds the all-candidates-fail tail (default: yes)."""
 
-    include_failure_tail: bool = True
+    _fields = ("include_failure_tail",)
+
+    def __init__(self, include_failure_tail: bool = True) -> None:
+        self.__dict__["include_failure_tail"] = include_failure_tail
 
 
 def solomonoff_order(cset: CandidateSet) -> Ordering:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_set, rel_ok
+from helpers import make_set, rel_ok, sets_with_ordering
 from trialorder import (
     AssumptionError,
     BoundAssumptions,
@@ -128,6 +128,20 @@ class TestAdjacentBounds:
         assert not res.assumptions_ok
         assert any(v.field == "ratio" for v in res.violations)
         assert res.upper <= 0.0  # sign caveat: the sandwich flips
+
+    @given(sets_with_ordering(min_size=2, max_size=12))
+    @settings(max_examples=200)
+    def test_sides_are_the_product_bounds_of_the_prefix(self, case):
+        cs, order = case
+        ps, ts = cs.ps, cs.ts
+        for k in range(1, cs.N):
+            a, b = order[k - 1], order[k]
+            scale = (ps[a] / ts[a] - ps[b] / ts[b]) * ts[a] * ts[b]
+            prefix = [ps[i] for i in order.perm[:k - 1]]
+            res = adjacent_excess_bounds(cs, order, k)
+            assert res.upper == scale * product_upper_bound_kn(prefix)
+            if k >= 3:
+                assert res.lower == scale * product_lower_bound_wu(prefix)
 
 
 GEN_A = BoundAssumptions(c=0.3, d=0.5, t_min=1.0, t_max=1.0, profile="general-upper")

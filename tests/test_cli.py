@@ -848,11 +848,47 @@ class TestLazyNumpy:
             "trialorder.simulate\n"
             "assert 'numpy' in sys.modules, 'oracle names load the oracle'\n"
         )
-        env = dict(os.environ,
-                   PYTHONPATH=str(Path(trialorder.__file__).resolve().parent.parent))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, timeout=60)
-        assert proc.returncode == 0, proc.stderr
+        _run_fresh(code)
+
+    def test_each_command_loads_only_the_modules_it_runs(self, tmp_path):
+        path = tmp_path / "three.json"
+        path.write_text(THREE_JSON)
+        prelude = (
+            "import sys, contextlib, io\n"
+            "def loaded(*names):\n"
+            "    return [m for m in names if m in sys.modules]\n"
+            "def main(*argv):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"        assert trialorder.cli.main([*argv, '-i', {str(path)!r}]) == 0, argv\n"
+        )
+        _run_fresh(
+            "import sys\n"
+            "import trialorder\n"
+            "assert [m for m in sys.modules if m.startswith('trialorder.')] == [], 'import'\n"
+            "import trialorder.cli\n" + prelude +
+            "main('order')\n"
+            "main('expect', '--no-tail')\n"
+            "assert loaded('dataclasses', 'inspect', 'csv', 'numpy', 'trialorder.bounds',\n"
+            "              'trialorder.excess', 'trialorder.oracle') == []\n"
+            "import trialorder.bounds\n"
+            "assert trialorder.bounds.PROFILES == trialorder.model.PROFILES\n"
+            "assert all(hasattr(trialorder, name) for name in trialorder.__all__)\n"
+        )
+        _run_fresh("import trialorder.cli\n" + prelude +
+                   "main('excess', '--k', '1', '--n', '2')\n"
+                   "assert loaded('trialorder.excess', 'trialorder.bounds') == ['trialorder.excess']\n")
+        _run_fresh("import trialorder.cli\n" + prelude +
+                   "main('verify-optimal')\n"
+                   "assert 'trialorder.oracle' in sys.modules\n"
+                   "assert loaded('trialorder.bounds', 'trialorder.excess') == []\n")
+
+
+def _run_fresh(code: str) -> None:
+    """Run ``code`` in a new interpreter that imports trialorder from this tree."""
+    env = dict(os.environ, PYTHONPATH=str(Path(trialorder.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestStdin:

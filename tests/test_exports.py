@@ -21,7 +21,31 @@ def test_every_exported_name_resolves(module):
     assert not missing, f"{module}.__all__ names undefined {missing}"
 
 
-def test_lazy_oracle_names_are_exported():
-    # These resolve through the package's __getattr__, which loads the oracle.
-    assert trialorder._ORACLE_NAMES <= set(trialorder.__all__)
-    assert trialorder._ORACLE_NAMES <= set(importlib.import_module("trialorder.oracle").__all__)
+def test_lazy_names_are_exported_by_their_modules():
+    # Every public name resolves through the package's __getattr__, which
+    # imports the one submodule its table names.
+    assert set(trialorder._LAZY) == set(trialorder.__all__) - {"__version__"}
+    for name, module in trialorder._LAZY.items():
+        mod = importlib.import_module(f"trialorder.{module}")
+        assert name in mod.__all__, (name, module)
+        assert getattr(trialorder, name) is getattr(mod, name), (name, module)
+
+
+def test_public_names_are_pinned():
+    # Adding or deleting a public name is a contract change: it edits this list.
+    assert trialorder.__all__ == [
+        "__version__",
+        "AssumptionError", "SingularityError",
+        "Candidate", "CandidateSet", "Ordering", "ValidationReport", "Violation", "mean_time",
+        "ratio", "validate",
+        "ExpectationOptions", "solomonoff_order", "expected_time", "is_ratio_sorted",
+        "failure_tail_term",
+        "ExcessReport", "exact_excess_direct", "adjacent_swap_excess", "general_swap_excess",
+        "equal_p_swap_excess",
+        "BoundAssumptions", "BoundResult", "product_upper_bound_kn", "product_lower_bound_wu",
+        "weighted_geometric_sum", "adjacent_excess_bounds", "swap_excess_upper_general",
+        "swap_excess_lower_general", "swap_excess_upper_equal_t", "swap_excess_lower_equal_t",
+        "check_assumptions",
+        "SimulationResult", "BruteForceResult", "brute_force_best_order", "simulate",
+        "VerificationConfig", "VerificationReport", "CheckStats", "verify_bounds_random",
+    ]

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -226,7 +225,7 @@ class TestVerifyBoundsRandom:
 
     def test_config_sets_only_count_seed_and_mode(self):
         # Ranges and tolerances are fixed by the verification protocol.
-        assert [f.name for f in dataclasses.fields(VerificationConfig)] == [
+        assert list(VerificationConfig._fields) == [
             "instances", "seed", "equal_p_only"]
         with pytest.raises(TypeError):
             VerificationConfig(instances=1, seed=0, p_range=(0.1, 0.5))
