@@ -244,9 +244,8 @@ def adjacent_excess_bounds(cset: CandidateSet, ordering: Ordering, k: int) -> Bo
     ratio_k >= ratio_{k+1}; if it fails, the values are still reported with
     ``assumptions_ok=False`` (the inequalities then flip sign).
     """
-    a, b = _swap_ends(cset, ordering, k, 1)
-    ps, ts = cset.ps, cset.ts
-    ra, rb = ps[a] / ts[a], ps[b] / ts[b]
+    pk, pk1, tk, tk1 = _swap_ends(cset, ordering, k, 1)
+    ra, rb = pk / tk, pk1 / tk1
     delta = ra - rb
     violations: list[Violation] = []
     if delta < 0.0:
@@ -254,19 +253,13 @@ def adjacent_excess_bounds(cset: CandidateSet, ordering: Ordering, k: int) -> Bo
                                     f"ratio at k ({ra}) below ratio at k+1 ({rb})"))
     prefix_ps = _prefix_ps(cset, ordering, k)
     S = _unit_sum(prefix_ps)  # checked and summed once, for both surrogates
-    scale = delta * ts[a] * ts[b]
+    scale = delta * tk * tk1
     upper = scale * math.exp(-S)  # Klamkin-Newman, as product_upper_bound_kn
     if k >= 3:
         lower = scale * _wu(prefix_ps, S)
     else:  # the exact Q_0 = 1 or Q_1 = 1 - p_1
         lower = scale * (1.0 - prefix_ps[0] if prefix_ps else 1.0)
     return BoundResult(lower=lower, upper=upper, A=None, B=None, violations=tuple(violations))
-
-
-def _swap_endpoints(cset: CandidateSet, ordering: Ordering, k: int, n: int):
-    """(p_k, p_{k+n}, t_k, t_{k+n}) of a swap that passes the swap gate."""
-    i, j = _swap_ends(cset, ordering, k, n)
-    return cset.ps[i], cset.ps[j], cset.ts[i], cset.ts[j]
 
 
 def swap_excess_upper_general(
@@ -282,7 +275,7 @@ def swap_excess_upper_general(
     bound's usual statement admits t_i = 0; this package requires t > 0, a
     strictly smaller input class, so nothing extra is checked there.
     """
-    pk, pkn, _, _ = _swap_endpoints(cset, ordering, k, n)
+    pk, pkn, _, _ = _swap_ends(cset, ordering, k, n)
     if pk == 1.0 or pkn == 1.0:
         raise SingularityError("p=1 at a swap endpoint makes the bound singular")
     violations = _premises(cset, a, "general-upper")
@@ -322,7 +315,7 @@ def swap_excess_lower_general(
     t_min = 0.  A is None when not finitely evaluable: p_k = p_{k+n}, or
     c * t_min or (1-d)^k is 0 (t_min = 0, or an underflow).
     """
-    pk, pkn, tk, tkn = _swap_endpoints(cset, ordering, k, n)
+    pk, pkn, tk, tkn = _swap_ends(cset, ordering, k, n)
     if pk == 1.0:
         raise SingularityError("p=1 at position k makes the bound singular")
     violations = _premises(cset, a, "general-lower") + _p_order_violations(k, n, pk, pkn)
@@ -375,7 +368,7 @@ def swap_excess_upper_equal_t(
     equal times a ratio-sorted order gives that for free).  p_k = 1 or an
     underflow of c^2 to 0 raises SingularityError.
     """
-    pk, pkn, _, _ = _swap_endpoints(cset, ordering, k, n)
+    pk, pkn, _, _ = _swap_ends(cset, ordering, k, n)
     T = _common_mean_time(cset)
     if pk == 1.0:
         raise SingularityError("p=1 at position k makes the bound singular")
@@ -405,7 +398,7 @@ def swap_excess_lower_equal_t(
     Same premises as the equal-time upper bound.  p_k = 1 or an underflow of
     (1-d)^(k-1) or d^2 to 0 raises SingularityError.
     """
-    pk, pkn, _, _ = _swap_endpoints(cset, ordering, k, n)
+    pk, pkn, _, _ = _swap_ends(cset, ordering, k, n)
     T = _common_mean_time(cset)
     if pk == 1.0:
         raise SingularityError("p=1 at position k makes the bound singular")

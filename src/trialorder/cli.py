@@ -65,11 +65,12 @@ def _json_items(text: str) -> list:
     return items
 
 
-def _records_from_json(items: list):
+def _records_from_json(items: list, label):
     for i, item in enumerate(items):
-        if not isinstance(item, dict):
-            raise CliInputError(f"JSON parse error: candidates[{i}] is not an object")
-        yield str(item["id"]) if "id" in item else f"#{i}", item.get("p"), item.get("times", ())
+        if isinstance(item, dict):
+            yield str(item["id"]) if "id" in item else f"#{i}", item.get("p"), item.get("times", ())
+        else:  # listed in its place among the other records' problems
+            yield model.Violation(label(i), "record", "not an object")
 
 
 def _records_from_csv(text: str) -> list[tuple]:
@@ -109,18 +110,19 @@ def ingest(source: str, fmt: str) -> tuple[CandidateSet, str]:
     except UnicodeDecodeError as e:
         raise CliInputError(f"input is not valid UTF-8: {e}") from e
     if fmt == "json":
-        records, label = _records_from_json(_json_items(text)), "candidates[{}]".format
+        label = "candidates[{}]".format
+        records = _records_from_json(_json_items(text), label)
     elif fmt == "csv":
         records, label = _records_from_csv(text), (lambda i: f"row {i + 2}")
     else:  # pragma: no cover - argparse restricts choices
         raise CliInputError(f"unknown input format {fmt!r}")
 
-    candidates, ps, ts, problems = model._checked_rows(records, label)
+    cset, problems = model._checked_rows(records, label)
     if problems:
         raise CliInputError("\n".join(str(v) for v in problems))
-    if not candidates:
+    if cset is None:
         raise CliInputError("empty set: no candidates in input")
-    return CandidateSet._trusted(tuple(candidates), tuple(ps), tuple(ts)), digest
+    return cset, digest
 
 
 def _infer_format(source: str, explicit: str | None) -> str:
@@ -380,14 +382,13 @@ def _cmd_bounds(args, cset: CandidateSet):
             t_max=args.tmax if args.tmax is not None else max(cset.ts),
             profile=args.profile,
         )
-        if args.profile == "general-upper":
-            res = bounds.swap_excess_upper_general(cset, ordering, k, n, assumptions)
-        elif args.profile == "general-lower":
-            res = bounds.swap_excess_lower_general(cset, ordering, k, n, assumptions)
-        elif args.profile == "equal-t-upper":
-            res = bounds.swap_excess_upper_equal_t(cset, ordering, k, n, assumptions)
-        else:
-            res = bounds.swap_excess_lower_equal_t(cset, ordering, k, n, assumptions)
+        evaluate = {
+            "general-upper": bounds.swap_excess_upper_general,
+            "general-lower": bounds.swap_excess_lower_general,
+            "equal-t-upper": bounds.swap_excess_upper_equal_t,
+            "equal-t-lower": bounds.swap_excess_lower_equal_t,
+        }[args.profile]
+        res = evaluate(cset, ordering, k, n, assumptions)
     exact = excess.exact_excess_direct(cset, ordering, k, n)
     results = {
         "ordering": [cset[i].id for i in ordering],
@@ -444,7 +445,7 @@ def _cmd_simulate(args, cset: CandidateSet):
     return results, 0
 
 
-def _cmd_check(args, cset=None):
+def _cmd_check(args):
     from . import oracle
 
     cfg = oracle.VerificationConfig(
@@ -454,17 +455,6 @@ def _cmd_check(args, cset=None):
     return rep.to_dict(), (0 if rep.passed else 3)
 
 
-_COMMANDS = {
-    "order": (_cmd_order, True),
-    "expect": (_cmd_expect, True),
-    "excess": (_cmd_excess, True),
-    "bounds": (_cmd_bounds, True),
-    "verify-optimal": (_cmd_verify_optimal, True),
-    "simulate": (_cmd_simulate, True),
-    "check": (_cmd_check, False),
-}
-
-
 # ---------------------------------------------------------------------------
 # Parser and entry point
 # ---------------------------------------------------------------------------
@@ -472,6 +462,7 @@ _COMMANDS = {
 
 def build_parser() -> argparse.ArgumentParser:
     # Every command takes --format; all but check also read a candidate file.
+    # Each command's parser names its handler as ``run``.
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--format", choices=("json", "csv", "text"), default="text",
                         help="output format (default: text)")
@@ -488,8 +479,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("order", parents=[with_input],
-                   help="optimal trial order by descending p/mean-time ratio")
+    p_order = sub.add_parser("order", parents=[with_input],
+                             help="optimal trial order by descending p/mean-time ratio")
+    p_order.set_defaults(run=_cmd_order)
 
     p_expect = sub.add_parser("expect", parents=[with_input],
                               help="expected solving time of an ordering")
@@ -497,12 +489,14 @@ def build_parser() -> argparse.ArgumentParser:
                           help="'optimal' or comma-separated candidate ids")
     p_expect.add_argument("--no-tail", action="store_true",
                           help="drop the all-candidates-fail time term")
+    p_expect.set_defaults(run=_cmd_expect)
 
     p_excess = sub.add_parser("excess", parents=[with_input],
                               help="exact penalty of swapping positions k and k+n (1-based)")
     p_excess.add_argument("--k", type=int, required=True, help="earlier position, 1-based")
     p_excess.add_argument("--n", type=int, default=1, help="positional distance (default 1)")
     p_excess.add_argument("--order", default="optimal")
+    p_excess.set_defaults(run=_cmd_excess)
 
     p_bounds = sub.add_parser("bounds", parents=[with_input],
                               help="closed-form bounds on the swap penalty")
@@ -517,15 +511,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--order", default="optimal")
     p_bounds.add_argument("--strict", action="store_true",
                           help="exit 2 when a bound's assumptions are violated")
+    p_bounds.set_defaults(run=_cmd_bounds)
 
-    sub.add_parser("verify-optimal", parents=[with_input],
-                   help="exact optimum over all orders vs the ordering rule (N <= 10)")
+    p_verify = sub.add_parser("verify-optimal", parents=[with_input],
+                              help="exact optimum over all orders vs the ordering rule (N <= 10)")
+    p_verify.set_defaults(run=_cmd_verify_optimal)
 
     p_sim = sub.add_parser("simulate", parents=[with_input],
                            help="seeded Monte Carlo estimate of the expected solving time")
     p_sim.add_argument("--trials", type=int, default=100_000)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--order", default="optimal")
+    p_sim.set_defaults(run=_cmd_simulate)
 
     p_check = sub.add_parser("check", parents=[output],
                              help="randomized cross-validation of every closed form")
@@ -533,6 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--equal-p", action="store_true",
                          help="pin the generator to equal-probability instances")
+    p_check.set_defaults(run=_cmd_check)
 
     return parser
 
@@ -544,15 +542,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
 
-    handler, needs_input = _COMMANDS[args.command]
     digest = None
     try:
-        if needs_input:
-            fmt = _infer_format(args.input, args.input_format)
-            cset, digest = ingest(args.input, fmt)
-            results, code = handler(args, cset)
+        if hasattr(args, "input"):  # the command's parser takes a candidate file
+            cset, digest = ingest(args.input, _infer_format(args.input, args.input_format))
+            results, code = args.run(args, cset)
         else:
-            results, code = handler(args)
+            results, code = args.run(args)
     except CliInputError as e:
         print(f"trialorder: error: {e}", file=sys.stderr)
         return 1

@@ -49,18 +49,20 @@ class ExcessReport(_Record):
         self.__dict__.update(k=k, n=n, q1=q1, q2=q2, q3=q3, total=total, method=method)
 
 
-def _swap_ends(cset: CandidateSet, ordering: Ordering, k: int, n: int) -> tuple[int, int]:
-    """Candidate indices at positions k and k+n of a valid swap, else ValueError.
+def _swap_ends(cset: CandidateSet, ordering: Ordering, k: int, n: int) -> tuple[float, ...]:
+    """``(p_k, p_(k+n), t_k, t_(k+n))`` of a valid swap, else ValueError.
 
-    The one gate of every swap function here and in the bounds module: the
-    ordering must fit the set, then n >= 1, then 1 <= k and k + n <= N.
+    The one gate of every swap function here and in the bounds module, and
+    their one read of the swapped candidates: the ordering must fit the set,
+    then n >= 1, then 1 <= k and k + n <= N.
     """
     _check_compatible(cset, ordering)
     if n < 1:
         raise ValueError(f"swap distance n={n} must be >= 1")
     if k < 1 or k + n > cset.N:
         raise ValueError(f"swap positions k={k}, k+n={k + n} out of range 1..{cset.N}")
-    return ordering[k - 1], ordering[k + n - 1]
+    i, j = ordering[k - 1], ordering[k + n - 1]
+    return cset.ps[i], cset.ps[j], cset.ts[i], cset.ts[j]
 
 
 def exact_excess_direct(cset: CandidateSet, ordering: Ordering, k: int, n: int) -> float:
@@ -80,8 +82,7 @@ def adjacent_swap_excess(cset: CandidateSet, ordering: Ordering, k: int) -> floa
     (p_k/t_k - p_{k+1}/t_{k+1}) * Q_{k-1} * t_k * t_{k+1}, exact for any
     reference ordering; >= 0 whenever the ordering is ratio-sorted.
     """
-    i, j = _swap_ends(cset, ordering, k, 1)
-    pk, pk1, tk, tk1 = cset.ps[i], cset.ps[j], cset.ts[i], cset.ts[j]
+    pk, pk1, tk, tk1 = _swap_ends(cset, ordering, k, 1)
     *_, Q = _prefix(cset, ordering, k - 1)
     return (pk / tk - pk1 / tk1) * float(Q[k - 1]) * tk * tk1
 
@@ -97,8 +98,7 @@ def general_swap_excess(cset: CandidateSet, ordering: Ordering, k: int, n: int) 
     q2 and q3 divide by (1 - p_k), so p_k = 1 is singular; use
     exact_excess_direct for that case.
     """
-    i, j = _swap_ends(cset, ordering, k, n)
-    pk, pkn, tk, tkn = cset.ps[i], cset.ps[j], cset.ts[i], cset.ts[j]
+    pk, pkn, tk, tkn = _swap_ends(cset, ordering, k, n)
     if pk == 1.0:
         raise SingularityError(
             f"p=1 at position k={k}: the q-decomposition divides by (1 - p_k); "
@@ -154,7 +154,7 @@ def equal_p_swap_excess(
     exactly (t_{k+n} - t_k) * (1-p)^k; it is kept only for comparison
     reporting (see README, Errata).
     """
-    i, j = _swap_ends(cset, ordering, k, n)
+    _, _, tk, tkn = _swap_ends(cset, ordering, k, n)
     ps = cset.ps
     p_lo, p_hi = min(ps), max(ps)
     if p_hi - p_lo > EQUAL_P_REL_TOL * max(1.0, p_hi):
@@ -165,7 +165,7 @@ def equal_p_swap_excess(
     if not 0.0 < p < 1.0:
         raise AssumptionError(f"shared probability p={p} must lie strictly inside (0, 1)")
     q = 1.0 - p
-    base = (cset.ts[j] - cset.ts[i]) * q ** (k - 1)
+    base = (tkn - tk) * q ** (k - 1)
     if use_paper_variant:
         return base * (1.0 + q - q**n)
     return base * (1.0 - q**n)

@@ -196,16 +196,12 @@ class CandidateSet(_Record):
     _fields = ("candidates",)
 
     def __init__(self, candidates: Iterable[Candidate]) -> None:
-        candidates = tuple(candidates)
-        if not candidates:
+        built, problems = _checked_rows((c.id, c.p, c.time_samples) for c in candidates)
+        if problems:  # a Candidate is clean, so this is a duplicate id
+            raise ValueError(problems[0].message)
+        if built is None:
             raise ValueError("empty candidate set")
-        seen: set[str] = set()
-        for c in candidates:
-            if c.id in seen:
-                raise ValueError(f"duplicate candidate id {c.id!r}")
-            seen.add(c.id)
-        self.__dict__.update(candidates=candidates, ps=tuple(c.p for c in candidates),
-                             ts=tuple(mean_time(c) for c in candidates))
+        self.__dict__.update(built.__dict__)
 
     @classmethod
     def _trusted(cls, candidates: tuple[Candidate, ...], ps: tuple[float, ...],
@@ -248,10 +244,10 @@ class CandidateSet(_Record):
         A record is a mapping with keys ``id``, ``p``, ``times`` (or
         ``time_samples``), a 3-sequence ``(id, p, times)``, or a Candidate.
         """
-        candidates, ps, ts, problems = _check_records(records)
+        cset, problems = _check_records(records)
         if problems:
             raise ValueError(str(ValidationReport(tuple(problems))))
-        return cls._trusted(tuple(candidates), tuple(ps), tuple(ts))
+        return cset
 
 
 def _coerce_record(rec, i: int):
@@ -422,12 +418,11 @@ def validate(candidates: Iterable) -> ValidationReport:
     probability out of range, non-positive time, empty sample list, duplicate
     id, empty set.
     """
-    return ValidationReport(tuple(_check_records(candidates)[-1]))
+    return ValidationReport(tuple(_check_records(candidates)[1]))
 
 
-def _check_records(records: Iterable) -> tuple[list[Candidate], list[float], list[float],
-                                               list[Violation]]:
-    """Check and build raw records (see from_records): ``(candidates, ps, ts, violations)``.
+def _check_records(records: Iterable) -> tuple[CandidateSet | None, list[Violation]]:
+    """Check and build raw records (see from_records): ``(set or None, violations)``.
 
     Malformed records are listed first, then _checked_rows' problems; an
     input without records is an empty set.
@@ -443,10 +438,10 @@ def _check_records(records: Iterable) -> tuple[list[Candidate], list[float], lis
                 continue
             yield row
 
-    candidates, ps, ts, problems = _checked_rows(rows())
-    if not candidates and not problems and not malformed:
+    cset, problems = _checked_rows(rows())
+    if cset is None and not problems and not malformed:
         problems.append(Violation("set", "candidates", "empty candidate set"))
-    return candidates, ps, ts, malformed + problems
+    return cset, malformed + problems
 
 
 def _samples(times):
@@ -459,17 +454,18 @@ def _samples(times):
         return times
 
 
-def _checked_rows(rows: Iterable[tuple], label: Callable[[int], str] | None = None
-                  ) -> tuple[list[Candidate], list[float], list[float], list[Violation]]:
-    """Check and build ``(id, p, times)`` rows in one pass: ``(candidates, ps, ts, violations)``.
+def _checked_rows(rows: Iterable, label: Callable[[int], str] | None = None
+                  ) -> tuple[CandidateSet | None, list[Violation]]:
+    """Check and build ``(id, p, times)`` rows in one pass: ``(set or None, violations)``.
 
-    The one route from records to candidates; ``ps`` and ``ts`` are the
-    columns CandidateSet keeps (see CandidateSet._trusted), each row's mean
-    computed once, by mean_time's rule.  A row whose p is a float in [0, 1],
-    whose times is a non-empty list or tuple of finite positive floats with a
+    The one route from records to a CandidateSet, built with its ``ps`` and
+    ``ts`` columns (each mean computed once, by mean_time's rule) when there
+    are rows and no violations.  A row whose p is a float in [0, 1], whose
+    times is a non-empty list or tuple of finite positive floats with a
     finite sum and whose id is new is stored as it stands; any other goes
     through _value_problems and, if clean, is coerced as Candidate(...)
-    coerces it.  Violations come in row order, each row's value problems
+    coerces it.  A row may instead be a reader's Violation for a record that
+    is no record.  Violations come in row order, each row's value problems
     before its duplicate id, under ``label(i)`` (default ``candidate
     '<id>'``), which is called only for a row with a problem.
     """
@@ -479,7 +475,11 @@ def _checked_rows(rows: Iterable[tuple], label: Callable[[int], str] | None = No
     out: list[Violation] = []
     seen: set[str] = set()
     fsum, inf = math.fsum, math.inf
-    for i, (rid, p, times) in enumerate(rows):
+    for i, row in enumerate(rows):
+        if type(row) is Violation:
+            out.append(row)
+            continue
+        rid, p, times = row
         # A plain for/else, not all(...), and mean_time's rule written out:
         # a call per row costs more than the checks.
         if (type(p) is float and 0.0 <= p <= 1.0
@@ -511,4 +511,6 @@ def _checked_rows(rows: Iterable[tuple], label: Callable[[int], str] | None = No
             ps.append(c.p)
             ts.append(mean_time(c))
         seen.add(rid)
-    return candidates, ps, ts, out
+    if out or not candidates:
+        return None, out
+    return CandidateSet._trusted(tuple(candidates), tuple(ps), tuple(ts)), out

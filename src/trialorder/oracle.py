@@ -1,9 +1,10 @@
 """Independent ground truth: exact optimum search, Monte Carlo, randomized checks.
 
-Everything here evaluates the expected-time recurrence through its own
-vectorized numpy path rather than through schedule.expected_time, so the
-closed forms and the scalar evaluator can be cross-checked against a second,
-independent implementation.
+brute_force_best_order scores its order through its own numpy evaluator
+(_eq2_for_perms), not schedule.expected_time, so the rule and the scalar
+evaluator are checked against an independent implementation.
+verify_bounds_random holds each closed form against exact_excess_direct,
+which does call schedule.expected_time.
 
 Determinism contract: results are a pure function of their arguments.  The
 simulator partitions trials into chunks sized by N alone, each driven by its
@@ -17,7 +18,7 @@ import math
 
 import numpy as np
 
-from .model import Candidate, CandidateSet, Ordering, _agrees, _check_compatible, _Record
+from .model import CandidateSet, Ordering, _agrees, _check_compatible, _Record
 from .schedule import expected_time, solomonoff_order
 
 __all__ = [
@@ -125,9 +126,10 @@ def _simulate_chunk(g: np.random.Generator, p: np.ndarray, samples: list, m: int
             tdraw[:, j] = samples[j][g.integers(0, len(samples[j]), size=m)]
     any_success = success.any(axis=1)
     attempts = np.where(any_success, success.argmax(axis=1) + 1, N)
-    cum = np.cumsum(tdraw, axis=1)
-    totals = np.take_along_axis(cum, (attempts - 1)[:, None], axis=1)[:, 0]
-    return float(totals.sum()), float((totals * totals).sum()), int(any_success.sum())
+    with np.errstate(over="ignore"):  # sums may overflow to inf; the CLI refuses such a result
+        cum = np.cumsum(tdraw, axis=1)
+        totals = np.take_along_axis(cum, (attempts - 1)[:, None], axis=1)[:, 0]
+        return float(totals.sum()), float((totals * totals).sum()), int(any_success.sum())
 
 
 def simulate(cset: CandidateSet, ordering: Ordering, trials: int, seed: int) -> SimulationResult:
@@ -285,10 +287,8 @@ class _Tally:
 
 
 def _build_set(ps, tss) -> CandidateSet:
-    return CandidateSet(tuple(
-        Candidate(f"c{i + 1}", float(p), tuple(float(t) for t in ts))
-        for i, (p, ts) in enumerate(zip(ps, tss))
-    ))
+    return CandidateSet.from_records(
+        (f"c{i}", float(p), [float(t) for t in ts]) for i, (p, ts) in enumerate(zip(ps, tss), 1))
 
 
 def _draw_times(rng, n):
@@ -402,7 +402,7 @@ def verify_bounds_random(config: VerificationConfig) -> VerificationReport:
 
 def _equal_p_checks(rng, tally, count_paper_variant: bool) -> None:
     """Equal-probability instance: corrected identity, optional erratum count."""
-    from .excess import equal_p_swap_excess, exact_excess_direct
+    from .excess import _swap_ends, equal_p_swap_excess, exact_excess_direct
 
     N = int(rng.integers(_N_CANDIDATES[0], _N_CANDIDATES[1] + 1))
     p = float(rng.uniform(*_P_RANGE))
@@ -413,8 +413,7 @@ def _equal_p_checks(rng, tally, count_paper_variant: bool) -> None:
     corr = equal_p_swap_excess(cset, order, k, n)
     tally.identity("equal-p-corrected", corr, direct)
     if count_paper_variant:
-        tk = cset.ts[order[k - 1]]
-        tkn = cset.ts[order[k + n - 1]]
+        _, _, tk, tkn = _swap_ends(cset, order, k, n)
         if tk != tkn:
             paper = equal_p_swap_excess(cset, order, k, n, use_paper_variant=True)
             # "failure" means the printed formula misses the oracle, which it

@@ -153,6 +153,34 @@ class TestIngest:
             assert signs == [math.copysign(1.0, p) for p in want.ps]
             assert all(type(v) is float for c in cset for v in (c.p, *c.time_samples))
 
+    def test_json_non_object_is_listed_with_the_other_problems(self, capsys, tmp_path):
+        path = tmp_path / "mixed.json"
+        path.write_text('{"candidates": [{"id":"a","p":2,"times":[1]}, 5,'
+                        ' {"id":"c","p":0.5,"times":[-1]}]}')
+        assert run(capsys, ["order", "-i", str(path)]) == (1, "", (
+            "trialorder: error: candidates[0]: field 'p': probability 2.0 out of [0, 1]\n"
+            "candidates[1]: field 'record': not an object\n"
+            "candidates[2]: field 'times': non-positive time sample -1.0\n"))
+
+    @pytest.mark.parametrize("name, data, argv, message", [
+        ("no-list.json", b'{"x": 1}', ["order"],
+         'JSON parse error: expected an object with a "candidates" list'),
+        ("not-list.json", b'{"candidates": 3}', ["order"],
+         'JSON parse error: "candidates" must be a list'),
+        ("blank.csv", b"\n  \n,,\n", ["order"], "CSV parse error: empty file"),
+        ("latin1.json", b'{"candidates": [{"id": "\xe9"}]}', ["order"],
+         "input is not valid UTF-8: 'utf-8' codec can't decode byte 0xe9 in position 24: "
+         "invalid continuation byte"),
+        ("three.json", THREE_JSON.encode(), ["bounds", "--profile", "adjacent", "--k", "2",
+                                             "--n", "2"],
+         "--profile adjacent is defined for --n 1"),
+    ], ids=["json-no-candidates", "json-candidates-not-list", "csv-blank", "not-utf8",
+            "adjacent-n-2"])
+    def test_refusals_are_pinned(self, capsys, tmp_path, name, data, argv, message):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert run(capsys, argv + ["-i", str(path)]) == (1, "", f"trialorder: error: {message}\n")
+
     def test_csv_header_required(self, capsys, tmp_path):
         path = tmp_path / "headerless.csv"
         path.write_text("a,0.5,1\n")
@@ -582,6 +610,14 @@ class TestNonFiniteResults:
         results = json.loads(out)["results"]
         assert results["oracle_agrees"] is True
         assert [results[key] for key in ("q1", "q2", "q3", "total", "direct_oracle")] == [0.0] * 5
+
+
+def test_simulate_refuses_an_overflowing_mean_without_warnings(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('{"candidates": [{"id":"a","p":0.5,"times":[1e308]},'
+                    ' {"id":"b","p":0.5,"times":[1e308]}, {"id":"c","p":0.5,"times":[1.0]}]}')
+    argv = ["simulate", "--trials", "2000", "--seed", "3", "-i", str(path)]
+    assert run(capsys, argv) == (1, "", "trialorder: error: results.mean_time is not finite: inf\n")
 
 
 class TestOverflowingSamples:

@@ -184,7 +184,8 @@ class TestOneRecordRule:
     @example(1, (1e308, 1e308, 1.0))
     def test_a_row_builds_what_the_constructor_builds(self, p, times):
         with patch.object(model, "_value_problems", wraps=model._value_problems) as full_check:
-            candidates, ps, ts, violations = model._checked_rows([("a", p, times)])
+            cset, violations = model._checked_rows([("a", p, times)])
+        candidates, ps, ts = ([], [], []) if cset is None else map(list, (cset, cset.ps, cset.ts))
         if not full_check.called:  # the plain-float check admitted the row
             assert model._value_problems(p, times) == []
         try:

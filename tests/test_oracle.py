@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -168,6 +169,12 @@ class TestSimulate:
         res = simulate(cs, Ordering.identity(1), trials=100_000, seed=11)
         assert abs(res.mean_time - 2.0) <= 4 * res.std_error
 
+    def test_overflowing_sums_give_inf_without_warnings(self):
+        # Runs under filterwarnings = error, so a numpy overflow warning fails it.
+        cs = make_set([0.5, 0.5, 0.5], [[1e308], [1e308], [1.0]])
+        res = simulate(cs, Ordering.identity(3), trials=2000, seed=3)
+        assert res.mean_time == math.inf
+
     def test_records_generator_provenance(self):
         res = simulate(THREE, Ordering.identity(3), trials=10, seed=0)
         assert res.generator == "philox"
@@ -218,6 +225,18 @@ class TestVerifyBoundsRandom:
         a = verify_bounds_random(VerificationConfig(instances=50, seed=21))
         b = verify_bounds_random(VerificationConfig(instances=50, seed=21))
         assert a == b
+
+    @pytest.mark.parametrize("instances, seed, equal_p_only, prefix", [
+        (2000, 7, False, "50886fbee0ef65cf"),
+        (300, 7, True, "bfb9dc396060fc2f"),
+        (1000, 20260813, False, "73497d37446d7197"),
+    ])
+    def test_report_bytes_are_pinned(self, instances, seed, equal_p_only, prefix):
+        # Taken before the engine built its sets on the record route: any
+        # change to a draw, a residual's bits or the check order moves them.
+        rep = verify_bounds_random(VerificationConfig(instances, seed, equal_p_only))
+        text = json.dumps(rep.to_dict(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == prefix
 
     def test_config_validates_ranges(self):
         with pytest.raises(ValueError, match="instances"):
