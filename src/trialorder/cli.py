@@ -65,12 +65,12 @@ def _json_items(text: str) -> list:
     return items
 
 
-def _records_from_json(items: list, label):
-    for i, item in enumerate(items):
-        if isinstance(item, dict):
-            yield str(item["id"]) if "id" in item else f"#{i}", item.get("p"), item.get("times", ())
-        else:  # listed in its place among the other records' problems
-            yield model.Violation(label(i), "record", "not an object")
+def _records_from_json(items: list, label) -> list:
+    # json.loads makes every object a plain dict; any other item is listed in
+    # its place among the other records' problems.
+    return [(str(item["id"]) if "id" in item else f"#{i}", item.get("p"), item.get("times", ()))
+            if type(item) is dict else model.Violation(label(i), "record", "not an object")
+            for i, item in enumerate(items)]
 
 
 def _records_from_csv(text: str) -> list[tuple]:
@@ -95,6 +95,22 @@ def _records_from_csv(text: str) -> list[tuple]:
     return records
 
 
+def _parsed(text: str, fmt: str):
+    """The record route's ``(set or None, violations)`` for a decoded file.
+
+    The parsed document and its rows are freed when this returns, so that
+    the collector, which ingest pauses around the call, meets only the set.
+    """
+    if fmt == "json":
+        label = "candidates[{}]".format
+        records = _records_from_json(_json_items(text), label)
+    elif fmt == "csv":
+        records, label = _records_from_csv(text), (lambda i: f"row {i + 2}")
+    else:  # pragma: no cover - argparse restricts choices
+        raise CliInputError(f"unknown input format {fmt!r}")
+    return model._checked_rows(records, label)
+
+
 def ingest(source: str, fmt: str) -> tuple[CandidateSet, str]:
     """Read and validate a candidate file; returns (set, sha256 of raw bytes).
 
@@ -109,15 +125,7 @@ def ingest(source: str, fmt: str) -> tuple[CandidateSet, str]:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as e:
         raise CliInputError(f"input is not valid UTF-8: {e}") from e
-    if fmt == "json":
-        label = "candidates[{}]".format
-        records = _records_from_json(_json_items(text), label)
-    elif fmt == "csv":
-        records, label = _records_from_csv(text), (lambda i: f"row {i + 2}")
-    else:  # pragma: no cover - argparse restricts choices
-        raise CliInputError(f"unknown input format {fmt!r}")
-
-    cset, problems = model._checked_rows(records, label)
+    cset, problems = model._gc_paused(_parsed, text, fmt)
     if problems:
         raise CliInputError("\n".join(str(v) for v in problems))
     if cset is None:

@@ -8,15 +8,25 @@ tie-break key everywhere.  Everything downstream (the ordering rule, penalty
 formulas, bounds, oracles) consumes these types.
 
 All types are immutable after construction and all operations are pure, so
-unrestricted concurrent use is safe.
+unrestricted concurrent use is safe.  Building a set from records (file
+ingestion, from_records, validate) pauses Python's cyclic garbage collector
+and then restores its previous state (see _gc_paused).  The collector's
+switch is process-wide: while one thread builds, collection is off for every
+thread, and a gc.enable() or gc.disable() another thread makes meanwhile may
+be undone when the build ends.  Results are unaffected; only when memory
+held by reference cycles is freed can move.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 import sys
+from collections import deque
 from collections.abc import Mapping
 from functools import cached_property
+from itertools import chain, repeat
+from operator import truediv
 from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
@@ -46,17 +56,19 @@ PROFILES = (
 class _Record:
     """Base of the immutable value types: ``==``, ``hash`` and ``repr`` over ``_fields``.
 
-    A subclass names its fields in ``_fields`` and its __init__ stores them in
-    ``__dict__``; anything else there (a cache) takes no part in equality.
-    Instances of different classes are never equal.  After construction no
-    attribute can be assigned or deleted.
+    A subclass names its fields in ``_fields``.  Its __init__ stores them in
+    slots, if the subclass declares ``__slots__ = _fields`` (Candidate, of
+    which a set holds one per record), or else in ``__dict__``, where anything
+    besides the fields (a cache) takes no part in equality.  Instances of
+    different classes are never equal.  After construction no attribute can
+    be assigned or deleted.
     """
 
+    __slots__ = ()
     _fields: tuple[str, ...] = ()
 
     def _values(self) -> tuple:
-        d = self.__dict__
-        return tuple(d[name] for name in self._fields)
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -67,8 +79,8 @@ class _Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        d = self.__dict__
-        return f"{type(self).__qualname__}({', '.join(f'{n}={d[n]!r}' for n in self._fields)})"
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -164,7 +176,7 @@ class Candidate(_Record):
     strictly positive (success-to-time ratios divide by the mean time).
     """
 
-    _fields = ("id", "p", "time_samples")
+    _fields = __slots__ = ("id", "p", "time_samples")
 
     def __init__(self, id: str, p: float, time_samples: tuple[float, ...]) -> None:
         id = str(id)
@@ -174,15 +186,29 @@ class Candidate(_Record):
         if problems:
             subject = f"candidate {id!r}"
             raise ValueError("; ".join(str(Violation(subject, f, m)) for f, m in problems))
-        self.__dict__.update(id=id, p=float(p), time_samples=tuple(map(float, samples)))
+        _store_candidate(self, id, float(p), tuple(map(float, samples)))
 
     @classmethod
     def _unchecked(cls, id: str, p: float, time_samples: tuple[float, ...]) -> "Candidate":
         """A candidate from clean values already coerced as above: stored, not checked."""
         c = object.__new__(cls)
-        d = c.__dict__
-        d["id"], d["p"], d["time_samples"] = id, p, time_samples
+        _store_candidate(c, id, p, time_samples)
         return c
+
+    def __reduce__(self):
+        # Slots have no __dict__ for pickle to restore, and it would restore
+        # them through the __setattr__ that refuses; rebuild from the fields.
+        return type(self), self._values()
+
+
+# One setter per slot of Candidate, in _fields order: they store a field past
+# _Record.__setattr__, and map() runs them over a whole column (_accepted).
+_CANDIDATE_SETTERS = tuple(getattr(Candidate, name).__set__ for name in Candidate._fields)
+
+
+def _store_candidate(c: Candidate, *values) -> None:
+    for store, value in zip(_CANDIDATE_SETTERS, values):
+        store(c, value)
 
 
 class CandidateSet(_Record):
@@ -252,12 +278,13 @@ class CandidateSet(_Record):
 
 def _coerce_record(rec, i: int):
     """Extract (id, p, times) from a record without validating values."""
-    if isinstance(rec, Candidate):
-        return rec.id, rec.p, rec.time_samples
-    if isinstance(rec, Mapping):
-        rid = str(rec["id"]) if "id" in rec else f"#{i}"
-        times = rec["times"] if "times" in rec else rec.get("time_samples", ())
-        return rid, rec.get("p"), times
+    if type(rec) is not tuple:  # a plain tuple, such as a drawn instance's, skips the ABC tests
+        if isinstance(rec, Candidate):
+            return rec.id, rec.p, rec.time_samples
+        if type(rec) is dict or isinstance(rec, Mapping):
+            rid = str(rec["id"]) if "id" in rec else f"#{i}"
+            times = rec["times"] if "times" in rec else rec.get("time_samples", ())
+            return rid, rec.get("p"), times
     rid, p, times = rec
     return str(rid), p, times
 
@@ -438,7 +465,7 @@ def _check_records(records: Iterable) -> tuple[CandidateSet | None, list[Violati
                 continue
             yield row
 
-    cset, problems = _checked_rows(rows())
+    cset, problems = _gc_paused(_checked_rows, rows())
     if cset is None and not problems and not malformed:
         problems.append(Violation("set", "candidates", "empty candidate set"))
     return cset, malformed + problems
@@ -456,48 +483,76 @@ def _samples(times):
 
 def _checked_rows(rows: Iterable, label: Callable[[int], str] | None = None
                   ) -> tuple[CandidateSet | None, list[Violation]]:
-    """Check and build ``(id, p, times)`` rows in one pass: ``(set or None, violations)``.
+    """Check and build ``(id, p, times)`` rows: ``(set or None, violations)``.
 
     The one route from records to a CandidateSet, built with its ``ps`` and
     ``ts`` columns (each mean computed once, by mean_time's rule) when there
-    are rows and no violations.  A row whose p is a float in [0, 1], whose
-    times is a non-empty list or tuple of finite positive floats with a
-    finite sum and whose id is new is stored as it stands; any other goes
-    through _value_problems and, if clean, is coerced as Candidate(...)
-    coerces it.  A row may instead be a reader's Violation for a record that
-    is no record.  Violations come in row order, each row's value problems
-    before its duplicate id, under ``label(i)`` (default ``candidate
-    '<id>'``), which is called only for a row with a problem.
+    are rows and no violations.  Whole columns are tried first (_accepted);
+    if they are not plainly clean, each row is checked on its own
+    (_checked_each), which words every problem.
+    """
+    rows = list(rows)
+    cset = _accepted(rows)
+    if cset is not None:
+        return cset, []
+    return _checked_each(rows, label)
+
+
+def _accepted(rows: list) -> CandidateSet | None:
+    """The set of ``rows`` if passes over whole columns find every row clean, else None.
+
+    Each row must be a tuple with a new id, a float p in [0, 1] and a
+    non-empty list or tuple of finite positive floats whose sum is finite;
+    such values are stored as they stand.  Every test runs over a column in
+    C (type sets, min and max, nan scans, fsum), and the candidates' slots
+    are filled column by column.  min and max skip a nan that is not first,
+    hence the nan scans.  None leaves the rows, untouched, to _checked_each.
+    """
+    if not rows or set(map(type, rows)) != {tuple}:  # no rows, or a reader's Violation
+        return None
+    ids, ps, times = zip(*rows)
+    isnan = math.isnan
+    if (set(map(type, ps)) != {float} or any(map(isnan, ps))
+            or not (0.0 <= min(ps) and max(ps) <= 1.0)):
+        return None
+    if not set(map(type, times)) <= {list, tuple} or not all(times):
+        return None
+    samples = list(chain.from_iterable(times))
+    if (set(map(type, samples)) != {float} or any(map(isnan, samples))
+            or not (0.0 < min(samples) and max(samples) < math.inf)):
+        return None
+    if len(set(ids)) != len(ids):
+        return None
+    try:
+        ts = tuple(map(truediv, map(math.fsum, times), map(len, times)))  # mean_time's rule
+    except OverflowError:
+        return None
+    candidates = tuple(map(object.__new__, repeat(Candidate, len(ids))))
+    for store, column in zip(_CANDIDATE_SETTERS, (ids, ps, map(tuple, times))):
+        deque(map(store, candidates, column), 0)
+    return CandidateSet._trusted(candidates, ps, ts)
+
+
+def _checked_each(rows: list, label: Callable[[int], str] | None = None
+                  ) -> tuple[CandidateSet | None, list[Violation]]:
+    """_checked_rows one row at a time, through _value_problems.
+
+    A clean row is coerced as Candidate(...) coerces it.  A row may instead
+    be a reader's Violation for a record that is no record.  Violations come
+    in row order, each row's value problems before its duplicate id, under
+    ``label(i)`` (default ``candidate '<id>'``), which is called only for a
+    row with a problem.
     """
     candidates: list[Candidate] = []
     ps: list[float] = []
     ts: list[float] = []
     out: list[Violation] = []
     seen: set[str] = set()
-    fsum, inf = math.fsum, math.inf
     for i, row in enumerate(rows):
         if type(row) is Violation:
             out.append(row)
             continue
         rid, p, times = row
-        # A plain for/else, not all(...), and mean_time's rule written out:
-        # a call per row costs more than the checks.
-        if (type(p) is float and 0.0 <= p <= 1.0
-                and (type(times) is list or type(times) is tuple) and times and rid not in seen):
-            for t in times:
-                if not (type(t) is float and 0.0 < t < inf):
-                    break
-            else:
-                try:
-                    mean = fsum(times) / len(times)
-                except OverflowError:  # left for _value_problems to word
-                    pass
-                else:
-                    seen.add(rid)
-                    candidates.append(Candidate._unchecked(rid, p, tuple(times)))
-                    ps.append(p)
-                    ts.append(mean)
-                    continue
         times = _samples(times)
         problems = _value_problems(p, times)
         if rid in seen:
@@ -514,3 +569,22 @@ def _checked_rows(rows: Iterable, label: Callable[[int], str] | None = None
     if out or not candidates:
         return None, out
     return CandidateSet._trusted(tuple(candidates), tuple(ps), tuple(ts)), out
+
+
+def _gc_paused(build: Callable, *args):
+    """``build(*args)`` with the cyclic garbage collector off; its previous state is restored.
+
+    Reading and building a set allocates a few container objects per record
+    (json's dicts and lists, the rows, the candidates).  With the collector
+    on, every 700 of them start a pass over the young objects and every
+    tenth pass one over older ones, though none of them is garbage yet.
+    Reference counting still frees everything outside a cycle meanwhile.
+    stdlib timeit pauses the collector in the same way.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return build(*args)
+    finally:
+        if enabled:
+            gc.enable()

@@ -10,6 +10,7 @@ from trialorder import (
     AssumptionError,
     BoundAssumptions,
     Ordering,
+    SingularityError,
     Violation,
     adjacent_excess_bounds,
     adjacent_swap_excess,
@@ -90,6 +91,10 @@ class TestWeightedGeometricSum:
 
     def test_empty_sum(self):
         assert weighted_geometric_sum(0.7, 0) == 0.0
+
+    def test_rejects_negative_count(self):
+        with pytest.raises(ValueError, match=r"^n must be >= 0, got -1$"):
+            weighted_geometric_sum(0.5, -1)
 
     @given(st.floats(-2.0, 2.0, allow_nan=False), st.integers(1, 50))
     @settings(max_examples=400)
@@ -285,6 +290,22 @@ class TestEqualTimeBounds:
             swap_excess_upper_equal_t(cs, Ordering.identity(2), 1, 1, EQ_A)
         with pytest.raises(AssumptionError, match="not all equal"):
             swap_excess_lower_equal_t(cs, Ordering.identity(2), 1, 1, EQ_A)
+
+
+class TestCertainSuccessAtK:
+    """p = 1 at position k: these three bounds divide by 1 - p_k and refuse, with one message."""
+
+    @pytest.mark.parametrize("bound, profile", [
+        (swap_excess_lower_general, "general-lower"),
+        (swap_excess_upper_equal_t, "equal-t-upper"),
+        (swap_excess_lower_equal_t, "equal-t-lower"),
+    ], ids=["general-lower", "equal-t-upper", "equal-t-lower"])
+    def test_refused_as_singular(self, bound, profile):
+        cset = make_set([1.0, 0.5, 0.25])  # equal times, so only p_k refuses
+        a = BoundAssumptions(0.25, 0.5, 1.0, 1.0, profile=profile)
+        with pytest.raises(SingularityError,
+                           match=r"^p=1 at position k makes the bound singular$"):
+            bound(cset, IDENT3, 1, 1, a)
 
 
 class TestCheckAssumptions:

@@ -408,6 +408,16 @@ class TestSwapGate:
         assert (code, out) == (1, "")
         assert err == "trialorder: error: p=1 at a swap endpoint makes the bound singular\n"
 
+    @pytest.mark.parametrize("profile", ["general-lower", "equal-t-upper", "equal-t-lower"])
+    def test_other_bounds_certain_candidate_at_k(self, capsys, tmp_path, profile):
+        path = tmp_path / "certain-equal-t.json"
+        path.write_text('{"candidates": [{"id": "a", "p": 1.0, "times": [1]},'
+                        ' {"id": "b", "p": 0.5, "times": [1]},'
+                        ' {"id": "c", "p": 0.4, "times": [1]}]}')
+        assert run(capsys, ["bounds", "-i", str(path), "--k", "1", "--n", "2", "--c", "0.3",
+                            "--d", "0.9", "--profile", profile]) == (
+            1, "", "trialorder: error: p=1 at position k makes the bound singular\n")
+
     def test_positions_checked_before_equal_times(self, capsys, tmp_path):
         uneq = tmp_path / "uneq.json"
         uneq.write_text('{"candidates": [{"id": "a", "p": 0.5, "times": [1]},'
@@ -784,6 +794,16 @@ class TestJsonEmission:
     def test_refused_examples(self, report):
         got, want = self._both(report)
         assert isinstance(want, type) and got is want
+
+    def test_refused_key_beside_a_container(self):
+        # A dict that holds a container is walked in Python, so its keys meet
+        # _json_key's refusal rather than the C encoder's.
+        report = {"results": {(1, 2): [3]}}
+        message = "keys must be str, int, float, bool or None, not tuple"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            cli.emit(report, "json")
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            json.dumps(report, sort_keys=True, indent=2)
 
     def test_circular_reference(self):
         report = {"results": {"rows": []}}

@@ -1,3 +1,4 @@
+import gc
 import math
 import re
 from unittest.mock import patch
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import candidate_sets, make_set
-from trialorder import model
+from trialorder import cli, model
 from trialorder import (
     Candidate,
     CandidateSet,
@@ -203,6 +204,139 @@ class TestOneRecordRule:
             assert not full_check.called
             model._checked_rows([("a", 1, [1.0])])
             assert full_check.called
+
+
+# Rows for the two routes of _checked_rows: values the bulk pass must refuse
+# (nan first or between clean ones, p out of [0, 1], True, numpy and str
+# look-alikes, times that are empty, non-finite, non-positive, an ndarray or
+# overflow in sum) and values it must store as they stand (-0.0, 0, 1,
+# 5e-324).  Ids from a small pool repeat now and then.
+_ROW_P = [math.nan, -0.0, 0.0, 1.0, 1.0000000000000002, -0.5, True, np.float64(0.5), "0.5"]
+_ROW_T = [math.inf, math.nan, 0.0, -1.0, 5e-324, 1e308]
+_row_ids = st.sampled_from("abcdefghijkl")
+_clean_p = st.one_of(st.floats(0.0, 1.0), st.sampled_from([-0.0, 0.0, 1.0, 5e-324]))
+_clean_samples = st.lists(st.one_of(st.floats(0.125, 8.0), st.just(5e-324)),
+                          min_size=1, max_size=3)
+_any_samples = st.one_of(
+    _clean_samples,
+    st.lists(st.one_of(st.floats(0.125, 8.0), st.sampled_from(_ROW_T)), max_size=3),
+    st.just([1e308, 1e308]),  # each sample finite, their fsum overflows
+)
+_any_times = _any_samples.flatmap(
+    lambda ts: st.sampled_from([ts, tuple(ts), np.array(ts, dtype=float)]))
+_clean_rows = st.lists(
+    st.tuples(_row_ids, _clean_p, st.one_of(_clean_samples, _clean_samples.map(tuple))),
+    max_size=4)
+_any_row = st.one_of(
+    st.tuples(_row_ids, st.one_of(_clean_p, st.sampled_from(_ROW_P)), _any_times),
+    st.builds(model.Violation, st.just("candidates[9]"), st.just("record"),
+              st.just("not an object")))
+# All clean; one odd row first, last or between clean ones; or anything.
+_rows = st.one_of(
+    _clean_rows,
+    st.tuples(_clean_rows, _any_row, _clean_rows).map(lambda t: [*t[0], t[1], *t[2]]),
+    st.lists(_any_row, max_size=6),
+)
+_CLEAN_ROWS = [("a", 0.5, [1.0, 2.0]), ("b", -0.0, (3.0,)), ("c", 1.0, [5e-324]),
+               ("d", 0.0, (1.7976931348623157e308,))]
+
+
+def _same_result(got, want) -> None:
+    """Equal sets, bit for bit and as Python floats (sign of zero included), or equal violations."""
+    (got_set, got_problems), (want_set, want_problems) = got, want
+    assert got_problems == want_problems
+    if want_set is None:
+        assert got_set is None
+        return
+    assert got_set == want_set
+    assert [_bits(c) for c in got_set] == [_bits(c) for c in want_set]
+    columns = (*got_set.ps, *got_set.ts)
+    assert all(type(x) is float for x in columns)
+    assert [x.hex() for x in columns] == [x.hex() for x in (*want_set.ps, *want_set.ts)]
+
+
+class TestBulkAcceptance:
+    """_checked_rows' bulk pass (_accepted) builds what the per-row route (_checked_each) builds."""
+
+    @given(_rows, st.sampled_from([None, "candidates[{}]".format]))
+    @settings(max_examples=200, deadline=None)
+    @example([], None)
+    @example(_CLEAN_ROWS, None)
+    @example([("a", math.nan, [1.0]), ("b", 0.5, [1.0])], None)
+    @example([("a", 0.5, [1.0]), ("b", math.nan, [1.0]), ("c", 0.25, [2.0])], None)
+    @example([("a", 0.5, [1.0]), ("b", 0.5, [2.0, math.nan, 3.0])], None)
+    @example([("a", 0.5, [1.0]), ("b", 0.5, [1e308, 1e308])], "candidates[{}]".format)
+    @example([("a", 0.5, [1.0]), ("b", 1.0000000000000002, [1.0]), ("c", 0.5, [1.0])], None)
+    @example([("a", 0.5, [1.0]), ("b", -0.5, [1.0])], None)
+    @example([("a", 0.5, [1.0]), ("b", 0.5, []), ("c", 0.5, [1.0])], None)
+    @example([("a", 0.5, [1.0]), ("b", 0.5, (2.0, 0.0))], None)
+    @example([("a", 0.5, [1.0]), ("b", 0.5, [math.inf])], None)
+    @example([("a", 0.5, [1.0]), ("b", 0.5, np.array([1.0]))], None)
+    @example([("a", 0.5, [1.0]), ("a", 0.5, [1.0])], None)
+    @example([("a", 0.5, [1.0]), model.Violation("candidates[1]", "record", "not an object")],
+             "candidates[{}]".format)
+    @example([("a", 0.5, np.array([1.0])), ("b", np.float64(0.5), (1.0,))], None)
+    @example([("a", np.float64(0.5), [1.0]), ("b", True, (1.0,))], None)
+    @example([("a", 0.5, [1.0, 2]), ("b", 0.5, (True,))], None)
+    def test_both_routes_give_the_same_result(self, rows, label):
+        want = model._checked_each(list(rows), label)
+        _same_result(model._checked_rows(iter(rows), label), want)
+        bulk = model._accepted(list(rows))
+        if bulk is not None:  # the bulk pass admits only rows the full check finds clean
+            _same_result((bulk, []), want)
+
+    def test_plain_float_columns_are_accepted_in_bulk(self):
+        cset = model._accepted(list(_CLEAN_ROWS))
+        assert cset is not None
+        _same_result((cset, []), model._checked_each(list(_CLEAN_ROWS)))
+        assert math.copysign(1.0, cset[1].p) == -1.0
+        assert cset[1].time_samples is _CLEAN_ROWS[1][2]  # a tuple is stored as it stands
+
+
+# Each test runs once with the collector on and once with it off.
+_GC_STATES = pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+
+
+class TestGcPause:
+    """Building a set pauses the cyclic collector and leaves it as it found it."""
+
+    @pytest.fixture(autouse=True)
+    def _restore(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @_GC_STATES
+    def test_pause_restores_the_state(self, enabled):
+        (gc.enable if enabled else gc.disable)()
+        assert model._gc_paused(gc.isenabled) is False
+        assert gc.isenabled() is enabled
+        with pytest.raises(KeyError):
+            model._gc_paused({}.__getitem__, "x")
+        assert gc.isenabled() is enabled
+
+    @_GC_STATES
+    def test_ingest_and_from_records_restore_the_state(self, enabled, tmp_path):
+        files = {"clean.json": '{"candidates": [{"id": "a", "p": 0.5, "times": [1]}]}',
+                 "refused.json": '{"candidates": [{"id": "a", "p": 2, "times": [1]}]}',
+                 "broken.json": '{"candidates": [',
+                 "refused.csv": "id,p,t1\na,0.5,-1\n"}
+        (gc.enable if enabled else gc.disable)()
+        for name, text in files.items():
+            path = tmp_path / name
+            path.write_text(text)
+            try:
+                cli.ingest(str(path), name.rsplit(".", 1)[1])
+            except cli.CliInputError:
+                assert name != "clean.json"
+            assert gc.isenabled() is enabled, name
+        for records in ([("a", 0.5, [1.0])], [("a", 2.0, [1.0])], [42]):
+            try:
+                CandidateSet.from_records(records)
+            except ValueError:
+                pass
+            validate(records)
+            assert gc.isenabled() is enabled
 
 
 class TestOrdering:

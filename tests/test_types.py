@@ -6,6 +6,7 @@ keyword, equal and hashed by its fields, printed as ``Type(field=value, ...)``.
 
 from __future__ import annotations
 
+import copy
 import math
 import pickle
 
@@ -137,6 +138,26 @@ def test_fields_can_be_neither_assigned_nor_deleted(cls, fields, text, other):
 def test_pickle_round_trip_keeps_the_value(cls, fields, text, other):
     a = cls(*fields.values())
     assert pickle.loads(pickle.dumps(a)) == a
+
+
+def test_pickle_and_copy_keep_a_sets_columns():
+    from trialorder.schedule import expected_time, solomonoff_order
+
+    s = CandidateSet((A, B, Candidate("c", -0.0, (0.5, 0.25))))
+    order = solomonoff_order(s)
+    for other in (pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s)):
+        assert other == s
+        assert [x.hex() for x in (*other.ps, *other.ts)] == [x.hex() for x in (*s.ps, *s.ts)]
+        assert expected_time(other, order) == expected_time(s, order)
+
+
+def test_a_candidate_keeps_its_fields_in_slots():
+    c = Candidate("a", 0.5, (1.0, 2.0))
+    assert not hasattr(c, "__dict__")
+    for other in (pickle.loads(pickle.dumps(c)), copy.copy(c), copy.deepcopy(c)):
+        assert other == c and not hasattr(other, "__dict__")
+    # Only the candidate is slotted: the other records keep __dict__ for their caches.
+    assert hasattr(CandidateSet((A,)), "__dict__") and hasattr(Ordering((0,)), "__dict__")
 
 
 def test_defaults():
