@@ -25,8 +25,7 @@ import sys
 from collections import deque
 from collections.abc import Mapping
 from functools import cached_property
-from itertools import chain, repeat
-from operator import truediv
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
@@ -57,8 +56,8 @@ class _Record:
     """Base of the immutable value types: ``==``, ``hash`` and ``repr`` over ``_fields``.
 
     A subclass names its fields in ``_fields``.  Its __init__ stores them in
-    slots, if the subclass declares ``__slots__ = _fields`` (Candidate, of
-    which a set holds one per record), or else in ``__dict__``, where anything
+    slots, if the subclass declares them in ``__slots__`` (Candidate, of which
+    a set holds one per record), or else in ``__dict__``, where anything
     besides the fields (a cache) takes no part in equality.  Instances of
     different classes are never equal.  After construction no attribute can
     be assigned or deleted.
@@ -176,7 +175,8 @@ class Candidate(_Record):
     strictly positive (success-to-time ratios divide by the mean time).
     """
 
-    _fields = __slots__ = ("id", "p", "time_samples")
+    _fields = ("id", "p", "time_samples")
+    __slots__ = (*_fields, "__weakref__")  # weak references work as with a __dict__
 
     def __init__(self, id: str, p: float, time_samples: tuple[float, ...]) -> None:
         id = str(id)
@@ -186,14 +186,8 @@ class Candidate(_Record):
         if problems:
             subject = f"candidate {id!r}"
             raise ValueError("; ".join(str(Violation(subject, f, m)) for f, m in problems))
-        _store_candidate(self, id, float(p), tuple(map(float, samples)))
-
-    @classmethod
-    def _unchecked(cls, id: str, p: float, time_samples: tuple[float, ...]) -> "Candidate":
-        """A candidate from clean values already coerced as above: stored, not checked."""
-        c = object.__new__(cls)
-        _store_candidate(c, id, p, time_samples)
-        return c
+        for store, value in zip(_CANDIDATE_SETTERS, (id, float(p), tuple(map(float, samples)))):
+            store(self, value)
 
     def __reduce__(self):
         # Slots have no __dict__ for pickle to restore, and it would restore
@@ -202,13 +196,8 @@ class Candidate(_Record):
 
 
 # One setter per slot of Candidate, in _fields order: they store a field past
-# _Record.__setattr__, and map() runs them over a whole column (_accepted).
+# _Record.__setattr__, and map() runs them over a whole column (_set_of).
 _CANDIDATE_SETTERS = tuple(getattr(Candidate, name).__set__ for name in Candidate._fields)
-
-
-def _store_candidate(c: Candidate, *values) -> None:
-    for store, value in zip(_CANDIDATE_SETTERS, values):
-        store(c, value)
 
 
 class CandidateSet(_Record):
@@ -483,76 +472,52 @@ def _samples(times):
 
 def _checked_rows(rows: Iterable, label: Callable[[int], str] | None = None
                   ) -> tuple[CandidateSet | None, list[Violation]]:
-    """Check and build ``(id, p, times)`` rows: ``(set or None, violations)``.
+    """Check and build ``(id, p, times)`` rows in one pass: ``(set or None, violations)``.
 
     The one route from records to a CandidateSet, built with its ``ps`` and
     ``ts`` columns (each mean computed once, by mean_time's rule) when there
-    are rows and no violations.  Whole columns are tried first (_accepted);
-    if they are not plainly clean, each row is checked on its own
-    (_checked_each), which words every problem.
+    are rows and no violations.  A row whose p is a float in [0, 1], whose
+    times is a non-empty list or tuple of finite positive floats with a
+    finite sum and whose id is new is stored as it stands; any other goes
+    through _value_problems and, if clean, is coerced as Candidate(...)
+    coerces it, so a file pays the full check only for its odd rows.  A row
+    may instead be a reader's Violation for a record that is no record.
+    Violations come in row order, each row's value problems before its
+    duplicate id, under ``label(i)`` (default ``candidate '<id>'``), which is
+    called only for a row with a problem.  The candidates are built once
+    every row is read, column by column (_set_of).
     """
-    rows = list(rows)
-    cset = _accepted(rows)
-    if cset is not None:
-        return cset, []
-    return _checked_each(rows, label)
-
-
-def _accepted(rows: list) -> CandidateSet | None:
-    """The set of ``rows`` if passes over whole columns find every row clean, else None.
-
-    Each row must be a tuple with a new id, a float p in [0, 1] and a
-    non-empty list or tuple of finite positive floats whose sum is finite;
-    such values are stored as they stand.  Every test runs over a column in
-    C (type sets, min and max, nan scans, fsum), and the candidates' slots
-    are filled column by column.  min and max skip a nan that is not first,
-    hence the nan scans.  None leaves the rows, untouched, to _checked_each.
-    """
-    if not rows or set(map(type, rows)) != {tuple}:  # no rows, or a reader's Violation
-        return None
-    ids, ps, times = zip(*rows)
-    isnan = math.isnan
-    if (set(map(type, ps)) != {float} or any(map(isnan, ps))
-            or not (0.0 <= min(ps) and max(ps) <= 1.0)):
-        return None
-    if not set(map(type, times)) <= {list, tuple} or not all(times):
-        return None
-    samples = list(chain.from_iterable(times))
-    if (set(map(type, samples)) != {float} or any(map(isnan, samples))
-            or not (0.0 < min(samples) and max(samples) < math.inf)):
-        return None
-    if len(set(ids)) != len(ids):
-        return None
-    try:
-        ts = tuple(map(truediv, map(math.fsum, times), map(len, times)))  # mean_time's rule
-    except OverflowError:
-        return None
-    candidates = tuple(map(object.__new__, repeat(Candidate, len(ids))))
-    for store, column in zip(_CANDIDATE_SETTERS, (ids, ps, map(tuple, times))):
-        deque(map(store, candidates, column), 0)
-    return CandidateSet._trusted(candidates, ps, ts)
-
-
-def _checked_each(rows: list, label: Callable[[int], str] | None = None
-                  ) -> tuple[CandidateSet | None, list[Violation]]:
-    """_checked_rows one row at a time, through _value_problems.
-
-    A clean row is coerced as Candidate(...) coerces it.  A row may instead
-    be a reader's Violation for a record that is no record.  Violations come
-    in row order, each row's value problems before its duplicate id, under
-    ``label(i)`` (default ``candidate '<id>'``), which is called only for a
-    row with a problem.
-    """
-    candidates: list[Candidate] = []
+    ids: list[str] = []
     ps: list[float] = []
+    samples: list[list[float] | tuple[float, ...]] = []
     ts: list[float] = []
     out: list[Violation] = []
     seen: set[str] = set()
+    fsum, inf = math.fsum, math.inf
     for i, row in enumerate(rows):
         if type(row) is Violation:
             out.append(row)
             continue
         rid, p, times = row
+        # A plain for/else, not all(...), and mean_time's rule written out:
+        # a call per row costs more than the checks.
+        if (type(p) is float and 0.0 <= p <= 1.0
+                and (type(times) is list or type(times) is tuple) and times and rid not in seen):
+            for t in times:
+                if not (type(t) is float and 0.0 < t < inf):
+                    break
+            else:
+                try:
+                    mean = fsum(times) / len(times)
+                except OverflowError:  # left for _value_problems to word
+                    pass
+                else:
+                    seen.add(rid)
+                    ids.append(rid)
+                    ps.append(p)
+                    samples.append(times)
+                    ts.append(mean)
+                    continue
         times = _samples(times)
         problems = _value_problems(p, times)
         if rid in seen:
@@ -561,14 +526,29 @@ def _checked_each(rows: list, label: Callable[[int], str] | None = None
             subject = label(i) if label is not None else f"candidate {rid!r}"
             out.extend(Violation(subject, f, message) for f, message in problems)
         else:
-            c = Candidate._unchecked(rid, float(p), tuple(map(float, times)))
-            candidates.append(c)
-            ps.append(c.p)
-            ts.append(mean_time(c))
+            times = tuple(map(float, times))
+            ids.append(rid)
+            ps.append(float(p))
+            samples.append(times)
+            ts.append(fsum(times) / len(times))  # mean_time's rule
         seen.add(rid)
-    if out or not candidates:
+    if out or not ids:
         return None, out
-    return CandidateSet._trusted(tuple(candidates), tuple(ps), tuple(ts)), out
+    return _set_of(ids, ps, samples, ts), out
+
+
+def _set_of(ids: Sequence[str], ps: Sequence[float], samples: Iterable, ts: Sequence[float]
+            ) -> CandidateSet:
+    """The set of candidates with these columns, clean and coerced as Candidate(...) coerces.
+
+    Stored, not checked: each candidate's times (a list or tuple) as a tuple,
+    ``ps`` and ``ts`` (the means) as the set's columns.  The candidates'
+    slots are filled column by column.
+    """
+    candidates = tuple(map(object.__new__, repeat(Candidate, len(ids))))
+    for store, column in zip(_CANDIDATE_SETTERS, (ids, ps, map(tuple, samples))):
+        deque(map(store, candidates, column), 0)
+    return CandidateSet._trusted(candidates, tuple(ps), tuple(ts))
 
 
 def _gc_paused(build: Callable, *args):

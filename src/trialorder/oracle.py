@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .model import CandidateSet, Ordering, _agrees, _check_compatible, _checked_rows, _Record
+from .model import CandidateSet, Ordering, _agrees, _check_compatible, _Record
 from .schedule import expected_time, solomonoff_order
 
 __all__ = [
@@ -287,11 +287,8 @@ class _Tally:
 
 
 def _build_set(ps, tss) -> CandidateSet:
-    # Drawn values are in range by construction, so the record route accepts
-    # the rows whole; from_records' reading of arbitrary records is not needed.
-    rows = [(f"c{i}", float(p), [float(t) for t in ts])
-            for i, (p, ts) in enumerate(zip(ps, tss), 1)]
-    return _checked_rows(rows)[0]
+    return CandidateSet.from_records(
+        (f"c{i}", float(p), [float(t) for t in ts]) for i, (p, ts) in enumerate(zip(ps, tss), 1))
 
 
 def _draw_times(rng, n):

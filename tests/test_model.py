@@ -206,13 +206,14 @@ class TestOneRecordRule:
             assert full_check.called
 
 
-# Rows for the two routes of _checked_rows: values the bulk pass must refuse
-# (nan first or between clean ones, p out of [0, 1], True, numpy and str
-# look-alikes, times that are empty, non-finite, non-positive, an ndarray or
-# overflow in sum) and values it must store as they stand (-0.0, 0, 1,
-# 5e-324).  Ids from a small pool repeat now and then.
-_ROW_P = [math.nan, -0.0, 0.0, 1.0, 1.0000000000000002, -0.5, True, np.float64(0.5), "0.5"]
-_ROW_T = [math.inf, math.nan, 0.0, -1.0, 5e-324, 1e308]
+# Rows of every kind _checked_rows meets: plain floats it stores as they
+# stand (-0.0, 0, 1 and 5e-324 among them) and odd values, which the full
+# check coerces or refuses: nan first or between clean ones, p out of
+# [0, 1], True, integers, numpy and str look-alikes, times that are empty,
+# non-finite, non-positive, an ndarray or overflow in sum.  Ids from a small
+# pool repeat now and then.
+_ROW_P = [math.nan, -0.0, 0.0, 1.0, 1.0000000000000002, -0.5, True, 1, np.float64(0.5), "0.5"]
+_ROW_T = [math.inf, math.nan, 0.0, -1.0, 5e-324, 1e308, 3]
 _row_ids = st.sampled_from("abcdefghijkl")
 _clean_p = st.one_of(st.floats(0.0, 1.0), st.sampled_from([-0.0, 0.0, 1.0, 5e-324]))
 _clean_samples = st.lists(st.one_of(st.floats(0.125, 8.0), st.just(5e-324)),
@@ -241,56 +242,57 @@ _CLEAN_ROWS = [("a", 0.5, [1.0, 2.0]), ("b", -0.0, (3.0,)), ("c", 1.0, [5e-324])
                ("d", 0.0, (1.7976931348623157e308,))]
 
 
-def _same_result(got, want) -> None:
-    """Equal sets, bit for bit and as Python floats (sign of zero included), or equal violations."""
-    (got_set, got_problems), (want_set, want_problems) = got, want
-    assert got_problems == want_problems
-    if want_set is None:
-        assert got_set is None
-        return
-    assert got_set == want_set
-    assert [_bits(c) for c in got_set] == [_bits(c) for c in want_set]
-    columns = (*got_set.ps, *got_set.ts)
-    assert all(type(x) is float for x in columns)
-    assert [x.hex() for x in columns] == [x.hex() for x in (*want_set.ps, *want_set.ts)]
+def _constructed(rows) -> CandidateSet | None:
+    """The set Candidate(...) and CandidateSet(...) build from ``rows``, or None if either refuses."""
+    if any(type(row) is model.Violation for row in rows):
+        return None
+    try:
+        return CandidateSet(tuple(Candidate(*row) for row in rows))
+    except ValueError:
+        return None
 
 
-class TestBulkAcceptance:
-    """_checked_rows' bulk pass (_accepted) builds what the per-row route (_checked_each) builds."""
+class TestSetsOfRows:
+    """_checked_rows builds a set from many rows exactly when the constructors do, to the bit."""
 
-    @given(_rows, st.sampled_from([None, "candidates[{}]".format]))
+    @given(_rows)
     @settings(max_examples=200, deadline=None)
-    @example([], None)
-    @example(_CLEAN_ROWS, None)
-    @example([("a", math.nan, [1.0]), ("b", 0.5, [1.0])], None)
-    @example([("a", 0.5, [1.0]), ("b", math.nan, [1.0]), ("c", 0.25, [2.0])], None)
-    @example([("a", 0.5, [1.0]), ("b", 0.5, [2.0, math.nan, 3.0])], None)
-    @example([("a", 0.5, [1.0]), ("b", 0.5, [1e308, 1e308])], "candidates[{}]".format)
-    @example([("a", 0.5, [1.0]), ("b", 1.0000000000000002, [1.0]), ("c", 0.5, [1.0])], None)
-    @example([("a", 0.5, [1.0]), ("b", -0.5, [1.0])], None)
-    @example([("a", 0.5, [1.0]), ("b", 0.5, []), ("c", 0.5, [1.0])], None)
-    @example([("a", 0.5, [1.0]), ("b", 0.5, (2.0, 0.0))], None)
-    @example([("a", 0.5, [1.0]), ("b", 0.5, [math.inf])], None)
-    @example([("a", 0.5, [1.0]), ("b", 0.5, np.array([1.0]))], None)
-    @example([("a", 0.5, [1.0]), ("a", 0.5, [1.0])], None)
-    @example([("a", 0.5, [1.0]), model.Violation("candidates[1]", "record", "not an object")],
-             "candidates[{}]".format)
-    @example([("a", 0.5, np.array([1.0])), ("b", np.float64(0.5), (1.0,))], None)
-    @example([("a", np.float64(0.5), [1.0]), ("b", True, (1.0,))], None)
-    @example([("a", 0.5, [1.0, 2]), ("b", 0.5, (True,))], None)
-    def test_both_routes_give_the_same_result(self, rows, label):
-        want = model._checked_each(list(rows), label)
-        _same_result(model._checked_rows(iter(rows), label), want)
-        bulk = model._accepted(list(rows))
-        if bulk is not None:  # the bulk pass admits only rows the full check finds clean
-            _same_result((bulk, []), want)
+    @example([])
+    @example(_CLEAN_ROWS)
+    @example([("a", math.nan, [1.0]), ("b", 0.5, [1.0])])
+    @example([("a", 0.5, [1.0]), ("b", math.nan, [1.0]), ("c", 0.25, [2.0])])
+    @example([("a", 0.5, [1.0]), ("b", 0.5, [2.0, math.nan, 3.0])])
+    @example([("a", 0.5, [1.0]), ("b", 0.5, [1e308, 1e308])])
+    @example([("a", 0.5, [1.0]), ("b", 1.0000000000000002, [1.0]), ("c", 0.5, [1.0])])
+    @example([("a", 0.5, [1.0]), ("b", 0.5, []), ("c", 0.5, [1.0])])
+    @example([("a", 0.5, [1.0]), ("b", 0.5, (2.0, 0.0))])
+    @example([("a", 0.5, [1.0]), ("b", 0.5, np.array([1.0]))])
+    @example([("a", 0.5, [1.0]), ("a", 0.5, [1.0])])
+    @example([("a", 0.5, [1.0]), model.Violation("candidates[1]", "record", "not an object")])
+    @example([("a", 0.5, np.array([1.0])), ("b", np.float64(0.5), (1.0,)), ("c", 1, [3])])
+    @example([("a", np.float64(0.5), [1.0]), ("b", True, (1.0,))])
+    @example([("a", 0.5, [1.0, 2]), ("b", 0.5, (True,))])
+    def test_rows_build_what_the_constructors_build(self, rows):
+        cset, problems = model._checked_rows(iter(rows))
+        want = _constructed(rows)
+        if want is None:
+            assert cset is None and (problems or not rows)
+            return
+        assert problems == [] and cset == want
+        assert [_bits(c) for c in cset] == [_bits(c) for c in want]
+        columns = (*cset.ps, *cset.ts)
+        assert all(type(x) is float for x in columns)
+        assert [x.hex() for x in columns] == [x.hex() for x in (
+            *(c.p for c in want), *(mean_time(c) for c in want))]
 
-    def test_plain_float_columns_are_accepted_in_bulk(self):
-        cset = model._accepted(list(_CLEAN_ROWS))
-        assert cset is not None
-        _same_result((cset, []), model._checked_each(list(_CLEAN_ROWS)))
-        assert math.copysign(1.0, cset[1].p) == -1.0
-        assert cset[1].time_samples is _CLEAN_ROWS[1][2]  # a tuple is stored as it stands
+    def test_only_the_odd_rows_get_the_full_check(self):
+        # An integer p, as JSON writes a whole number, among plain float rows.
+        rows = [(f"c{i}", i / 64, [1.0 + i]) for i in range(40)]
+        rows[20] = ("odd", 1, [2.0])
+        with patch.object(model, "_value_problems", wraps=model._value_problems) as full_check:
+            cset, problems = model._checked_rows(rows)
+        assert full_check.call_count == 1 and problems == []
+        assert cset == _constructed(rows) and type(cset[20].p) is float
 
 
 # Each test runs once with the collector on and once with it off.

@@ -9,6 +9,7 @@ from __future__ import annotations
 import copy
 import math
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -154,6 +155,7 @@ def test_pickle_and_copy_keep_a_sets_columns():
 def test_a_candidate_keeps_its_fields_in_slots():
     c = Candidate("a", 0.5, (1.0, 2.0))
     assert not hasattr(c, "__dict__")
+    assert weakref.ref(c)() is c
     for other in (pickle.loads(pickle.dumps(c)), copy.copy(c), copy.deepcopy(c)):
         assert other == c and not hasattr(other, "__dict__")
     # Only the candidate is slotted: the other records keep __dict__ for their caches.
