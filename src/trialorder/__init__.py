@@ -10,7 +10,7 @@ cross-validated against exact-search and Monte Carlo oracles.
 
 __version__ = "0.1.0"
 
-# Every public name, by the submodule that defines it.  A name is imported on
+# Every public name, by the submodule that exports it.  A name is imported on
 # first use, so `import trialorder` loads no submodule and a command loads only
 # what it runs; the oracles, which need numpy, stay unloaded until called.
 _EXPORTS = {

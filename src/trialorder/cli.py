@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from . import model, schedule  # csv, hashlib, excess, bounds, oracle: loaded where used
+from . import model, schedule  # csv, hashlib, excess, bounds, search, oracle: loaded where used
 from .errors import AssumptionError
 from .model import CandidateSet, Ordering
 
@@ -420,9 +420,9 @@ def _cmd_bounds(args, cset: CandidateSet):
 
 
 def _cmd_verify_optimal(args, cset: CandidateSet):
-    from . import oracle
+    from . import search
 
-    bf = oracle.brute_force_best_order(cset)
+    bf = search.brute_force_best_order(cset)
     rule_order = schedule.solomonoff_order(cset)
     rule_value = schedule.expected_time(cset, rule_order)
     agree = model._agrees(rule_value, bf.best_expected_time)

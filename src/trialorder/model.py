@@ -123,15 +123,27 @@ def _is_bool(v) -> bool:
     return isinstance(v, bool) or getattr(getattr(v, "dtype", None), "kind", None) == "b"
 
 
+def _number(v) -> float | None:
+    """``float(v)``, or None where v is no number.
+
+    A boolean passes float() as 0.0 or 1.0, yet it is not a number here.  An
+    integer past the float range (a 400-digit JSON number, say) reads as the
+    infinity it overflows to, as the JSON literal 1e400 does.
+    """
+    try:
+        value = float(v)
+    except (TypeError, ValueError):
+        return None
+    except OverflowError:
+        return -math.inf if v < 0 else math.inf
+    return None if type(v) is not float and _is_bool(v) else value
+
+
 def _value_problems(p, times) -> list[tuple[str, str]]:
     """Every ``(field, message)`` wrong with one record's p and times."""
-    # A boolean passes float() as 0.0 or 1.0, yet it is not a number here.
     out: list[tuple[str, str]] = []
-    try:
-        value = float(p)
-    except (TypeError, ValueError):
-        value = None
-    if value is None or (type(p) is not float and _is_bool(p)):
+    value = _number(p)
+    if value is None:
         out.append(("p", f"not a number: {p!r}"))
     elif not (0.0 <= value <= 1.0):
         out.append(("p", f"probability {value!r} out of [0, 1]"))
@@ -147,11 +159,8 @@ def _value_problems(p, times) -> list[tuple[str, str]]:
         out.append(("times", "no execution time samples"))
     values = []
     for t in times:
-        try:
-            value = float(t)
-        except (TypeError, ValueError):
-            value = None
-        if value is None or (type(t) is not float and _is_bool(t)):
+        value = _number(t)
+        if value is None:
             out.append(("times", f"not a number: {t!r}"))
         elif not math.isfinite(value):
             out.append(("times", f"non-finite time sample {value!r}"))

@@ -1,10 +1,12 @@
-"""Independent ground truth: exact optimum search, Monte Carlo, randomized checks.
+"""Independent ground truth: Monte Carlo, randomized checks, and the exact search.
 
-brute_force_best_order scores its order through its own numpy evaluator
-(_eq2_for_perms), not schedule.expected_time, so the rule and the scalar
-evaluator are checked against an independent implementation.
+The exact optimum search lives in the numpy-free module search, so that
+`verify-optimal` runs without numpy; its three names are re-exported here.
 verify_bounds_random holds each closed form against exact_excess_direct,
-which does call schedule.expected_time.
+which calls schedule.expected_time, and the rule against that search.
+numpy is imported at module level: simulate and verify_bounds_random draw
+with it, and once it is loaded, walks of model._ARRAY_MIN_N or more
+positions take the array path (model._numpy_for).
 
 Determinism contract: results are a pure function of their arguments.  The
 simulator partitions trials into chunks sized by N alone, each driven by its
@@ -20,6 +22,7 @@ import numpy as np
 
 from .model import CandidateSet, Ordering, _agrees, _check_compatible, _Record
 from .schedule import expected_time, solomonoff_order
+from .search import MAX_BRUTE_FORCE_N, BruteForceResult, brute_force_best_order
 
 __all__ = [
     "MAX_BRUTE_FORCE_N",
@@ -33,7 +36,6 @@ __all__ = [
     "verify_bounds_random",
 ]
 
-MAX_BRUTE_FORCE_N = 10  # a documented limit; the search itself costs only O(2^N N) steps
 _SIM_CHUNK = 1 << 16  # trials per chunk, at most
 _SIM_CELLS = 1 << 22  # trials x candidates per chunk, at most
 
@@ -47,71 +49,6 @@ class SimulationResult(_Record):
                  seed: int, generator: str = "philox") -> None:
         self.__dict__.update(trials=trials, mean_time=mean_time, std_error=std_error,
                              success_rate=success_rate, seed=seed, generator=generator)
-
-
-class BruteForceResult(_Record):
-    """Minimizer of the expected solving time over all N! orderings."""
-
-    _fields = ("best_order", "best_expected_time", "evaluated")
-
-    def __init__(self, best_order: Ordering, best_expected_time: float, evaluated: int) -> None:
-        self.__dict__.update(best_order=best_order, best_expected_time=best_expected_time,
-                             evaluated=evaluated)
-
-
-def _eq2_for_perms(p: np.ndarray, t: np.ndarray, perms: np.ndarray) -> np.ndarray:
-    """Expected time (failure tail included) for each permutation row."""
-    P = p[perms]
-    Tm = np.cumsum(t[perms], axis=1)
-    Qfull = np.cumprod(1.0 - P, axis=1)
-    Qprev = np.concatenate([np.ones((perms.shape[0], 1)), Qfull[:, :-1]], axis=1)
-    return (Tm * Qprev * P).sum(axis=1) + Tm[:, -1] * Qfull[:, -1]
-
-
-def brute_force_best_order(cset: CandidateSet) -> BruteForceResult:
-    """Exact minimizer of the expected solving time over all N! orderings.
-
-    E = sum_k t_k Q(first k-1 candidates), where Q(S), the chance that every
-    candidate in S fails, does not depend on their order.  So the cheapest
-    completion of a prefix holding set S is g(S) = min over j not in S of
-    t_j Q(S) + g(S + {j}), with g(all) = 0, and g(empty) is the optimum: a
-    subset recursion (Held-Karp) in O(2^N N) steps, not N! evaluations.
-
-    Ties: the order is rebuilt forwards, taking at each step the smallest
-    index whose continuation the recursion's own arithmetic scores minimal,
-    so among orders it scores equal the lexicographically smallest wins.
-    ``best_expected_time`` is that order evaluated by _eq2_for_perms, the
-    oracle's independent evaluator; ``evaluated`` is N!, the number of
-    orders the search covers.
-    """
-    N = cset.N
-    if N > MAX_BRUTE_FORCE_N:
-        raise ValueError(f"N={N} exceeds the brute-force guard of {MAX_BRUTE_FORCE_N}")
-    ps, ts = cset.ps, cset.ts
-    full = (1 << N) - 1
-    fail = [1.0] * (full + 1)  # fail[S] = Q(S), S a bitmask of candidate indices
-    for S in range(1, full + 1):
-        j = (S & -S).bit_length() - 1
-        fail[S] = fail[S & (S - 1)] * (1.0 - ps[j])
-    cost = [0.0] * (full + 1)  # cost[S] = g(S)
-    for S in range(full - 1, -1, -1):
-        q = fail[S]
-        cost[S] = min(ts[j] * q + cost[S | 1 << j] for j in range(N) if not S >> j & 1)
-
-    perm: list[int] = []
-    S = 0
-    while S != full:
-        q = fail[S]
-        j = next(j for j in range(N)
-                 if not S >> j & 1 and ts[j] * q + cost[S | 1 << j] == cost[S])
-        perm.append(j)
-        S |= 1 << j
-    value = _eq2_for_perms(np.array(ps), np.array(ts), np.array([perm], dtype=np.intp))
-    return BruteForceResult(
-        best_order=Ordering(tuple(perm)),
-        best_expected_time=float(value[0]),
-        evaluated=math.factorial(N),
-    )
 
 
 def _simulate_chunk(g: np.random.Generator, p: np.ndarray, samples: list, m: int):
@@ -312,8 +249,7 @@ def verify_bounds_random(config: VerificationConfig) -> VerificationReport:
     rule optimality for N <= _OPTIMALITY_MAX_N.  Failures are report
     entries, never exceptions.
     """
-    # The checks load bounds and excess here, so that brute_force_best_order and
-    # simulate (verify-optimal, simulate) run without them.
+    # The checks load bounds and excess here, so that simulate runs without them.
     from .bounds import (BoundAssumptions, adjacent_excess_bounds, swap_excess_lower_equal_t,
                          swap_excess_lower_general, swap_excess_upper_equal_t,
                          swap_excess_upper_general)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import strategies as st
 
 from trialorder import Candidate, CandidateSet, Ordering
@@ -17,6 +18,17 @@ def make_set(ps, ts=None, ids=None) -> CandidateSet:
         cid = ids[i] if ids is not None else f"c{i + 1}"
         cands.append(Candidate(cid, float(p), samples))
     return CandidateSet(tuple(cands))
+
+
+# The exact search's original numpy evaluator, kept verbatim as the reference
+# that search._eq2 must equal bit for bit.
+def eq2_for_perms(p: np.ndarray, t: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """Expected time (failure tail included) for each permutation row."""
+    P = p[perms]
+    Tm = np.cumsum(t[perms], axis=1)
+    Qfull = np.cumprod(1.0 - P, axis=1)
+    Qprev = np.concatenate([np.ones((perms.shape[0], 1)), Qfull[:, :-1]], axis=1)
+    return (Tm * Qprev * P).sum(axis=1) + Tm[:, -1] * Qfull[:, -1]
 
 
 def rel_ok(value: float, reference: float, tol: float) -> bool:

@@ -510,6 +510,11 @@ class TestIngestPins:
         ({"id": "a", "p": 0.75, "times": [2.0]}, "field 'id': duplicate candidate id 'a'"),
         ({"p": 0.5, "times": [1.0]}, ""),
         ({"id": 7, "p": 0.5, "times": [1.0]}, ""),
+        # Integers past the float range read as the infinity they overflow to.
+        ({"id": "big-p", "p": 10**400, "times": [1.0]}, "field 'p': probability inf out of [0, 1]"),
+        ({"id": "big-t", "p": 0.25, "times": [10**400]}, "field 'times': non-finite time sample inf"),
+        ({"id": "neg-big-t", "p": 0.25, "times": [1.0, -10**400]},
+         "field 'times': non-finite time sample -inf"),
     ]
 
     def _order(self, capsys, tmp_path, rows):
@@ -543,7 +548,23 @@ class TestIngestPins:
             "candidates[9]: field 'times': not a sequence: '12'\n"
             "candidates[10]: field 'times': not a sequence: 5\n"
             "candidates[11]: field 'id': duplicate candidate id 'a'\n"
+            "candidates[14]: field 'p': probability inf out of [0, 1]\n"
+            "candidates[15]: field 'times': non-finite time sample inf\n"
+            "candidates[16]: field 'times': non-finite time sample -inf\n"
         )
+
+    @pytest.mark.parametrize("record", ['"p": BIG, "times": [1.0]', '"p": 0.5, "times": [BIG]'],
+                             ids=["p", "times"])
+    def test_integer_past_the_digit_limit(self, capsys, tmp_path, record):
+        # json.loads refuses an integer longer than the interpreter's digit
+        # limit (4300 by default) before any record is read.
+        text = '{"candidates": [{"id": "a", ' + record.replace("BIG", "1" + "0" * 5000) + '}]}'
+        with pytest.raises(ValueError) as refused:
+            json.loads(text)
+        path = tmp_path / "long.json"
+        path.write_text(text)
+        want = (1, "", f"trialorder: error: {refused.value}\n")
+        assert run(capsys, ["order", "-i", str(path)]) == want
 
 
 def _pairs(text: str, sep: str) -> list:
@@ -903,6 +924,10 @@ class TestLazyNumpy:
             "import trialorder\n"
             "trialorder.simulate\n"
             "assert 'numpy' in sys.modules, 'oracle names load the oracle'\n"
+            # The in-process large-N analysis relies on it: its array path runs once
+            # numpy is loaded, and importing the oracle is what loads it there.
+            "model = trialorder.model\n"
+            "assert model._numpy_for(model._ARRAY_MIN_N) is sys.modules['numpy'], 'array path'\n"
         )
         _run_fresh(code)
 
@@ -935,8 +960,15 @@ class TestLazyNumpy:
                    "assert loaded('trialorder.excess', 'trialorder.bounds') == ['trialorder.excess']\n")
         _run_fresh("import trialorder.cli\n" + prelude +
                    "main('verify-optimal')\n"
-                   "assert 'trialorder.oracle' in sys.modules\n"
-                   "assert loaded('trialorder.bounds', 'trialorder.excess') == []\n")
+                   "assert 'trialorder.search' in sys.modules\n"
+                   "assert loaded('numpy', 'trialorder.oracle', 'trialorder.bounds',\n"
+                   "              'trialorder.excess') == []\n"
+                   "with contextlib.redirect_stdout(io.StringIO()):\n"
+                   "    assert trialorder.cli.main(['check', '--instances', '2']) == 0\n"
+                   "assert loaded('numpy', 'trialorder.oracle') == ['numpy', 'trialorder.oracle']\n")
+        _run_fresh("import trialorder.cli\n" + prelude +
+                   "main('simulate', '--trials', '10')\n"
+                   "assert loaded('numpy', 'trialorder.oracle') == ['numpy', 'trialorder.oracle']\n")
 
 
 def _run_fresh(code: str) -> None:

@@ -6,9 +6,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trialorder.oracle as oracle_mod
-from helpers import make_set, rel_ok
+from helpers import eq2_for_perms, make_set, rel_ok
+from trialorder import search
 from trialorder import (
     Ordering,
     VerificationConfig,
@@ -94,10 +97,49 @@ class TestBruteForce:
             assert rel_ok(expected_time(cs, solomonoff_order(cs)), bf.best_expected_time, 1e-9)
 
 
+_EDGE_P = (0.0, -0.0, 5e-324, math.nextafter(1.0, 0.0), 1.0)
+# Up to the largest float, so that the running time sum overflows to inf.
+_EDGE_T = (5e-324, 1e300, 1e308, 1.7976931348623157e308)
+
+
+@st.composite
+def _scored_rows(draw):
+    """(ps, ts, perm) for N = 1-10: edge p's and times, random ones, or an all-tied set."""
+    n = draw(st.integers(1, search.MAX_BRUTE_FORCE_N))
+    p = st.one_of(st.sampled_from(_EDGE_P), st.floats(0.0, 1.0))
+    t = st.one_of(st.sampled_from(_EDGE_T), st.floats(5e-324, 1e300))
+    if draw(st.booleans()):
+        ps, ts = [draw(p)] * n, [draw(t)] * n
+    else:
+        ps = draw(st.lists(p, min_size=n, max_size=n))
+        ts = draw(st.lists(t, min_size=n, max_size=n))
+    return ps, ts, draw(st.permutations(range(n)))
+
+
+def _same_float(a: float, b: float) -> bool:
+    """Equal with the sign of zero, or both nan."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+class TestEvaluator:
+    @given(_scored_rows())
+    @settings(max_examples=400)
+    def test_equals_the_numpy_reference_bit_for_bit(self, row):
+        ps, ts, perm = row
+        with np.errstate(all="ignore"):  # the reference warns where sums overflow
+            want = eq2_for_perms(np.array(ps), np.array(ts), np.array([perm], dtype=np.intp))[0]
+        want = float(want)
+        got = search._eq2(ps, ts, perm)
+        assert type(got) is float
+        assert _same_float(got, want), (got, want)
+
+
 def enumerated_best(cs):
-    """Reference: lexicographically smallest float-argmin of _eq2_for_perms over all orders."""
+    """Reference: lexicographically smallest float-argmin of eq2_for_perms over all orders."""
     perms = np.array(list(itertools.permutations(range(cs.N))), dtype=np.intp)
-    vals = oracle_mod._eq2_for_perms(np.array(cs.ps), np.array(cs.ts), perms)
+    vals = eq2_for_perms(np.array(cs.ps), np.array(cs.ts), perms)
     i = int(np.argmin(vals))  # the first minimum, in lexicographic order
     return tuple(int(x) for x in perms[i]), float(vals[i])
 
