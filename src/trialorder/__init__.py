@@ -10,25 +10,29 @@ cross-validated against exact-search and Monte Carlo oracles.
 
 __version__ = "0.1.0"
 
-# Every public name, by the submodule that exports it.  A name is imported on
-# first use, so `import trialorder` loads no submodule and a command loads only
-# what it runs; the oracles, which need numpy, stay unloaded until called.
-_EXPORTS = {
-    "errors": ("AssumptionError", "SingularityError"),
-    "model": ("Candidate", "CandidateSet", "Ordering", "ValidationReport", "Violation",
-              "mean_time", "ratio", "validate"),
-    "schedule": ("ExpectationOptions", "solomonoff_order", "expected_time", "is_ratio_sorted",
-                 "failure_tail_term"),
-    "excess": ("ExcessReport", "exact_excess_direct", "adjacent_swap_excess",
-               "general_swap_excess", "equal_p_swap_excess"),
-    "bounds": ("BoundAssumptions", "BoundResult", "product_upper_bound_kn",
-               "product_lower_bound_wu", "weighted_geometric_sum", "adjacent_excess_bounds",
-               "swap_excess_upper_general", "swap_excess_lower_general",
-               "swap_excess_upper_equal_t", "swap_excess_lower_equal_t", "check_assumptions"),
-    "oracle": ("SimulationResult", "BruteForceResult", "brute_force_best_order", "simulate",
-               "VerificationConfig", "VerificationReport", "CheckStats", "verify_bounds_random"),
-}
-_LAZY = {name: module for module, names in _EXPORTS.items() for name in names}
+# Every public name, in __all__'s order, with the submodule that exports it.
+# A name is imported on first use, so `import trialorder` loads no submodule
+# and a command loads only what it runs; the oracle, which needs numpy, stays
+# unloaded until simulate or SimulationResult is used.
+_EXPORTS = (
+    ("errors", ("AssumptionError", "SingularityError")),
+    ("model", ("Candidate", "CandidateSet", "Ordering", "ValidationReport", "Violation",
+               "mean_time", "ratio", "validate")),
+    ("schedule", ("ExpectationOptions", "solomonoff_order", "expected_time", "is_ratio_sorted",
+                  "failure_tail_term")),
+    ("excess", ("ExcessReport", "exact_excess_direct", "adjacent_swap_excess",
+                "general_swap_excess", "equal_p_swap_excess")),
+    ("bounds", ("BoundAssumptions", "BoundResult", "product_upper_bound_kn",
+                "product_lower_bound_wu", "weighted_geometric_sum", "adjacent_excess_bounds",
+                "swap_excess_upper_general", "swap_excess_lower_general",
+                "swap_excess_upper_equal_t", "swap_excess_lower_equal_t", "check_assumptions")),
+    ("oracle", ("SimulationResult",)),
+    ("search", ("BruteForceResult", "brute_force_best_order")),
+    ("oracle", ("simulate",)),
+    ("checks", ("VerificationConfig", "VerificationReport", "CheckStats", "verify_bounds_random")),
+)
+_LAZY = {name: module for module, names in _EXPORTS for name in names}
+_MODULES = frozenset(_LAZY.values())
 
 __all__ = ["__version__", *_LAZY]
 
@@ -38,7 +42,7 @@ def __getattr__(name: str):
 
     if name in _LAZY:
         value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
-    elif name in _EXPORTS:  # a submodule, as `trialorder.bounds`
+    elif name in _MODULES:  # a submodule, as `trialorder.bounds`
         value = importlib.import_module(f".{name}", __name__)
     else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -47,4 +51,4 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted(globals().keys() | _LAZY.keys() | _EXPORTS.keys())
+    return sorted(globals().keys() | _LAZY.keys() | _MODULES)

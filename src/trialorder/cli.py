@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from . import model, schedule  # csv, hashlib, excess, bounds, search, oracle: loaded where used
+from . import model, schedule  # csv, hashlib, excess, bounds, search, checks, oracle: on use
 from .errors import AssumptionError
 from .model import CandidateSet, Ordering
 
@@ -454,12 +454,12 @@ def _cmd_simulate(args, cset: CandidateSet):
 
 
 def _cmd_check(args):
-    from . import oracle
+    from . import checks
 
-    cfg = oracle.VerificationConfig(
+    cfg = checks.VerificationConfig(
         instances=args.instances, seed=args.seed, equal_p_only=args.equal_p
     )
-    rep = oracle.verify_bounds_random(cfg)
+    rep = checks.verify_bounds_random(cfg)
     return rep.to_dict(), (0 if rep.passed else 3)
 
 

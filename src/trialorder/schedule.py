@@ -74,15 +74,17 @@ def expected_time(
     if opts is None:
         opts = ExpectationOptions()
     # Q never grows, and once it is exactly 0 every later term and the tail
-    # are exactly 0 wherever T is finite.  Both paths stop there, so a T that
-    # overflowed later adds nothing, where inf * 0 would make the total nan.
+    # are exactly 0 wherever T is finite; so is the term of a p = 0 candidate.
+    # Both paths stop at Q = 0 and add nothing for p = 0, so a T that
+    # overflowed adds nothing there, where inf * 0 would make the total nan.
     N = cset.N
     np = _numpy_for(N)
     if np is None:
         total = 0.0
         Q_prev = 1.0
         for p, _, T, Q in _walk(cset, ordering.perm):
-            total += T * Q_prev * p
+            if p:
+                total += T * Q_prev * p
             if Q == 0.0:
                 return total
             Q_prev = Q
@@ -93,7 +95,9 @@ def expected_time(
     live = int(np.count_nonzero(Q))  # Q_0 .. Q_(live-1) are > 0, the rest exactly 0
     m = min(live, N)
     with np.errstate(all="ignore"):
-        total = _fold(T[1:m + 1] * Q[:m] * p[1:m + 1])
+        terms = T[1:m + 1] * Q[:m] * p[1:m + 1]
+    terms[p[1:m + 1] == 0.0] = 0.0
+    total = _fold(terms)
     if opts.include_failure_tail and live > N:
         total += float(T[N]) * float(Q[N])
     return total

@@ -39,13 +39,18 @@ def _eq2(ps, ts, perm) -> float:
     partials combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest
     in order.  Plain loops, not sum(): from Python 3.12 sum() compensates
     float rounding.
+
+    A term with p = 0, and every term and the tail once Q is exactly 0, is
+    exactly 0 wherever T is finite.  They are written as 0.0, so that a T
+    that overflowed adds nothing there, where the reference's inf * 0 gives
+    nan; every value the reference gives that is not nan keeps its bits.
     """
     terms = []
     T, Q = 0.0, 1.0
     for j in perm:
         p = ps[j]
         T += ts[j]
-        terms.append(T * Q * p)
+        terms.append(T * Q * p if p and Q else 0.0)
         Q *= 1.0 - p
     if len(terms) < 8:
         total = 0.0
@@ -56,7 +61,7 @@ def _eq2(ps, ts, perm) -> float:
         rest = terms[8:]
     for term in rest:
         total += term
-    return total + T * Q
+    return total + T * Q if Q else total
 
 
 def brute_force_best_order(cset: CandidateSet) -> BruteForceResult:

@@ -316,6 +316,10 @@ class TestCommands:
         payload = json.loads(out)
         assert payload["results"]["passed"] is True
 
+    def test_check_refuses_a_negative_seed(self, capsys):
+        assert run(capsys, ["check", "--seed", "-1"]) == (
+            1, "", "trialorder: error: expected non-negative integer\n")
+
     def test_check_equal_p_pinned_exposes_misprint(self, capsys):
         code, out, _ = run(capsys, ["check", "--instances", "30", "--seed", "4",
                                     "--equal-p", "--format", "json"])
@@ -642,6 +646,19 @@ class TestNonFiniteResults:
         assert results["oracle_agrees"] is True
         assert [results[key] for key in ("q1", "q2", "q3", "total", "direct_oracle")] == [0.0] * 5
 
+    def test_exact_search_past_certain_success(self, capsys, tmp_path):
+        # In the order a, b, Q_1 = 0 and T_2 = inf: b's term and the tail are
+        # exactly 0, so the search scores the order as expect does.
+        path = tmp_path / "huge.json"
+        path.write_text('{"candidates": [{"id": "a", "p": 1.0, "times": [1e308]},'
+                        ' {"id": "b", "p": 0.5, "times": [1e308]}]}')
+        code, out, err = run(capsys, ["verify-optimal", "-i", str(path), "--format", "json"])
+        assert (code, err) == (0, "")
+        results = json.loads(out)["results"]
+        assert results["agree"] is True
+        assert results["best_order"] == ["a", "b"]
+        assert results["best_expected_time"] == results["rule_expected_time"] == 1e308
+
 
 def test_simulate_refuses_an_overflowing_mean_without_warnings(capsys, tmp_path):
     path = tmp_path / "huge.json"
@@ -922,6 +939,8 @@ class TestLazyNumpy:
             f"    assert trialorder.cli.main(argv + ['-i', {str(big)!r}]) == 0, argv\n"
             "    assert 'numpy' not in sys.modules, argv\n"
             "import trialorder\n"
+            "trialorder.brute_force_best_order, trialorder.verify_bounds_random\n"
+            "assert 'numpy' not in sys.modules, 'search and check names'\n"
             "trialorder.simulate\n"
             "assert 'numpy' in sys.modules, 'oracle names load the oracle'\n"
             # The in-process large-N analysis relies on it: its array path runs once
@@ -965,18 +984,45 @@ class TestLazyNumpy:
                    "              'trialorder.excess') == []\n"
                    "with contextlib.redirect_stdout(io.StringIO()):\n"
                    "    assert trialorder.cli.main(['check', '--instances', '2']) == 0\n"
-                   "assert loaded('numpy', 'trialorder.oracle') == ['numpy', 'trialorder.oracle']\n")
+                   "assert 'trialorder.checks' in sys.modules\n"
+                   "assert loaded('numpy', 'trialorder.oracle') == []\n")
         _run_fresh("import trialorder.cli\n" + prelude +
                    "main('simulate', '--trials', '10')\n"
-                   "assert loaded('numpy', 'trialorder.oracle') == ['numpy', 'trialorder.oracle']\n")
+                   "assert loaded('numpy', 'trialorder.oracle') == ['numpy', 'trialorder.oracle']\n"
+                   "assert loaded('trialorder.search', 'trialorder.checks') == []\n")
+
+    def test_commands_run_with_numpy_blocked(self, capsys, tmp_path):
+        # With numpy unimportable, each of these commands prints what it prints
+        # where numpy is loaded (here, in the test process).
+        path = tmp_path / "three.json"
+        path.write_text(THREE_JSON)
+        commands = [["order"], ["expect"], ["excess", "--k", "1", "--n", "2"],
+                    ["bounds", "--profile", "adjacent", "--k", "2"], ["verify-optimal"]]
+        runs = [argv + ["-i", str(path), "--format", "json"] for argv in commands]
+        runs.append(["check", "--instances", "20", "--seed", "3", "--format", "json"])
+        stdout = _run_fresh(
+            "import contextlib, io, json, sys\n"
+            "sys.modules['numpy'] = None\n"
+            "import trialorder.cli\n"
+            "out = []\n"
+            f"for argv in {runs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()) as f:\n"
+            "        out.append((trialorder.cli.main(argv), f.getvalue()))\n"
+            "print(json.dumps(out))\n"
+        )
+        blocked = [tuple(r) for r in json.loads(stdout)]
+        assert "numpy" in sys.modules
+        assert blocked == [run(capsys, argv)[:2] for argv in runs]
+        assert [code for code, _ in blocked] == [0] * len(runs)
 
 
-def _run_fresh(code: str) -> None:
-    """Run ``code`` in a new interpreter that imports trialorder from this tree."""
+def _run_fresh(code: str) -> str:
+    """Run ``code`` in a new interpreter that imports trialorder from this tree; its stdout."""
     env = dict(os.environ, PYTHONPATH=str(Path(trialorder.__file__).resolve().parent.parent))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 class TestStdin:

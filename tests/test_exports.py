@@ -49,3 +49,13 @@ def test_public_names_are_pinned():
         "SimulationResult", "BruteForceResult", "brute_force_best_order", "simulate",
         "VerificationConfig", "VerificationReport", "CheckStats", "verify_bounds_random",
     ]
+
+
+def test_names_of_the_search_and_the_checks_are_the_oracles():
+    # They moved out of oracle, which still exports them; the package root
+    # takes them from the numpy-free modules, and they are the same objects.
+    import trialorder.oracle
+
+    for name in ("BruteForceResult", "brute_force_best_order", "VerificationConfig",
+                 "VerificationReport", "CheckStats", "verify_bounds_random"):
+        assert getattr(trialorder, name) is getattr(trialorder.oracle, name), name

@@ -140,6 +140,21 @@ class TestOverflowBeyondCertainSuccess:
         assert expected_time(cs, solomonoff_order(cs)) == 1e307
 
 
+class TestOverflowAtZeroProbability:
+    """A p = 0 candidate adds nothing, even where T overflowed (inf * 0 was nan).
+
+    N = 2 runs the loop path and N = 100 the array path (numpy is loaded here).
+    """
+
+    @pytest.mark.parametrize("n", [2, 100])
+    def test_terms_after_the_overflow(self, n):
+        import numpy  # noqa: F401  the array path runs only once numpy is loaded
+
+        cs = make_set([0.5] + [0.0] * (n - 1), [1e308] * n)
+        assert expected_time(cs, Ordering.identity(n), NO_TAIL) == 5e307
+        assert expected_time(cs, Ordering.identity(n)) == float("inf")  # the tail overflows
+
+
 class TestOptimality:
     @given(sets_with_ordering(min_size=1, max_size=5))
     @settings(max_examples=60, deadline=None)
