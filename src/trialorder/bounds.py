@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .errors import AssumptionError, SingularityError
 from .excess import _swap_ends
-from .model import PROFILES, CandidateSet, Ordering, Violation, _Record
+from .model import PROFILES, CandidateSet, Ordering, Violation, _Record, _sum
 
 __all__ = [
     "PROFILES",
@@ -206,11 +206,8 @@ def _prefix_ps(cset: CandidateSet, ordering: Ordering, k: int) -> list[float]:
 
 
 def _prefix_sum(cset: CandidateSet, ordering: Ordering, k: int) -> float:
-    """S_(k-1), added left to right from 0.0 (from Python 3.12, sum() rounds otherwise)."""
-    S = 0.0
-    for p in _prefix_ps(cset, ordering, k):
-        S += p
-    return S
+    """S_(k-1), added left to right from 0.0 (model._sum)."""
+    return _sum(_prefix_ps(cset, ordering, k))
 
 
 def _require_nonzero(name: str, divisor: float, a: BoundAssumptions, k: int) -> None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import operator
 
-from .model import CandidateSet, Ordering, _agrees, _Record
+from .model import CandidateSet, Ordering, _agrees, _Record, _sum
 from .schedule import expected_time, solomonoff_order
 from .search import brute_force_best_order
 
@@ -141,14 +141,8 @@ class _Stream:
 
 
 def _mean(samples: list[float]) -> float:
-    """``float(np.mean(samples))`` for fewer than 8 samples: a left-to-right sum from 0.0.
-
-    A plain loop, not sum(): from Python 3.12 sum() compensates float rounding.
-    """
-    total = 0.0
-    for t in samples:
-        total += t
-    return total / len(samples)
+    """``float(np.mean(samples))`` for fewer than 8 samples: a left-to-right sum from 0.0."""
+    return _sum(samples) / len(samples)
 
 
 # The one verification protocol behind every reported check: candidate counts,

@@ -159,6 +159,9 @@ def _resolve_ordering(spec: str | None, cset: CandidateSet) -> Ordering:
 # ---------------------------------------------------------------------------
 
 
+_HEAD = ("command", "version", "input_sha256", "seed")  # a report's keys before its results
+
+
 def _flatten(prefix: str, value, out: dict) -> None:
     if isinstance(value, dict):
         for k, v in value.items():
@@ -190,7 +193,7 @@ def _emit_csv(report: dict) -> str:
             w.writerow([row.get(h) for h in headers])
     else:
         flat: dict = {}
-        for k in ("command", "version", "input_sha256", "seed"):
+        for k in _HEAD:
             if report.get(k) is not None:
                 flat[k] = report[k]
         _flatten("", results, flat)
@@ -211,22 +214,16 @@ def _non_finite(key: str, value):
         yield key, value
 
 
-def _render_value(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def _emit_text(report: dict) -> str:
     lines: list[str] = []
-    for k in ("command", "version", "input_sha256", "seed"):
+    for k in _HEAD:
         if report.get(k) is not None:
             lines.append(f"{k}: {report[k]}")
     results = report.get("results", {})
     for k, v in results.items():
         if isinstance(v, list) and v and isinstance(v[0], dict):
             headers = list(v[0].keys())
-            cells = [[_render_value(row.get(h)) for h in headers] for row in v]
+            cells = [[str(row.get(h)) for h in headers] for row in v]
             widths = [max(len(h), *(len(r[i]) for r in cells)) for i, h in enumerate(headers)]
             lines.append(f"{k}:")
             lines.append("  " + "  ".join(h.ljust(w) for h, w in zip(headers, widths)))
@@ -235,7 +232,7 @@ def _emit_text(report: dict) -> str:
         elif isinstance(v, (list, tuple)):
             lines.append(f"{k}: {', '.join(str(x) for x in v)}")
         else:
-            lines.append(f"{k}: {_render_value(v)}")
+            lines.append(f"{k}: {v}")
     return "\n".join(lines) + "\n"
 
 
@@ -521,8 +518,10 @@ def build_parser() -> argparse.ArgumentParser:
                           help="exit 2 when a bound's assumptions are violated")
     p_bounds.set_defaults(run=_cmd_bounds)
 
-    p_verify = sub.add_parser("verify-optimal", parents=[with_input],
-                              help="exact optimum over all orders vs the ordering rule (N <= 10)")
+    verify_help = ("exact optimum over all orders vs the ordering rule "
+                   f"(N <= {model.MAX_BRUTE_FORCE_N})")
+    p_verify = sub.add_parser("verify-optimal", parents=[with_input], help=verify_help,
+                              description=verify_help)
     p_verify.set_defaults(run=_cmd_verify_optimal)
 
     p_sim = sub.add_parser("simulate", parents=[with_input],

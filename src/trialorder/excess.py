@@ -21,7 +21,8 @@ upper bound); the test suite asserts equality with the direct route.
 from __future__ import annotations
 
 from .errors import AssumptionError, SingularityError
-from .model import CandidateSet, Ordering, _check_compatible, _fold, _numpy_for, _prefix, _Record
+from .model import (CandidateSet, Ordering, _check_compatible, _fold, _numpy_for, _prefix,
+                    _Record, _sum)
 from .schedule import expected_time
 
 __all__ = [
@@ -104,7 +105,7 @@ def general_swap_excess(cset: CandidateSet, ordering: Ordering, k: int, n: int) 
             f"p=1 at position k={k}: the q-decomposition divides by (1 - p_k); "
             "use exact_excess_direct instead"
         )
-    p, _, T, Q = _prefix(cset, ordering, k + n)
+    p, T, Q = _prefix(cset, ordering, k + n)
     # Q never grows, and a term whose Q is exactly 0 is a signed 0 wherever T is
     # finite: T reads as 1.0 beside it in q1 and q3, and q2 stops at the first
     # l with Q_{l-1} = 0, so a T that overflowed cannot make inf * 0 = nan.
@@ -113,22 +114,20 @@ def general_swap_excess(cset: CandidateSet, ordering: Ordering, k: int, n: int) 
     T_kn = float(T[k + n]) if Q_kn1 != 0.0 else 1.0  # T_{k+n}
 
     q1 = T_k1 * Q_k1 * (pkn - pk) + Q_k1 * (tkn * pkn - tk * pk)
+
+    def q2_terms(Q_l1, p_l, T_l):  # for l = k+1 .. k+n-1, floats or arrays alike
+        return Q_l1 * p_l * (
+            T_l * (pk - pkn) / (1.0 - pk) + (tkn - tk) * (1.0 - pkn) / (1.0 - pk)
+        )
+
     np = _numpy_for(k + n)
     if np is None:
-        q2 = 0.0
-        for l in range(k + 1, k + n):
-            if Q[l - 1] == 0.0:
-                break
-            q2 += Q[l - 1] * p[l] * (
-                T[l] * (pk - pkn) / (1.0 - pk) + (tkn - tk) * (1.0 - pkn) / (1.0 - pk)
-            )
-    else:  # the same terms, l = k+1 .. up to k+n-1 as slices, grouped as above
-        stop = k + int(np.count_nonzero(Q[k:k + n - 1]))  # Q_{l-1} > 0 for l - 1 < stop
-        l, l1 = slice(k + 1, stop + 1), slice(k, stop)
+        stop = k + n - 1 - Q[k:k + n - 1].count(0.0)  # Q_{l-1} > 0 for l - 1 < stop
+        q2 = _sum(map(q2_terms, Q[k:stop], p[k + 1:stop + 1], T[k + 1:stop + 1]))
+    else:
+        stop = k + int(np.count_nonzero(Q[k:k + n - 1]))
         with np.errstate(all="ignore"):
-            q2 = _fold(Q[l1] * p[l] * (
-                T[l] * (pk - pkn) / (1.0 - pk) + (tkn - tk) * (1.0 - pkn) / (1.0 - pk)
-            ))
+            q2 = _fold(q2_terms(Q[k:stop], p[k + 1:stop + 1], T[k + 1:stop + 1]))
     q3 = T_kn * Q_kn1 * (pk - pkn) / (1.0 - pk)
 
     return ExcessReport(k=k, n=n, q1=q1, q2=q2, q3=q3, total=q1 + q2 + q3,

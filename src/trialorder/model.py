@@ -51,6 +51,11 @@ PROFILES = (
     "adjacent",
 )
 
+# The exact search's size limit (search.brute_force_best_order), a documented
+# one: the search itself costs only O(2^N N) steps.  It lives here so that the
+# command line's help can state it without loading the search.
+MAX_BRUTE_FORCE_N = 10
+
 
 class _Record:
     """Base of the immutable value types: ``==``, ``hash`` and ``repr`` over ``_fields``.
@@ -148,11 +153,8 @@ def _value_problems(p, times) -> list[tuple[str, str]]:
     elif not (0.0 <= value <= 1.0):
         out.append(("p", f"probability {value!r} out of [0, 1]"))
 
-    try:
-        if isinstance(times, (str, bytes)):  # a sequence of characters, not of samples
-            raise TypeError
-        times = tuple(times)
-    except TypeError:
+    times = _samples(times)
+    if type(times) is not tuple:
         out.append(("times", f"not a sequence: {times!r}"))
         return out
     if not times:
@@ -367,49 +369,43 @@ def _check_compatible(cset: CandidateSet, ordering: Ordering) -> None:
         )
 
 
-def _walk(cset: CandidateSet, perm: Sequence[int]) -> Iterator[tuple[float, float, float, float]]:
-    """Yield ``(p_m, t_m, T_m, Q_m)`` for m = 1, 2, ... along ``perm``.
+def _prefix(cset: CandidateSet, ordering: Ordering, m: int):
+    """Columns ``p, T, Q`` of the prefix walk over the first m positions, indexed 1..m.
 
-    T_m is the sum of the first m mean times and Q_m the product of their
+    T_l is the sum of the first l mean times and Q_l the product of their
     (1 - p), accumulated left to right as ``T += t`` and ``Q *= 1 - p``.
     Every formula that reads T or Q along an ordering takes them from here,
-    so all of them round alike.
-    """
-    ps, ts = cset.ps, cset.ts
-    T = 0.0
-    Q = 1.0
-    for i in perm:
-        p = ps[i]
-        t = ts[i]
-        T += t
-        Q *= 1.0 - p
-        yield p, t, T, Q
-
-
-def _prefix(cset: CandidateSet, ordering: Ordering, m: int):
-    """Columns ``p, t, T, Q`` of _walk over the first m positions, indexed 1..m.
-
-    Index 0 is the empty prefix (T_0 = 0, Q_0 = 1; p_0 = t_0 = 0 are never
-    read), so ``T[l]``, ``Q[l - 1]`` and ``p[l]`` read as T_l, Q_{l-1} and p_l
-    in the closed forms.  On the array path (see _numpy_for) the columns are
-    float64 arrays, T from np.add.accumulate and Q from np.multiply.accumulate:
-    both run strictly left to right, as _walk does, so every entry is _walk's
-    to the bit.  Otherwise they are tuples.  Read single entries through
-    float(), so that no numpy scalar reaches a result.
+    so all of them round alike.  Index 0 is the empty prefix (T_0 = 0,
+    Q_0 = 1; p_0 = 0 is never read), so ``T[l]``, ``Q[l - 1]`` and ``p[l]``
+    read as T_l, Q_{l-1} and p_l in the closed forms.  On the array path (see
+    _numpy_for) the columns are float64 arrays from np.add.accumulate and
+    np.multiply.accumulate, otherwise lists from a loop: both run strictly
+    left to right, so every entry has the same bits on either path.  Read
+    single entries through float(), so that no numpy scalar reaches a result.
     """
     np = _numpy_for(m)
     if np is None:
-        return zip((0.0, 0.0, 0.0, 1.0), *_walk(cset, ordering.perm[:m]))
+        ps, ts = cset.ps, cset.ts
+        p, T, Q = [0.0], [0.0], [1.0]
+        T_l, Q_l = 0.0, 1.0
+        for i in ordering.perm[:m]:
+            p_l = ps[i]
+            T_l += ts[i]  # may overflow to inf, silently
+            Q_l *= 1.0 - p_l
+            p.append(p_l)
+            T.append(T_l)
+            Q.append(Q_l)
+        return p, T, Q
     perm = ordering._index[:m]
     ps, ts = cset._arrays
-    p, t, T, Q = np.empty(m + 1), np.empty(m + 1), np.empty(m + 1), np.empty(m + 1)
-    p[0] = t[0] = T[0] = 0.0
+    p, T, Q = np.empty(m + 1), np.empty(m + 1), np.empty(m + 1)
+    p[0] = T[0] = 0.0
     Q[0] = 1.0
-    p[1:], t[1:] = ps[perm], ts[perm]
-    with np.errstate(all="ignore"):  # T may overflow to inf, as _walk's does, silently
-        np.add.accumulate(t[1:], out=T[1:])
+    p[1:] = ps[perm]
+    with np.errstate(all="ignore"):  # T may overflow to inf, as a float sum does, silently
+        np.add.accumulate(ts[perm], out=T[1:])
         np.multiply.accumulate(1.0 - p[1:], out=Q[1:])
-    return p, t, T, Q
+    return p, T, Q
 
 
 def _numpy_for(n: int):
@@ -422,12 +418,25 @@ def _numpy_for(n: int):
     return sys.modules.get("numpy") if n >= _ARRAY_MIN_N else None
 
 
+def _sum(xs) -> float:
+    """0.0 + xs[0] + xs[1] + ..., added left to right: the one float sum of the loop paths.
+
+    Not sum(): from Python 3.12 sum() compensates float rounding, so its
+    last bits would depend on the interpreter.  A plain loop, not
+    functools.reduce(operator.add, ...), which adds alike but, at 6 and at 64
+    terms on CPython 3.11, took twice as long.
+    """
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
 def _fold(terms) -> float:
-    """0.0 + terms[0] + terms[1] + ..., added left to right, as the loop paths add.
+    """_sum of a float64 array, with the same bits.
 
     np.add.accumulate adds in order (np.sum would add pairwise and move the
-    last bits); the leading 0.0 + turns a lone -0.0 into 0.0, as a loop
-    starting from 0.0 does.
+    last bits); the leading 0.0 + turns a lone -0.0 into 0.0, as _sum does.
     """
     if not len(terms):
         return 0.0

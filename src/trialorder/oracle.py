@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .model import CandidateSet, Ordering, _check_compatible, _Record
+from .model import MAX_BRUTE_FORCE_N, CandidateSet, Ordering, _check_compatible, _Record
 
 __all__ = [
     "MAX_BRUTE_FORCE_N",
@@ -35,20 +35,15 @@ __all__ = [
     "verify_bounds_random",
 ]
 
-_REEXPORTS = {
-    **dict.fromkeys(("MAX_BRUTE_FORCE_N", "BruteForceResult", "brute_force_best_order"),
-                    "search"),
-    **dict.fromkeys(("VerificationConfig", "CheckStats", "VerificationReport",
-                     "verify_bounds_random"), "checks"),
-}
-
 
 def __getattr__(name: str):
+    # The search's and the checks' names: the package root loads each from
+    # the module its _EXPORTS names, on first use.
     import importlib
 
-    if name not in _REEXPORTS:
+    if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_REEXPORTS[name]}", __package__), name)
+    value = getattr(importlib.import_module(__package__), name)
     globals()[name] = value
     return value
 
@@ -116,11 +111,12 @@ def simulate(cset: CandidateSet, ordering: Ordering, trials: int, seed: int) -> 
         wins += chunk_wins
 
     mean = time_sum / trials
-    if trials > 1:
-        var = max(0.0, (time_sqsum - trials * mean * mean) / (trials - 1))
-        std_error = math.sqrt(var / trials)
-    else:
-        std_error = 0.0
+    std_error = 0.0  # of one trial; and where the mean overflowed, which the CLI refuses
+    if trials > 1 and math.isfinite(mean):
+        var = (time_sqsum - trials * mean * mean) / (trials - 1)
+        # Where the squares overflow, var is inf - inf = nan, and stays so for
+        # the CLI to refuse; only a var that rounded to <= 0 reads as 0.
+        std_error = 0.0 if var <= 0.0 else math.sqrt(var / trials)
     return SimulationResult(
         trials=trials,
         mean_time=mean,

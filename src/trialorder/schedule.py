@@ -19,7 +19,7 @@ penalties.
 from __future__ import annotations
 
 from .model import (CandidateSet, Ordering, _check_compatible, _fold, _numpy_for, _prefix,
-                    _Record, _walk)
+                    _Record, _sum)
 
 __all__ = [
     "ExpectationOptions",
@@ -71,34 +71,24 @@ def expected_time(
     conditional expectation — its weights sum to 1 - Q_N, not 1.
     """
     _check_compatible(cset, ordering)
-    if opts is None:
-        opts = ExpectationOptions()
     # Q never grows, and once it is exactly 0 every later term and the tail
     # are exactly 0 wherever T is finite; so is the term of a p = 0 candidate.
     # Both paths stop at Q = 0 and add nothing for p = 0, so a T that
     # overflowed adds nothing there, where inf * 0 would make the total nan.
     N = cset.N
     np = _numpy_for(N)
+    p, T, Q = _prefix(cset, ordering, N)
     if np is None:
-        total = 0.0
-        Q_prev = 1.0
-        for p, _, T, Q in _walk(cset, ordering.perm):
-            if p:
-                total += T * Q_prev * p
-            if Q == 0.0:
-                return total
-            Q_prev = Q
-        if opts.include_failure_tail:
-            total += T * Q
-        return total
-    p, _, T, Q = _prefix(cset, ordering, N)
-    live = int(np.count_nonzero(Q))  # Q_0 .. Q_(live-1) are > 0, the rest exactly 0
-    m = min(live, N)
-    with np.errstate(all="ignore"):
-        terms = T[1:m + 1] * Q[:m] * p[1:m + 1]
-    terms[p[1:m + 1] == 0.0] = 0.0
-    total = _fold(terms)
-    if opts.include_failure_tail and live > N:
+        live = N + 1 - Q.count(0.0)  # Q_0 .. Q_(live-1) are > 0, the rest exactly 0
+        total = _sum([T[l] * Q[l - 1] * p[l] for l in range(1, min(live, N) + 1) if p[l]])
+    else:
+        live = int(np.count_nonzero(Q))
+        m = min(live, N)
+        with np.errstate(all="ignore"):
+            terms = T[1:m + 1] * Q[:m] * p[1:m + 1]
+        terms[p[1:m + 1] == 0.0] = 0.0
+        total = _fold(terms)
+    if (opts is None or opts.include_failure_tail) and live > N:  # the tail is on by default
         total += float(T[N]) * float(Q[N])
     return total
 
@@ -120,6 +110,6 @@ def failure_tail_term(cset: CandidateSet, ordering: Ordering | None = None) -> f
     if ordering is None:
         ordering = Ordering.identity(cset.N)
     _check_compatible(cset, ordering)
-    _, _, T, Q = _prefix(cset, ordering, cset.N)
+    _, T, Q = _prefix(cset, ordering, cset.N)
     T_N, Q_N = float(T[-1]), float(Q[-1])
     return T_N * Q_N if Q_N != 0.0 else 0.0  # a T_N that overflowed meets no Q_N = 0

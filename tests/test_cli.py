@@ -668,6 +668,24 @@ def test_simulate_refuses_an_overflowing_mean_without_warnings(capsys, tmp_path)
     assert run(capsys, argv) == (1, "", "trialorder: error: results.mean_time is not finite: inf\n")
 
 
+def test_simulate_refuses_a_spread_whose_squares_overflow(capsys, tmp_path):
+    # The mean is finite, but the squared times overflow, so the variance is
+    # inf - inf: the report is refused instead of printing std_error 0.0.
+    path = tmp_path / "spread.json"
+    path.write_text('{"candidates": [{"id": "a", "p": 0.5, "times": [1e160]},'
+                    ' {"id": "b", "p": 0.5, "times": [1e200]}]}')
+    argv = ["simulate", "--trials", "500", "--seed", "3", "-i", str(path)]
+    assert run(capsys, argv) == (1, "", "trialorder: error: results.std_error is not finite: nan\n")
+
+
+def test_verify_optimal_help_states_the_search_limit(capsys):
+    from trialorder.model import MAX_BRUTE_FORCE_N
+
+    code, out, _ = run(capsys, ["verify-optimal", "--help"])
+    assert code == 0
+    assert f"N <= {MAX_BRUTE_FORCE_N}" in " ".join(out.split())
+
+
 class TestOverflowingSamples:
     """Samples whose sum leaves the float range are a times problem, worded alike on every route."""
 

@@ -387,3 +387,52 @@ class TestValidate:
     @settings(max_examples=50)
     def test_constructed_sets_are_always_clean(self, cset):
         assert validate(cset).ok
+
+
+class TestTimesRead:
+    """``times`` is read once, into a tuple; what is no sequence of samples is refused by name."""
+
+    @pytest.mark.parametrize("times, shown", [(b"19", "b'19'"), (19, "19")], ids=["bytes", "int"])
+    def test_not_a_sequence(self, times, shown):
+        message = f"candidate 'a': field 'times': not a sequence: {shown}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Candidate("a", 0.5, times)
+        assert str(validate([("a", 0.5, times)])) == message
+
+    @pytest.mark.parametrize("build", [
+        lambda times: Candidate("a", 0.5, times).time_samples,
+        lambda times: CandidateSet.from_records([("a", 0.5, times)])[0].time_samples,
+    ], ids=["Candidate", "from_records"])
+    def test_a_one_shot_generator_is_read_once(self, build):
+        reads = []
+
+        def times():
+            for t in (1.0, 2.0, 4.0):
+                reads.append(t)
+                yield t
+
+        assert build(times()) == (1.0, 2.0, 4.0)
+        assert reads == [1.0, 2.0, 4.0]
+
+
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, 1e16, -1e16,
+                                1.7976931348623157e308, math.inf, -math.inf, math.nan])
+
+
+class TestLeftToRightSum:
+    """model._sum adds as ``total += x`` from 0.0 does, never with sum()'s compensation."""
+
+    @given(st.lists(st.one_of(_EDGE_FLOATS, st.floats()), max_size=20))
+    @example([1e16, 1.0, -1e16])
+    @example([-0.0])
+    def test_equals_a_plain_loop(self, xs):
+        total = 0.0
+        for x in xs:
+            total += x
+        got = model._sum(xs)
+        assert type(got) is float
+        assert got.hex() == total.hex()
+
+    def test_rounds_each_addition(self):
+        # Compensated summation (sum() from Python 3.12, math.fsum) gives 1.0.
+        assert model._sum([1e16, 1.0, -1e16]) == 0.0
