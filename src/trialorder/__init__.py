@@ -18,8 +18,7 @@ _EXPORTS = (
     ("errors", ("AssumptionError", "SingularityError")),
     ("model", ("Candidate", "CandidateSet", "Ordering", "ValidationReport", "Violation",
                "mean_time", "ratio", "validate")),
-    ("schedule", ("ExpectationOptions", "solomonoff_order", "expected_time", "is_ratio_sorted",
-                  "failure_tail_term")),
+    ("schedule", ("ExpectationOptions", "solomonoff_order", "expected_time", "failure_tail_term")),
     ("excess", ("ExcessReport", "exact_excess_direct", "adjacent_swap_excess",
                 "general_swap_excess", "equal_p_swap_excess")),
     ("bounds", ("BoundAssumptions", "BoundResult", "product_upper_bound_kn",

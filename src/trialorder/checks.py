@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import operator
 
-from .model import CandidateSet, Ordering, _agrees, _Record, _sum
+from .model import CandidateSet, Ordering, _agrees, _checked_rows, _Record, _sum
 from .schedule import expected_time, solomonoff_order
 from .search import brute_force_best_order
 
@@ -250,8 +250,12 @@ class _Tally:
         )
 
 
+_IDS = tuple(f"c{i}" for i in range(1, _N_CANDIDATES[1] + 1))  # a drawn set's ids, in order
+
+
 def _build_set(ps, tss) -> CandidateSet:
-    return CandidateSet.from_records((f"c{i}", p, ts) for i, (p, ts) in enumerate(zip(ps, tss), 1))
+    # Drawn rows are clean by construction, so the one route lists no violations.
+    return _checked_rows(zip(_IDS, ps, tss))[0]
 
 
 def _draw_times(rng, n):

@@ -65,57 +65,45 @@ def _json_items(text: str) -> list:
     return items
 
 
-def _records_from_json(items: list, label) -> list:
+def _records_from_json(items: list, label):
     # json.loads makes every object a plain dict; any other item is listed in
-    # its place among the other records' problems.
-    return [(str(item["id"]) if "id" in item else f"#{i}", item.get("p"), item.get("times", ()))
-            if type(item) is dict else model.Violation(label(i), "record", "not an object")
-            for i, item in enumerate(items)]
+    # its place among the other records' problems.  Each item is dropped from
+    # the document as it is read, so the document shrinks while the set grows.
+    for i, item in enumerate(items):
+        items[i] = None
+        yield ((str(item["id"]) if "id" in item else f"#{i}", item.get("p"), item.get("times", ()))
+               if type(item) is dict else model.Violation(label(i), "record", "not an object"))
 
 
-def _records_from_csv(text: str) -> list[tuple]:
+def _records_from_csv(raw: bytes):
     import csv
 
-    rows = list(csv.reader(io.StringIO(text)))
-    rows = [r for r in rows if any(cell.strip() for cell in r)]
-    if not rows:
-        raise CliInputError("CSV parse error: empty file")
-    header = [cell.strip().lower() for cell in rows[0]]
-    if len(header) < 3 or header[0] != "id" or header[1] != "p":
-        raise CliInputError(
-            "CSV parse error: header must be 'id,p,<time columns...>', got "
-            + ",".join(rows[0])
-        )
-    records = []
-    for row in rows[1:]:  # blank rows are gone, so record i is row i + 2 of the file
-        rid = row[0].strip() if row else ""
-        p = row[1].strip() if len(row) > 1 else None
-        times = [cell.strip() for cell in row[2:] if cell.strip()]
-        records.append((rid, p, times))
-    return records
+    # BytesIO splits at b"\n" as StringIO's default does at "\n", and shares
+    # raw's buffer where StringIO would hold four bytes per character.
+    reader = csv.reader(map(bytes.decode, io.BytesIO(raw)))
+    rows = (r for r in reader if any(cell.strip() for cell in r))
+    try:
+        first = next(rows, None)
+        if first is None:
+            raise CliInputError("CSV parse error: empty file")
+        header = [cell.strip().lower() for cell in first]
+        if len(header) < 3 or header[0] != "id" or header[1] != "p":
+            raise CliInputError("CSV parse error: header must be 'id,p,<time columns...>', got "
+                                + ",".join(first))
+        for row in rows:  # blank rows are skipped, so record i is non-blank row i + 2
+            yield (row[0].strip(), row[1].strip() if len(row) > 1 else None,
+                   [cell.strip() for cell in row[2:] if cell.strip()])
+    except csv.Error as e:  # a field past csv's size limit, a bare carriage return, ...
+        raise CliInputError(f"CSV parse error: line {reader.line_num}: {e}") from e
 
 
-def _parsed(text: str, fmt: str):
-    """The record route's ``(set or None, violations)`` for a decoded file.
+def _parsed(source: str, fmt: str):
+    """Read, hash, decode and check ``source``: ``(set or None, violations, sha256)``.
 
-    The parsed document and its rows are freed when this returns, so that
-    the collector, which ingest pauses around the call, meets only the set.
-    """
-    if fmt == "json":
-        label = "candidates[{}]".format
-        records = _records_from_json(_json_items(text), label)
-    elif fmt == "csv":
-        records, label = _records_from_csv(text), (lambda i: f"row {i + 2}")
-    else:  # pragma: no cover - argparse restricts choices
-        raise CliInputError(f"unknown input format {fmt!r}")
-    return model._checked_rows(records, label)
-
-
-def ingest(source: str, fmt: str) -> tuple[CandidateSet, str]:
-    """Read and validate a candidate file; returns (set, sha256 of raw bytes).
-
-    Every violation is reported at once, each naming the row/element and the
-    offending field.
+    Each copy of the input is freed once the next exists: the bytes once
+    hashed and decoded, the text once parsed, each JSON item once read.  A
+    CSV file's rows are read from its bytes, one line at a time.  ingest
+    pauses the collector around the call, so that it meets only the set.
     """
     import hashlib
 
@@ -125,7 +113,27 @@ def ingest(source: str, fmt: str) -> tuple[CandidateSet, str]:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as e:
         raise CliInputError(f"input is not valid UTF-8: {e}") from e
-    cset, problems = model._gc_paused(_parsed, text, fmt)
+    if fmt == "json":
+        del raw
+        label = "candidates[{}]".format
+        records = _records_from_json(_json_items(text), label)
+        del text
+    elif fmt == "csv":  # decoded only to be checked: each line of valid UTF-8 decodes alone
+        del text
+        records, label = _records_from_csv(raw), (lambda i: f"row {i + 2}")
+        del raw  # the reader holds it until its last line
+    else:  # pragma: no cover - argparse restricts choices
+        raise CliInputError(f"unknown input format {fmt!r}")
+    return (*model._checked_rows(records, label), digest)
+
+
+def ingest(source: str, fmt: str) -> tuple[CandidateSet, str]:
+    """Read and validate a candidate file; returns (set, sha256 of raw bytes).
+
+    Every violation is reported at once, each naming the row/element and the
+    offending field.
+    """
+    cset, problems, digest = model._gc_paused(_parsed, source, fmt)
     if problems:
         raise CliInputError("\n".join(str(v) for v in problems))
     if cset is None:

@@ -25,7 +25,6 @@ __all__ = [
     "ExpectationOptions",
     "solomonoff_order",
     "expected_time",
-    "is_ratio_sorted",
     "failure_tail_term",
 ]
 
@@ -91,14 +90,6 @@ def expected_time(
     if (opts is None or opts.include_failure_tail) and live > N:  # the tail is on by default
         total += float(T[N]) * float(Q[N])
     return total
-
-
-def is_ratio_sorted(cset: CandidateSet, ordering: Ordering) -> bool:
-    """True iff p/t ratios are non-increasing along the ordering."""
-    _check_compatible(cset, ordering)
-    ps, ts = cset.ps, cset.ts
-    scores = [ps[idx] / ts[idx] for idx in ordering.perm]
-    return all(a >= b for a, b in zip(scores, scores[1:]))
 
 
 def failure_tail_term(cset: CandidateSet, ordering: Ordering | None = None) -> float:

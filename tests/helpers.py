@@ -20,6 +20,13 @@ def make_set(ps, ts=None, ids=None) -> CandidateSet:
     return CandidateSet(tuple(cands))
 
 
+def is_ratio_sorted(cset: CandidateSet, ordering: Ordering) -> bool:
+    """True iff p/t ratios are non-increasing along the ordering."""
+    assert len(ordering) == cset.N, (len(ordering), cset.N)
+    scores = [cset.ps[i] / cset.ts[i] for i in ordering.perm]
+    return all(a >= b for a, b in zip(scores, scores[1:]))
+
+
 # The exact search's original numpy evaluator, kept verbatim as the reference
 # that search._eq2 must equal bit for bit.
 def eq2_for_perms(p: np.ndarray, t: np.ndarray, perms: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -5,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -174,8 +176,13 @@ class TestIngest:
         ("three.json", THREE_JSON.encode(), ["bounds", "--profile", "adjacent", "--k", "2",
                                              "--n", "2"],
          "--profile adjacent is defined for --n 1"),
+        ("cr.csv", b"id,p,t1\ra,0.5,1.0\r", ["order"], "CSV parse error: line 1: new-line "
+         "character seen in unquoted field - do you need to open the file in universal-newline "
+         "mode?"),
+        ("wide.csv", b"id,p,t1\na,0.5," + b"1" * 140_000 + b"\n", ["order"],
+         "CSV parse error: line 2: field larger than field limit (131072)"),
     ], ids=["json-no-candidates", "json-candidates-not-list", "csv-blank", "not-utf8",
-            "adjacent-n-2"])
+            "adjacent-n-2", "csv-bare-carriage-return", "csv-field-limit"])
     def test_refusals_are_pinned(self, capsys, tmp_path, name, data, argv, message):
         path = tmp_path / name
         path.write_bytes(data)
@@ -187,6 +194,79 @@ class TestIngest:
         code, _, err = run(capsys, ["order", "-i", str(path)])
         assert code == 1
         assert "header" in err
+
+    def test_csv_blank_rows_and_a_quoted_newline_keep_labels_and_values(self, capsys, tmp_path):
+        # "row N" counts the non-blank rows, the header being row 1; a quoted
+        # field may span lines and a row may end in \r\n or \n.
+        path = tmp_path / "ok.csv"
+        path.write_bytes(b'id,p,t1,t2\r\n\r\n"multi\nline",0.5,1.5,\r\n   ,  \r\n'
+                         b'b,0.25," 2.0",3\r\n\nc,0.75,4.0\n')
+        cset, _ = cli.ingest(str(path), "csv")
+        assert cset.ids == ("multi\nline", "b", "c")
+        assert [c.time_samples for c in cset] == [(1.5,), (2.0, 3.0), (4.0,)]
+        assert cset.ps == (0.5, 0.25, 0.75)
+        path.write_bytes(b'id,p,t1,t2\n   \n"x\ny",1.5,1.0,\n,,,\nz,0.5,"-1\n",\n'
+                         b'w,0.5,2.0,\n,,\nw,0.2,1.0\n')
+        assert run(capsys, ["order", "-i", str(path)]) == (1, "", (
+            "trialorder: error: row 2: field 'p': probability 1.5 out of [0, 1]\n"
+            "row 3: field 'times': non-positive time sample -1.0\n"
+            "row 5: field 'id': duplicate candidate id 'w'\n"))
+
+    @pytest.mark.parametrize("name, data", [
+        ("missing.json", None),
+        ("latin1.json", b'{"candidates": [{"id": "\xe9"}]}'),
+        ("broken.json", b"{nope"),
+        ("headerless.csv", b"a,0.5,1\n"),
+        ("huge-field.csv", b"id,p,t1\na,0.5," + b"1" * 140_000 + b"\n"),
+    ], ids=["missing-file", "not-utf8", "bad-json", "bad-csv-header", "csv-reader-error"])
+    def test_every_ingest_failure_restores_the_collector(self, capsys, tmp_path, name, data):
+        # The read, the decode and the parse run while the collector is paused.
+        path = tmp_path / name
+        if data is not None:
+            path.write_bytes(data)
+        assert gc.isenabled()
+        code, out, err = run(capsys, ["order", "-i", str(path)])
+        assert (code, out, err.startswith("trialorder: error: ")) == (1, "", True)
+        assert gc.isenabled()
+
+
+def _bench_shaped(n: int, rng: random.Random, fmt: str) -> bytes:
+    """A candidate file shaped as the benchmark's large_n input: 1-3 samples, floats by repr."""
+    recs = [(f"c{i + 1}", rng.uniform(1e-4, 1e-3),
+             [rng.uniform(0.1, 10.0) for _ in range(rng.randint(1, 3))]) for i in range(n)]
+    if fmt == "json":
+        return json.dumps({"candidates": [{"id": i, "p": p, "times": ts}
+                                          for i, p, ts in recs]}).encode()
+    lines = ["id,p,t1,t2,t3"] + [",".join([i, repr(p), *map(repr, ts)] + [""] * (3 - len(ts)))
+                                 for i, p, ts in recs]
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestIngestMemory:
+    """Peak traced memory of cli.ingest, as a multiple of the file's size.
+
+    Measured on N = 10^4 files of this shape (CPython 3.11): when every copy
+    of the input (bytes, text, document, rows) lived until the set was
+    built, JSON peaked at 7.75x and CSV at 13.38x; with each copy freed once
+    the next exists and CSV rows read from the bytes, 5.31x and 5.83x.
+    """
+
+    @pytest.mark.parametrize("fmt, bound", [("json", 5.5), ("csv", 6.5)])
+    def test_ingest_peak_is_bounded_by_the_input_size(self, tmp_path, fmt, bound):
+        path = tmp_path / f"large.{fmt}"
+        path.write_bytes(_bench_shaped(10, random.Random(1), fmt))
+        cli.ingest(str(path), fmt)  # imports what ingest imports, outside the trace
+        data = _bench_shaped(10_000, random.Random(17), fmt)
+        path.write_bytes(data)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            cset, _ = cli.ingest(str(path), fmt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cset.N == 10_000
+        assert peak <= bound * len(data), peak / len(data)
 
 
 class TestCommands:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_set, rel_ok, swaps
+from helpers import is_ratio_sorted, make_set, rel_ok, swaps
 from trialorder import model
 from trialorder import (
     AssumptionError,
@@ -15,7 +15,6 @@ from trialorder import (
     equal_p_swap_excess,
     exact_excess_direct,
     general_swap_excess,
-    is_ratio_sorted,
     solomonoff_order,
     swap_excess_lower_equal_t,
     swap_excess_lower_general,

@@ -38,8 +38,7 @@ def test_public_names_are_pinned():
         "AssumptionError", "SingularityError",
         "Candidate", "CandidateSet", "Ordering", "ValidationReport", "Violation", "mean_time",
         "ratio", "validate",
-        "ExpectationOptions", "solomonoff_order", "expected_time", "is_ratio_sorted",
-        "failure_tail_term",
+        "ExpectationOptions", "solomonoff_order", "expected_time", "failure_tail_term",
         "ExcessReport", "exact_excess_direct", "adjacent_swap_excess", "general_swap_excess",
         "equal_p_swap_excess",
         "BoundAssumptions", "BoundResult", "product_upper_bound_kn", "product_lower_bound_wu",

@@ -4,13 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_set, rel_ok, sets_with_ordering
+from helpers import is_ratio_sorted, make_set, rel_ok, sets_with_ordering
 from trialorder import (
     ExpectationOptions,
     Ordering,
     expected_time,
     failure_tail_term,
-    is_ratio_sorted,
     solomonoff_order,
 )
 
