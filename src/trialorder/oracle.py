@@ -13,6 +13,8 @@ Determinism contract: results are a pure function of their arguments.  The
 simulator partitions trials into chunks sized by N alone, each driven by its
 own Philox counter-based substream derived from the seed, so the outcome
 does not depend on execution order and is bit-reproducible for a fixed seed.
+The chunk sizes define that partition and nothing else, so changing them
+changes every report; a chunk works in memory linear in its rows at any N.
 """
 
 from __future__ import annotations
@@ -48,8 +50,12 @@ def __getattr__(name: str):
     return value
 
 
+# Together these partition the trials into chunks, one Philox substream each:
+# changing either changes every report.  They bound no array's size.
 _SIM_CHUNK = 1 << 16  # trials per chunk, at most
 _SIM_CELLS = 1 << 22  # trials x candidates per chunk, at most
+
+_SIM_BLOCK = 1 << 16  # success draws per block of rows, at most (one row at least)
 
 
 class SimulationResult(_Record):
@@ -64,21 +70,37 @@ class SimulationResult(_Record):
 
 
 def _simulate_chunk(g: np.random.Generator, p: np.ndarray, samples: list, m: int):
-    """(time sum, squared-time sum, successes) of m trials; frees its arrays on return."""
+    """(time sum, squared-time sum, successes) of m trials; keeps no m x N array.
+
+    The success events are drawn a block of rows at a time; g.random fills
+    row-major, so the blocks draw what one (m, N) call would.  The time
+    indices are then drawn column by column, and each trial's total is the
+    running sum at its last attempt: the left-to-right additions of a cumsum
+    along the row, without its m x N matrix.
+    """
     N = len(samples)
-    success = g.random((m, N)) < p
-    tdraw = np.empty((m, N))
-    for j in range(N):
-        if len(samples[j]) == 1:
-            tdraw[:, j] = samples[j][0]
-        else:
-            tdraw[:, j] = samples[j][g.integers(0, len(samples[j]), size=m)]
-    any_success = success.any(axis=1)
-    attempts = np.where(any_success, success.argmax(axis=1) + 1, N)
+    attempts = np.empty(m, dtype=np.intp)  # position of each trial's last attempt
+    wins = 0
+    block = max(1, _SIM_BLOCK // N)
+    for start in range(0, m, block):
+        success = g.random((min(block, m - start), N)) < p
+        hit = success.any(axis=1)
+        wins += int(np.count_nonzero(hit))
+        attempts[start:start + len(hit)] = np.where(hit, success.argmax(axis=1) + 1, N)
+    # Trials by last attempt: those stopping at position j + 1 are by_end[ends[j]:ends[j + 1]].
+    by_end = np.argsort(attempts)
+    ends = np.bincount(attempts, minlength=N + 1).cumsum()
+    run = np.zeros(m)
+    totals = np.empty(m)
     with np.errstate(over="ignore"):  # sums may overflow to inf; the CLI refuses such a result
-        cum = np.cumsum(tdraw, axis=1)
-        totals = np.take_along_axis(cum, (attempts - 1)[:, None], axis=1)[:, 0]
-        return float(totals.sum()), float((totals * totals).sum()), int(any_success.sum())
+        for j in range(N):
+            if len(samples[j]) == 1:
+                run += samples[j][0]
+            else:
+                run += samples[j][g.integers(0, len(samples[j]), size=m)]
+            done = by_end[ends[j]:ends[j + 1]]
+            totals[done] = run[done]
+        return float(totals.sum()), float((totals * totals).sum()), wins
 
 
 def simulate(cset: CandidateSet, ordering: Ordering, trials: int, seed: int) -> SimulationResult:

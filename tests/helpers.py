@@ -38,6 +38,26 @@ def eq2_for_perms(p: np.ndarray, t: np.ndarray, perms: np.ndarray) -> np.ndarray
     return (Tm * Qprev * P).sum(axis=1) + Tm[:, -1] * Qfull[:, -1]
 
 
+# The simulator's original chunk, which held its trials as rows x N matrices,
+# kept verbatim as the reference that oracle._simulate_chunk must equal bit for bit.
+def simulate_chunk_matrix(g: np.random.Generator, p: np.ndarray, samples: list, m: int):
+    """(time sum, squared-time sum, successes) of m trials."""
+    N = len(samples)
+    success = g.random((m, N)) < p
+    tdraw = np.empty((m, N))
+    for j in range(N):
+        if len(samples[j]) == 1:
+            tdraw[:, j] = samples[j][0]
+        else:
+            tdraw[:, j] = samples[j][g.integers(0, len(samples[j]), size=m)]
+    any_success = success.any(axis=1)
+    attempts = np.where(any_success, success.argmax(axis=1) + 1, N)
+    with np.errstate(over="ignore"):
+        cum = np.cumsum(tdraw, axis=1)
+        totals = np.take_along_axis(cum, (attempts - 1)[:, None], axis=1)[:, 0]
+        return float(totals.sum()), float((totals * totals).sum()), int(any_success.sum())
+
+
 def rel_ok(value: float, reference: float, tol: float) -> bool:
     """|value - reference| <= tol * max(1, |reference|)."""
     return abs(value - reference) <= tol * max(1.0, abs(reference))

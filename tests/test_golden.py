@@ -9,7 +9,9 @@ reports, are the same on every run.
 
 The N=8 cases are the invocations of the benchmark's ``cli_cold`` rotation,
 on a JSON and a CSV file; the N=2,000 cases run ``order``, ``expect``,
-``excess`` and ``bounds`` on a JSON file.  The premise cases run every band
+``excess``, ``bounds`` and ``simulate`` on a JSON file.  The N=2,000
+``simulate`` digests (5,000 trials in three chunks) were taken before a
+chunk stopped holding its trials' draws as rows x N matrices.  The premise cases run every band
 profile on reports that list violations (the p and time bands, t_max and
 t_min, both swap-local premises of general-lower, the adjacent ratio order,
 and the same general-lower case under ``--strict``, which exits 2) on the
@@ -99,6 +101,7 @@ def _large_cases() -> dict[str, list[str]]:
                                             "--k", "10", "--n", "5",
                                             "--c", repr(c), "--d", repr(d)],
         "large.json/bounds_adjacent": ["bounds", "--profile", "adjacent", "--k", str(n - 1)],
+        "large.json/simulate": ["simulate", "--trials", "5000", "--seed", "7"],
     }
 
 
@@ -236,6 +239,9 @@ GOLDEN: dict[str, tuple[int, str]] = {  # case/format -> (exit code, sha256 of s
     "large.json/order/json": (0, "35fbda6215eea95304099e039ebf84cdc31a8761d91e28d3fdc87ec7a20c906d"),
     "large.json/order/text": (0, "0549cfb97867819e2afd811158ae028ece3a08691634db05e1a8b13b961306b2"),
     "large.json/order/csv": (0, "ef4c4f451745e40adf96d0ae0936e698ddeb7873d04caf4ccf3114f7f1593b6e"),
+    "large.json/simulate/json": (0, "811679a46be17085670f4ef0bff82883e11d89bd7e8eb639dad1749b99fa5d53"),
+    "large.json/simulate/text": (0, "08f1e0b61118f739b19e2be8f71e7314f010532dd61c3f867e55b59388153da7"),
+    "large.json/simulate/csv": (0, "d3ae37b2189ca6dd116ba84bcae2d319feba67a972daacc63aae9f4f96e4cae7"),
     "small.csv/bounds_adjacent/json": (0, "4c0f7905a83ef6e5ad94f0310e7dd745baffde4d63975d7233748652e2a305c4"),
     "small.csv/bounds_adjacent/text": (0, "7f79577fda6eb209ef5bb4763c3024087ed6d8468368e12542d42949d2ef4905"),
     "small.csv/bounds_adjacent/csv": (0, "84f222a7494b61e79559ef31012f581610942fff039ec7053af921c5f41cd9aa"),

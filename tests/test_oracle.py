@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trialorder.oracle as oracle_mod
-from helpers import eq2_for_perms, make_set, rel_ok
+from helpers import candidate_sets, eq2_for_perms, make_set, rel_ok, simulate_chunk_matrix
 from trialorder import search
 from trialorder import (
     Ordering,
@@ -211,6 +212,67 @@ class TestSimulate:
         finally:
             tracemalloc.stop()
         assert peak < 128 * 2**20
+
+    @pytest.mark.parametrize("n, trials", [(128, 65_536), (10_000, 2_000)])
+    def test_chunk_memory_is_linear_in_rows(self, n, trials):
+        # A chunk keeps a few vectors of its rows and one block of at most
+        # 2**16 success draws; its m x N matrices took about 70 MB at both sizes.
+        cs = make_set([0.01] * n, [1.0] * n)
+        tracemalloc.start()
+        try:
+            simulate(cs, Ordering.identity(n), trials=trials, seed=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+
+    @pytest.mark.parametrize("ps, ts, trials, seed, want", [
+        ([0.3], [[1.0, 2.5, 4.0]], 1000, 4,
+         ("0x1.424dd2f1a9fbep+1", "0x1.42e83bf4fe1a5p-5", "0x1.29fbe76c8b439p-2")),
+        ([0.05, 0.2, 0.4, 0.1, 0.33, 0.6, 0.15, 0.5],
+         [[1.0, 2.0], [0.5], [3.0, 1.5, 2.25], [0.75], [4.0, 0.1], [2.5], [1.25, 3.5, 0.2], [6.0]],
+         70_000, 21,
+         ("0x1.9495182a9930cp+2", "0x1.2153d3a53f669p-6", "0x1.e75433ba04548p-1")),
+        (None, None, 70_000, 8,
+         ("0x1.a566619b52446p+7", "0x1.4fb19ada8fde1p-1", "0x1.e898231bcb565p-1")),
+        ([0.0, 0.3, 0.0, 1.0, 0.5], [[2.0, 3.0], [1.0, 4.0], [0.5], [7.0, 1.0], [9.0]], 5000, 6,
+         ("0x1.01ac710cb295fp+3", "0x1.a341aa7b19e11p-5", "0x1.0000000000000p+0")),
+        ([0.5, 0.5, 0.5], [[1e308], [1e308], [1.0]], 2000, 3,
+         ("inf", "0x0.0p+0", "0x1.c3d70a3d70a3dp-1")),
+    ], ids=["n1", "n8_two_chunks", "n128_three_chunks", "p0_and_p1", "overflow"])
+    def test_estimates_are_pinned_bit_for_bit(self, ps, ts, trials, seed, want):
+        # Pinned from the simulator that drew each chunk as one (rows, N)
+        # matrix and summed each trial's times with a cumsum along the row.
+        if ps is None:  # N = 128: 32,768 rows per chunk, one to three samples per candidate
+            rng = random.Random("pins-128")
+            ps = [rng.uniform(0.001, 0.05) for _ in range(128)]
+            ts = [[rng.uniform(0.1, 10.0) for _ in range(1 + i % 3)] for i in range(128)]
+        cs = make_set(ps, ts)
+        res = simulate(cs, Ordering.identity(cs.N), trials=trials, seed=seed)
+        assert (res.mean_time.hex(), res.std_error.hex(), res.success_rate.hex()) == want
+
+    @staticmethod
+    def _chunks_agree(ps, ts, m, seed):
+        p = np.array(ps)
+        samples = [np.asarray(t, dtype=float) for t in ts]
+        want = simulate_chunk_matrix(np.random.Generator(np.random.Philox(seed)), p, samples, m)
+        got = oracle_mod._simulate_chunk(np.random.Generator(np.random.Philox(seed)), p, samples, m)
+        assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
+
+    @settings(max_examples=60, deadline=None)
+    @given(cs=candidate_sets(1, 12), m=st.integers(1, 400), seed=st.integers(0, 2**32))
+    def test_chunk_equals_the_matrix_reference(self, cs, m, seed):
+        self._chunks_agree(cs.ps, [c.time_samples for c in cs], m, seed)
+
+    @pytest.mark.parametrize("n, m", [
+        (3, oracle_mod._SIM_BLOCK // 3 + 7),  # a full block of rows, then a partial one
+        (oracle_mod._SIM_BLOCK + 3, 3),  # rows longer than a block: one row per block
+    ])
+    def test_chunk_equals_the_matrix_reference_across_blocks(self, n, m):
+        rng = random.Random(f"blocks-{n}")
+        self._chunks_agree([rng.choice([0.0, 1e-4, 0.3]) for _ in range(n)],
+                           [[rng.uniform(0.1, 5.0) for _ in range(1 + i % 2)] for i in range(n)],
+                           m, 12)
 
     def test_seed_changes_the_estimate(self):
         a = simulate(THREE, Ordering.identity(3), trials=2000, seed=1)
