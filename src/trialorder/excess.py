@@ -21,8 +21,7 @@ upper bound); the test suite asserts equality with the direct route.
 from __future__ import annotations
 
 from .errors import AssumptionError, SingularityError
-from .model import (CandidateSet, Ordering, _check_compatible, _fold, _numpy_for, _prefix,
-                    _Record, _sum)
+from .model import CandidateSet, Ordering, _check_compatible, _prefix, _Record, _terms_sum
 from .schedule import expected_time
 
 __all__ = [
@@ -62,7 +61,7 @@ def _swap_ends(cset: CandidateSet, ordering: Ordering, k: int, n: int) -> tuple[
         raise ValueError(f"swap distance n={n} must be >= 1")
     if k < 1 or k + n > cset.N:
         raise ValueError(f"swap positions k={k}, k+n={k + n} out of range 1..{cset.N}")
-    i, j = ordering[k - 1], ordering[k + n - 1]
+    i, j = ordering.perm[k - 1], ordering.perm[k + n - 1]
     return cset.ps[i], cset.ps[j], cset.ts[i], cset.ts[j]
 
 
@@ -84,7 +83,7 @@ def adjacent_swap_excess(cset: CandidateSet, ordering: Ordering, k: int) -> floa
     reference ordering; >= 0 whenever the ordering is ratio-sorted.
     """
     pk, pk1, tk, tk1 = _swap_ends(cset, ordering, k, 1)
-    *_, Q = _prefix(cset, ordering, k - 1)
+    Q = _prefix(cset, ordering, k - 1)[2]
     return (pk / tk - pk1 / tk1) * float(Q[k - 1]) * tk * tk1
 
 
@@ -105,30 +104,26 @@ def general_swap_excess(cset: CandidateSet, ordering: Ordering, k: int, n: int) 
             f"p=1 at position k={k}: the q-decomposition divides by (1 - p_k); "
             "use exact_excess_direct instead"
         )
-    p, T, Q = _prefix(cset, ordering, k + n)
-    # Q never grows, and a term whose Q is exactly 0 is a signed 0 wherever T is
-    # finite: T reads as 1.0 beside it in q1 and q3, and q2 stops at the first
-    # l with Q_{l-1} = 0, so a T that overflowed cannot make inf * 0 = nan.
+    p, T, Q, live = _prefix(cset, ordering, k + n)
+    # A term whose Q is exactly 0 is a signed 0 wherever T is finite: T reads
+    # as 1.0 beside it in q1 and q3, and q2 stops at the first l with
+    # Q_{l-1} = 0 and skips p_l = 0, so a T that overflowed cannot make nan.
     Q_k1, Q_kn1 = float(Q[k - 1]), float(Q[k + n - 1])  # Q_{k-1}, Q_{k+n-1}
     T_k1 = float(T[k - 1]) if Q_k1 != 0.0 else 1.0  # T_{k-1}
     T_kn = float(T[k + n]) if Q_kn1 != 0.0 else 1.0  # T_{k+n}
 
     q1 = T_k1 * Q_k1 * (pkn - pk) + Q_k1 * (tkn * pkn - tk * pk)
 
-    def q2_terms(Q_l1, p_l, T_l):  # for l = k+1 .. k+n-1, floats or arrays alike
-        return Q_l1 * p_l * (
-            T_l * (pk - pkn) / (1.0 - pk) + (tkn - tk) * (1.0 - pkn) / (1.0 - pk)
-        )
+    # The factors that do not depend on l, computed once; each rounds as it would per term.
+    gap, keep = pk - pkn, 1.0 - pk
+    shift = (tkn - tk) * (1.0 - pkn) / keep
 
-    np = _numpy_for(k + n)
-    if np is None:
-        stop = k + n - 1 - Q[k:k + n - 1].count(0.0)  # Q_{l-1} > 0 for l - 1 < stop
-        q2 = _sum(map(q2_terms, Q[k:stop], p[k + 1:stop + 1], T[k + 1:stop + 1]))
-    else:
-        stop = k + int(np.count_nonzero(Q[k:k + n - 1]))
-        with np.errstate(all="ignore"):
-            q2 = _fold(q2_terms(Q[k:stop], p[k + 1:stop + 1], T[k + 1:stop + 1]))
-    q3 = T_kn * Q_kn1 * (pk - pkn) / (1.0 - pk)
+    def q2_term(p_l, T_l, Q_l1):  # for l = k+1 .. k+n-1, floats or arrays alike
+        return Q_l1 * p_l * (T_l * gap / keep + shift)
+
+    stop = min(k + n - 1, max(k, live))  # Q_{l-1} > 0 for l - 1 < stop
+    q2 = _terms_sum(q2_term, p[k + 1:stop + 1], T[k + 1:stop + 1], Q[k:stop])
+    q3 = T_kn * Q_kn1 * gap / keep
 
     return ExcessReport(k=k, n=n, q1=q1, q2=q2, q3=q3, total=q1 + q2 + q3,
                         method="q-decomposition")

@@ -25,7 +25,7 @@ import sys
 from collections import deque
 from collections.abc import Mapping
 from functools import cached_property
-from itertools import repeat
+from itertools import compress, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
@@ -363,25 +363,25 @@ def _agrees(value: float, reference: float) -> bool:
 
 
 def _check_compatible(cset: CandidateSet, ordering: Ordering) -> None:
-    if len(ordering) != cset.N:
+    if len(ordering.perm) != len(cset.ps):  # the fields, not the Python-level len and N
         raise ValueError(
             f"ordering over {len(ordering)} positions does not match set of size {cset.N}"
         )
 
 
 def _prefix(cset: CandidateSet, ordering: Ordering, m: int):
-    """Columns ``p, T, Q`` of the prefix walk over the first m positions, indexed 1..m.
+    """``p, T, Q, live``: the prefix walk over the first m positions, columns indexed 0..m.
 
     T_l is the sum of the first l mean times and Q_l the product of their
-    (1 - p), accumulated left to right as ``T += t`` and ``Q *= 1 - p``.
-    Every formula that reads T or Q along an ordering takes them from here,
-    so all of them round alike.  Index 0 is the empty prefix (T_0 = 0,
-    Q_0 = 1; p_0 = 0 is never read), so ``T[l]``, ``Q[l - 1]`` and ``p[l]``
-    read as T_l, Q_{l-1} and p_l in the closed forms.  On the array path (see
-    _numpy_for) the columns are float64 arrays from np.add.accumulate and
-    np.multiply.accumulate, otherwise lists from a loop: both run strictly
-    left to right, so every entry has the same bits on either path.  Read
-    single entries through float(), so that no numpy scalar reaches a result.
+    (1 - p), accumulated left to right as ``T += t`` and ``Q *= 1 - p``, so
+    every formula that reads them rounds alike.  Index 0 is the empty prefix
+    (T_0 = 0, Q_0 = 1, p_0 = 0), so ``T[l]``, ``Q[l - 1]`` and ``p[l]`` read
+    as T_l, Q_{l-1} and p_l.  Q never grows, so Q_0 .. Q_{live-1} are > 0 and
+    the rest exactly 0: consumers stop there, where a T that overflowed would
+    make a zero term inf * 0 = nan.  The one choice of path (_numpy_for):
+    float64 arrays from np.add/multiply.accumulate, or lists from a loop,
+    both strictly left to right, so the bits agree.  Read entries through
+    float(), so that no numpy scalar reaches a result; sum with _terms_sum.
     """
     np = _numpy_for(m)
     if np is None:
@@ -395,7 +395,7 @@ def _prefix(cset: CandidateSet, ordering: Ordering, m: int):
             p.append(p_l)
             T.append(T_l)
             Q.append(Q_l)
-        return p, T, Q
+        return p, T, Q, m + 1 - Q.count(0.0)
     perm = ordering._index[:m]
     ps, ts = cset._arrays
     p, T, Q = np.empty(m + 1), np.empty(m + 1), np.empty(m + 1)
@@ -405,7 +405,7 @@ def _prefix(cset: CandidateSet, ordering: Ordering, m: int):
     with np.errstate(all="ignore"):  # T may overflow to inf, as a float sum does, silently
         np.add.accumulate(ts[perm], out=T[1:])
         np.multiply.accumulate(1.0 - p[1:], out=Q[1:])
-    return p, T, Q
+    return p, T, Q, int(np.count_nonzero(Q))
 
 
 def _numpy_for(n: int):
@@ -432,15 +432,33 @@ def _sum(xs) -> float:
     return total
 
 
-def _fold(terms) -> float:
-    """_sum of a float64 array, with the same bits.
+def _terms_sum(term: Callable, p, a, b) -> float:
+    """_sum of ``term(p_l, a_l, b_l)`` over aligned columns; a term whose p_l is 0 counts as 0.0.
 
-    np.add.accumulate adds in order (np.sum would add pairwise and move the
-    last bits); the leading 0.0 + turns a lone -0.0 into 0.0, as _sum does.
+    Dropping a signed zero changes no sum from 0.0, and no inf * 0 = nan forms
+    beside a T that overflowed.  ``term`` serves floats and arrays alike: on
+    arrays it runs once, and np.add.accumulate adds in order (np.sum adds
+    pairwise), the leading 0.0 + turning a lone -0.0 into 0.0 as _sum does.
     """
-    if not len(terms):
+    if type(p) is list:
+        return _sum(compress(map(term, p, a, b), p))
+    if not len(p):
         return 0.0
-    return 0.0 + float(sys.modules["numpy"].add.accumulate(terms)[-1])
+    np = sys.modules["numpy"]
+    with np.errstate(all="ignore"):  # may overflow or form inf * 0, as float arithmetic does
+        terms = np.where(p == 0.0, 0.0, term(p, a, b))
+        return 0.0 + float(np.add.accumulate(terms)[-1])
+
+
+def _ratio_perm(cset: CandidateSet) -> list[int]:
+    """Indices by p / t descending, ties in input order (both sorts are stable)."""
+    np = _numpy_for(cset.N)
+    if np is None:
+        scores = [p / t for p, t in zip(cset.ps, cset.ts)]
+        return sorted(range(cset.N), key=scores.__getitem__, reverse=True)
+    ps, ts = cset._arrays
+    with np.errstate(all="ignore"):  # p / t may overflow to inf, as a float quotient does
+        return np.argsort(-(ps / ts), kind="stable").tolist()
 
 
 def validate(candidates: Iterable) -> ValidationReport:
@@ -496,8 +514,9 @@ def _checked_rows(rows: Iterable, label: Callable[[int], str] | None = None
     ``ts`` columns (each mean computed once, by mean_time's rule) when there
     are rows and no violations.  A row whose p is a float in [0, 1], whose
     times is a non-empty list or tuple of finite positive floats with a
-    finite sum and whose id is new is stored as it stands; any other goes
-    through _value_problems and, if clean, is coerced as Candidate(...)
+    finite sum and whose id is new is stored as it stands, its times as a
+    tuple made at its row (a reader's list is freed with the row); any other
+    goes through _value_problems and, if clean, is coerced as Candidate(...)
     coerces it, so a file pays the full check only for its odd rows.  A row
     may instead be a reader's Violation for a record that is no record.
     Violations come in row order, each row's value problems before its
@@ -507,7 +526,7 @@ def _checked_rows(rows: Iterable, label: Callable[[int], str] | None = None
     """
     ids: list[str] = []
     ps: list[float] = []
-    samples: list[list[float] | tuple[float, ...]] = []
+    samples: list[tuple[float, ...]] = []
     ts: list[float] = []
     out: list[Violation] = []
     seen: set[str] = set()
@@ -533,7 +552,7 @@ def _checked_rows(rows: Iterable, label: Callable[[int], str] | None = None
                     seen.add(rid)
                     ids.append(rid)
                     ps.append(p)
-                    samples.append(times)
+                    samples.append(tuple(times))
                     ts.append(mean)
                     continue
         times = _samples(times)
@@ -559,12 +578,12 @@ def _set_of(ids: Sequence[str], ps: Sequence[float], samples: Iterable, ts: Sequ
             ) -> CandidateSet:
     """The set of candidates with these columns, clean and coerced as Candidate(...) coerces.
 
-    Stored, not checked: each candidate's times (a list or tuple) as a tuple,
-    ``ps`` and ``ts`` (the means) as the set's columns.  The candidates'
-    slots are filled column by column.
+    Stored, not checked: each candidate's times tuple, ``ps`` and ``ts`` (the
+    means) as the set's columns.  The candidates' slots are filled column by
+    column.
     """
     candidates = tuple(map(object.__new__, repeat(Candidate, len(ids))))
-    for store, column in zip(_CANDIDATE_SETTERS, (ids, ps, map(tuple, samples))):
+    for store, column in zip(_CANDIDATE_SETTERS, (ids, ps, samples)):
         deque(map(store, candidates, column), 0)
     return CandidateSet._trusted(candidates, tuple(ps), tuple(ts))
 

@@ -6,8 +6,8 @@ closed forms (module checks) need no numpy and live in their own modules, so
 that `verify-optimal` and `check` run without it; their public names are
 re-exported here, each module loaded on first use of one of its names, so
 that `simulate` loads neither.  numpy is imported at module level: simulate
-draws with it, and once it is loaded, walks of model._ARRAY_MIN_N or more
-positions take the array path (model._numpy_for).
+draws with it, and once it is loaded, model alone takes the array path for a
+walk or a ratio sort over model._ARRAY_MIN_N or more positions (_numpy_for).
 
 Determinism contract: results are a pure function of their arguments.  The
 simulator partitions trials into chunks sized by N alone, each driven by its

@@ -18,8 +18,8 @@ penalties.
 
 from __future__ import annotations
 
-from .model import (CandidateSet, Ordering, _check_compatible, _fold, _numpy_for, _prefix,
-                    _Record, _sum)
+from .model import (CandidateSet, Ordering, _check_compatible, _prefix, _ratio_perm, _Record,
+                    _terms_sum)
 
 __all__ = [
     "ExpectationOptions",
@@ -46,15 +46,7 @@ def solomonoff_order(cset: CandidateSet) -> Ordering:
     so any deterministic tie-break is correct, and the stable one is
     reproducible.
     """
-    np = _numpy_for(cset.N)
-    if np is None:
-        scores = [p / t for p, t in zip(cset.ps, cset.ts)]
-        perm = sorted(range(cset.N), key=lambda i: -scores[i])
-    else:
-        ps, ts = cset._arrays
-        with np.errstate(all="ignore"):  # p / t may overflow to inf, as a float quotient does
-            perm = np.argsort(-(ps / ts), kind="stable").tolist()
-    return Ordering._trusted(tuple(perm))
+    return Ordering._trusted(tuple(_ratio_perm(cset)))
 
 
 def expected_time(
@@ -70,26 +62,18 @@ def expected_time(
     conditional expectation — its weights sum to 1 - Q_N, not 1.
     """
     _check_compatible(cset, ordering)
-    # Q never grows, and once it is exactly 0 every later term and the tail
-    # are exactly 0 wherever T is finite; so is the term of a p = 0 candidate.
-    # Both paths stop at Q = 0 and add nothing for p = 0, so a T that
-    # overflowed adds nothing there, where inf * 0 would make the total nan.
+    # The terms past Q = 0 and the tail beside Q_N = 0 are not formed (see _prefix).
     N = cset.N
-    np = _numpy_for(N)
-    p, T, Q = _prefix(cset, ordering, N)
-    if np is None:
-        live = N + 1 - Q.count(0.0)  # Q_0 .. Q_(live-1) are > 0, the rest exactly 0
-        total = _sum([T[l] * Q[l - 1] * p[l] for l in range(1, min(live, N) + 1) if p[l]])
-    else:
-        live = int(np.count_nonzero(Q))
-        m = min(live, N)
-        with np.errstate(all="ignore"):
-            terms = T[1:m + 1] * Q[:m] * p[1:m + 1]
-        terms[p[1:m + 1] == 0.0] = 0.0
-        total = _fold(terms)
+    p, T, Q, live = _prefix(cset, ordering, N)
+    m = min(live, N)
+    total = _terms_sum(_success_term, p[1:m + 1], T[1:m + 1], Q[:m])
     if (opts is None or opts.include_failure_tail) and live > N:  # the tail is on by default
         total += float(T[N]) * float(Q[N])
     return total
+
+
+def _success_term(p_l, T_l, Q_l1):  # T_l Q_{l-1} p_l, for floats or arrays alike
+    return T_l * Q_l1 * p_l
 
 
 def failure_tail_term(cset: CandidateSet, ordering: Ordering | None = None) -> float:
@@ -101,6 +85,5 @@ def failure_tail_term(cset: CandidateSet, ordering: Ordering | None = None) -> f
     if ordering is None:
         ordering = Ordering.identity(cset.N)
     _check_compatible(cset, ordering)
-    _, T, Q = _prefix(cset, ordering, cset.N)
-    T_N, Q_N = float(T[-1]), float(Q[-1])
-    return T_N * Q_N if Q_N != 0.0 else 0.0  # a T_N that overflowed meets no Q_N = 0
+    _, T, Q, live = _prefix(cset, ordering, cset.N)
+    return float(T[-1]) * float(Q[-1]) if live > cset.N else 0.0  # no inf * (Q_N = 0)

@@ -726,6 +726,19 @@ class TestNonFiniteResults:
         assert results["oracle_agrees"] is True
         assert [results[key] for key in ("q1", "q2", "q3", "total", "direct_oracle")] == [0.0] * 5
 
+    def test_zero_p_behind_an_overflowed_time(self, capsys, tmp_path):
+        # T_2 and T_3 overflow: q2's only term has p = 0 and is exactly 0, but
+        # q3 is inf * 0 and both expected times are inf, so the report is refused.
+        path = tmp_path / "abc.json"
+        path.write_text('{"candidates": [{"id": "a", "p": 0.5, "times": [1e308]},'
+                        ' {"id": "b", "p": 0.0, "times": [1e308]},'
+                        ' {"id": "c", "p": 0.5, "times": [1.0]}]}')
+        code, out, err = run(capsys, ["excess", "-i", str(path), "--order", "a,b,c",
+                                      "--k", "1", "--n", "2", "--format", "json"])
+        assert (code, out) == (1, "")
+        assert err == "".join(f"trialorder: error: results.{key} is not finite: nan\n"
+                              for key in ("q3", "total", "direct_oracle", "oracle_abs_diff"))
+
     def test_exact_search_past_certain_success(self, capsys, tmp_path):
         # In the order a, b, Q_1 = 0 and T_2 = inf: b's term and the tail are
         # exactly 0, so the search scores the order as expect does.

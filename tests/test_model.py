@@ -1,6 +1,8 @@
 import gc
 import math
+import random
 import re
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -293,6 +295,28 @@ class TestSetsOfRows:
             cset, problems = model._checked_rows(rows)
         assert full_check.call_count == 1 and problems == []
         assert cset == _constructed(rows) and type(cset[20].p) is float
+
+    def test_each_rows_times_list_is_freed_at_its_row(self):
+        # Each times list becomes the candidate's tuple as its row is read, so
+        # the lists of fresh rows are never all alive at once.  On N = 10^4 rows
+        # (CPython 3.11), building the tuples only after every row was read
+        # peaked at 1.59x the finished set; converting at each row, at 1.29x
+        # (the columns' copies and the set of seen ids are the rest).
+        def rows(n):
+            rng = random.Random(7)
+            for i in range(n):
+                yield f"c{i}", rng.random(), [rng.uniform(0.1, 10.0) for _ in range(1 + i % 3)]
+
+        model._checked_rows(rows(10))  # warms up outside the trace
+        gc.collect()
+        tracemalloc.start()
+        try:
+            cset, problems = model._checked_rows(rows(10_000))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert problems == [] and cset.N == 10_000
+        assert peak <= 1.45 * held, peak / held
 
 
 # Each test runs once with the collector on and once with it off.

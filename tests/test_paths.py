@@ -53,6 +53,13 @@ def _certain_first(n: int) -> model.CandidateSet:
                     [1e308, 1e308] + [rng.uniform(0.1, 10.0) for _ in range(n - 2)])
 
 
+def _zero_p_behind_overflow(n: int) -> model.CandidateSet:
+    # T overflows at position 2, where p = 0: q2's term there is exactly 0, not inf * 0.
+    rng = random.Random(f"zero-p-{n}")
+    return make_set([0.5, 0.0] + [rng.choice((0.0, 0.5)) for _ in range(n - 2)],
+                    [1e308, 1e308] + [rng.uniform(0.1, 10.0) for _ in range(n - 2)])
+
+
 def _outcomes(cset: model.CandidateSet) -> list:
     """What every consumer returns on cset, in a fixed order."""
     N = cset.N
@@ -84,7 +91,7 @@ SIZES = [C - 1, C, C + 1, 100, 10_000]
 SETS = [("continuous", _continuous), ("degenerate", _degenerate),
         ("no-certain", lambda n: _degenerate(n, (0.0, -0.0, 0.25, 0.5))),
         ("minus-zero", lambda n: _degenerate(n, (-0.0,))), ("huge", _huge),
-        ("certain-first", _certain_first)]
+        ("certain-first", _certain_first), ("zero-p-behind-overflow", _zero_p_behind_overflow)]
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -103,3 +110,12 @@ def test_paths_agree_bit_for_bit(monkeypatch, kind, build, n):
 def test_the_default_rule_takes_the_array_path_only_at_size():
     assert model._numpy_for(C - 1) is None
     assert model._numpy_for(C) is np
+
+
+@pytest.mark.parametrize("threshold", [LOOP, ARRAYS], ids=["loop", "arrays"])
+def test_q2_skips_a_zero_p_term_behind_an_overflowed_time(monkeypatch, threshold):
+    # T_2 = 2e308 overflows beside p_2 = 0: the term is exactly 0, where inf * 0 was nan.
+    monkeypatch.setattr(model, "_ARRAY_MIN_N", threshold)
+    cset = make_set([0.5, 0.0, 0.5], [1e308, 1e308, 1.0])
+    q2 = general_swap_excess(cset, model.Ordering.identity(3), 1, 2).q2
+    assert type(q2) is float and q2.hex() == (0.0).hex()
