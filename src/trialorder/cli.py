@@ -81,18 +81,19 @@ def _records_from_csv(raw: bytes):
     # BytesIO splits at b"\n" as StringIO's default does at "\n", and shares
     # raw's buffer where StringIO would hold four bytes per character.
     reader = csv.reader(map(bytes.decode, io.BytesIO(raw)))
-    rows = (r for r in reader if any(cell.strip() for cell in r))
     try:
-        first = next(rows, None)
-        if first is None:
+        for first in reader:  # the header is the first row that is not blank
+            header = [cell.strip().lower() for cell in first]
+            if any(header):
+                break
+        else:
             raise CliInputError("CSV parse error: empty file")
-        header = [cell.strip().lower() for cell in first]
         if len(header) < 3 or header[0] != "id" or header[1] != "p":
             raise CliInputError("CSV parse error: header must be 'id,p,<time columns...>', got "
                                 + ",".join(first))
-        for row in rows:  # blank rows are skipped, so record i is non-blank row i + 2
-            yield (row[0].strip(), row[1].strip() if len(row) > 1 else None,
-                   [cell.strip() for cell in row[2:] if cell.strip()])
+        # Each cell is stripped once; blank rows are skipped, so record i is non-blank row i + 2.
+        for row in filter(any, ([cell.strip() for cell in r] for r in reader)):
+            yield row[0], row[1] if len(row) > 1 else None, [cell for cell in row[2:] if cell]
     except csv.Error as e:  # a field past csv's size limit, a bare carriage return, ...
         raise CliInputError(f"CSV parse error: line {reader.line_num}: {e}") from e
 
@@ -320,6 +321,10 @@ def emit(report: dict, fmt: str) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _ids(cset: CandidateSet, ordering: Ordering) -> list[str]:
+    return [cset[i].id for i in ordering]
+
+
 def _cmd_order(args, cset: CandidateSet):
     ordering = schedule.solomonoff_order(cset)
     table = []
@@ -327,25 +332,23 @@ def _cmd_order(args, cset: CandidateSet):
         p, t = cset.ps[idx], cset.ts[idx]
         table.append({"position": pos, "id": cset[idx].id, "p": p,
                       "mean_time": t, "ratio": p / t})
-    results = {
-        "order": [cset[i].id for i in ordering],
+    return {
+        "order": _ids(cset, ordering),
         "perm": list(ordering.perm),
         "ratio_sorted": True,
         "table": table,
-    }
-    return results, 0
+    }, 0
 
 
 def _cmd_expect(args, cset: CandidateSet):
     ordering = _resolve_ordering(args.order, cset)
     opts = schedule.ExpectationOptions(include_failure_tail=not args.no_tail)
     value = schedule.expected_time(cset, ordering, opts)
-    results = {
-        "ordering": [cset[i].id for i in ordering],
+    return {
+        "ordering": _ids(cset, ordering),
         "include_failure_tail": opts.include_failure_tail,
         "expected_time": value,
-    }
-    return results, 0
+    }, 0
 
 
 def _cmd_excess(args, cset: CandidateSet):
@@ -355,8 +358,8 @@ def _cmd_excess(args, cset: CandidateSet):
     rep = excess.general_swap_excess(cset, ordering, args.k, args.n)
     direct = excess.exact_excess_direct(cset, ordering, args.k, args.n)
     agree = model._agrees(rep.total, direct)
-    results = {
-        "ordering": [cset[i].id for i in ordering],
+    return {
+        "ordering": _ids(cset, ordering),
         "k": rep.k,
         "n": rep.n,
         "q1": rep.q1,
@@ -367,8 +370,7 @@ def _cmd_excess(args, cset: CandidateSet):
         "direct_oracle": direct,
         "oracle_abs_diff": abs(rep.total - direct),
         "oracle_agrees": agree,
-    }
-    return results, (0 if agree else 3)
+    }, (0 if agree else 3)
 
 
 def _cmd_bounds(args, cset: CandidateSet):
@@ -403,8 +405,8 @@ def _cmd_bounds(args, cset: CandidateSet):
         }[args.profile]
         res = evaluate(cset, ordering, k, n, assumptions)
     exact = excess.exact_excess_direct(cset, ordering, k, n)
-    results = {
-        "ordering": [cset[i].id for i in ordering],
+    return {
+        "ordering": _ids(cset, ordering),
         "profile": args.profile,
         "k": k,
         "n": n,
@@ -419,9 +421,7 @@ def _cmd_bounds(args, cset: CandidateSet):
         "assumptions_ok": res.assumptions_ok,
         "violations": [str(v) for v in res.violations],
         "exact_excess": exact,
-    }
-    code = 2 if (args.strict and not res.assumptions_ok) else 0
-    return results, code
+    }, (2 if (args.strict and not res.assumptions_ok) else 0)
 
 
 def _cmd_verify_optimal(args, cset: CandidateSet):
@@ -431,15 +431,14 @@ def _cmd_verify_optimal(args, cset: CandidateSet):
     rule_order = schedule.solomonoff_order(cset)
     rule_value = schedule.expected_time(cset, rule_order)
     agree = model._agrees(rule_value, bf.best_expected_time)
-    results = {
+    return {
         "evaluated": bf.evaluated,
-        "best_order": [cset[i].id for i in bf.best_order],
+        "best_order": _ids(cset, bf.best_order),
         "best_expected_time": bf.best_expected_time,
-        "rule_order": [cset[i].id for i in rule_order],
+        "rule_order": _ids(cset, rule_order),
         "rule_expected_time": rule_value,
         "agree": agree,
-    }
-    return results, (0 if agree else 3)
+    }, (0 if agree else 3)
 
 
 def _cmd_simulate(args, cset: CandidateSet):
@@ -447,15 +446,14 @@ def _cmd_simulate(args, cset: CandidateSet):
 
     ordering = _resolve_ordering(args.order, cset)
     res = oracle.simulate(cset, ordering, args.trials, args.seed)
-    results = {
-        "ordering": [cset[i].id for i in ordering],
+    return {
+        "ordering": _ids(cset, ordering),
         "trials": res.trials,
         "mean_time": res.mean_time,
         "std_error": res.std_error,
         "success_rate": res.success_rate,
         "generator": res.generator,
-    }
-    return results, 0
+    }, 0
 
 
 def _cmd_check(args):
@@ -475,6 +473,7 @@ def _cmd_check(args):
 
 def build_parser() -> argparse.ArgumentParser:
     # Every command takes --format; all but check also read a candidate file.
+    # An option several commands share is declared once, in a parent parser.
     # Each command's parser names its handler as ``run``.
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--format", choices=("json", "csv", "text"), default="text",
@@ -484,6 +483,12 @@ def build_parser() -> argparse.ArgumentParser:
                             help="candidate file, or - for standard input (default)")
     with_input.add_argument("--input-format", choices=("json", "csv"),
                             help="input format (default: by file extension, else json)")
+    ordered = argparse.ArgumentParser(add_help=False)
+    ordered.add_argument("--order", default="optimal",
+                         help="'optimal' (the default) or comma-separated candidate ids")
+    swap = argparse.ArgumentParser(add_help=False)
+    swap.add_argument("--k", type=int, required=True, help="earlier position, 1-based")
+    swap.add_argument("--n", type=int, default=1, help="positional distance (default 1)")
 
     parser = argparse.ArgumentParser(
         prog="trialorder",
@@ -496,32 +501,24 @@ def build_parser() -> argparse.ArgumentParser:
                              help="optimal trial order by descending p/mean-time ratio")
     p_order.set_defaults(run=_cmd_order)
 
-    p_expect = sub.add_parser("expect", parents=[with_input],
+    p_expect = sub.add_parser("expect", parents=[with_input, ordered],
                               help="expected solving time of an ordering")
-    p_expect.add_argument("--order", default="optimal",
-                          help="'optimal' or comma-separated candidate ids")
     p_expect.add_argument("--no-tail", action="store_true",
                           help="drop the all-candidates-fail time term")
     p_expect.set_defaults(run=_cmd_expect)
 
-    p_excess = sub.add_parser("excess", parents=[with_input],
+    p_excess = sub.add_parser("excess", parents=[with_input, swap, ordered],
                               help="exact penalty of swapping positions k and k+n (1-based)")
-    p_excess.add_argument("--k", type=int, required=True, help="earlier position, 1-based")
-    p_excess.add_argument("--n", type=int, default=1, help="positional distance (default 1)")
-    p_excess.add_argument("--order", default="optimal")
     p_excess.set_defaults(run=_cmd_excess)
 
-    p_bounds = sub.add_parser("bounds", parents=[with_input],
+    p_bounds = sub.add_parser("bounds", parents=[with_input, swap, ordered],
                               help="closed-form bounds on the swap penalty")
-    p_bounds.add_argument("--k", type=int, required=True)
-    p_bounds.add_argument("--n", type=int, default=1)
     p_bounds.add_argument("--c", type=float, help="lower probability bound in (0,1)")
     p_bounds.add_argument("--d", type=float, help="upper probability bound in (0,1)")
     p_bounds.add_argument("--tmin", type=float, help="lower time bound (default: min mean time)")
     p_bounds.add_argument("--tmax", type=float, help="upper time bound (default: max mean time)")
     p_bounds.add_argument("--profile", choices=model.PROFILES, default="general-upper",
                           help="adjacent takes no --c, --d, --tmin or --tmax")
-    p_bounds.add_argument("--order", default="optimal")
     p_bounds.add_argument("--strict", action="store_true",
                           help="exit 2 when a bound's assumptions are violated")
     p_bounds.set_defaults(run=_cmd_bounds)
@@ -532,11 +529,10 @@ def build_parser() -> argparse.ArgumentParser:
                               description=verify_help)
     p_verify.set_defaults(run=_cmd_verify_optimal)
 
-    p_sim = sub.add_parser("simulate", parents=[with_input],
+    p_sim = sub.add_parser("simulate", parents=[with_input, ordered],
                            help="seeded Monte Carlo estimate of the expected solving time")
     p_sim.add_argument("--trials", type=int, default=100_000)
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--order", default="optimal")
     p_sim.set_defaults(run=_cmd_simulate)
 
     p_check = sub.add_parser("check", parents=[output],

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import gc
 import math
+import operator
 import sys
 from collections import deque
 from collections.abc import Mapping
@@ -144,22 +145,31 @@ def _number(v) -> float | None:
     return None if type(v) is not float and _is_bool(v) else value
 
 
-def _value_problems(p, times) -> list[tuple[str, str]]:
-    """Every ``(field, message)`` wrong with one record's p and times."""
-    out: list[tuple[str, str]] = []
-    value = _number(p)
-    if value is None:
-        out.append(("p", f"not a number: {p!r}"))
-    elif not (0.0 <= value <= 1.0):
-        out.append(("p", f"probability {value!r} out of [0, 1]"))
+def _value_problems(p, times) -> tuple[list[tuple[str, str]], tuple | None]:
+    """``(problems, row)``: every ``(field, message)`` wrong with a record's p and times.
 
-    times = _samples(times)
+    The one read of a record's values (times, any iterable but a string, once): ``row``
+    is ``(p, times, mean)`` as floats, the mean by mean_time's rule, or None if wrong.
+    """
+    out: list[tuple[str, str]] = []
+    p_value = _number(p)
+    if p_value is None:
+        out.append(("p", f"not a number: {p!r}"))
+    elif not (0.0 <= p_value <= 1.0):
+        out.append(("p", f"probability {p_value!r} out of [0, 1]"))
+
+    if not isinstance(times, (str, bytes)):
+        try:
+            times = tuple(times)
+        except TypeError:
+            pass
     if type(times) is not tuple:
         out.append(("times", f"not a sequence: {times!r}"))
-        return out
+        return out, None
     if not times:
         out.append(("times", "no execution time samples"))
     values = []
+    row = None
     for t in times:
         value = _number(t)
         if value is None:
@@ -172,10 +182,10 @@ def _value_problems(p, times) -> list[tuple[str, str]]:
             values.append(value)
     if values and len(values) == len(times):  # every sample is fine on its own
         try:
-            math.fsum(values)  # as mean_time sums them
+            row = p_value, tuple(values), math.fsum(values) / len(values)
         except OverflowError:
             out.append(("times", "sum of time samples overflows"))
-    return out
+    return out, None if out else row
 
 
 class Candidate(_Record):
@@ -191,13 +201,11 @@ class Candidate(_Record):
 
     def __init__(self, id: str, p: float, time_samples: tuple[float, ...]) -> None:
         id = str(id)
-        samples = _samples(time_samples)
-        # Check the raw values: float() would take True as 1.0.
-        problems = _value_problems(p, samples)
+        problems, row = _value_problems(p, time_samples)
         if problems:
             subject = f"candidate {id!r}"
             raise ValueError("; ".join(str(Violation(subject, f, m)) for f, m in problems))
-        for store, value in zip(_CANDIDATE_SETTERS, (id, float(p), tuple(map(float, samples)))):
+        for store, value in zip(_CANDIDATE_SETTERS, (id, *row[:2])):
             store(self, value)
 
     def __reduce__(self):
@@ -285,6 +293,8 @@ def _coerce_record(rec, i: int):
             rid = str(rec["id"]) if "id" in rec else f"#{i}"
             times = rec["times"] if "times" in rec else rec.get("time_samples", ())
             return rid, rec.get("p"), times
+        if isinstance(rec, (str, bytes)):  # would unpack into one-character fields
+            raise TypeError("a string is no record")
     rid, p, times = rec
     return str(rid), p, times
 
@@ -295,7 +305,13 @@ class Ordering(_Record):
     _fields = ("perm",)
 
     def __init__(self, perm: Iterable[int]) -> None:
-        perm = tuple(int(i) for i in perm)
+        entries = []
+        for i in perm:  # operator.index, as for a seed: no float or str reads as an index
+            try:
+                entries.append(operator.index(i))
+            except TypeError:
+                raise TypeError(f"perm entry {i!r} is not an integer") from None
+        perm = tuple(entries)
         if sorted(perm) != list(range(len(perm))):
             raise ValueError(f"perm {perm!r} is not a permutation of 0..{len(perm) - 1}")
         self.__dict__["perm"] = perm
@@ -496,16 +512,6 @@ def _check_records(records: Iterable) -> tuple[CandidateSet | None, list[Violati
     return cset, malformed + problems
 
 
-def _samples(times):
-    """``times`` read once into a tuple; a string or non-iterable is left for _value_problems."""
-    if isinstance(times, (str, bytes)):
-        return times
-    try:
-        return tuple(times)
-    except TypeError:
-        return times
-
-
 def _checked_rows(rows: Iterable, label: Callable[[int], str] | None = None
                   ) -> tuple[CandidateSet | None, list[Violation]]:
     """Check and build ``(id, p, times)`` rows in one pass: ``(set or None, violations)``.
@@ -516,13 +522,14 @@ def _checked_rows(rows: Iterable, label: Callable[[int], str] | None = None
     times is a non-empty list or tuple of finite positive floats with a
     finite sum and whose id is new is stored as it stands, its times as a
     tuple made at its row (a reader's list is freed with the row); any other
-    goes through _value_problems and, if clean, is coerced as Candidate(...)
-    coerces it, so a file pays the full check only for its odd rows.  A row
-    may instead be a reader's Violation for a record that is no record.
-    Violations come in row order, each row's value problems before its
-    duplicate id, under ``label(i)`` (default ``candidate '<id>'``), which is
-    called only for a row with a problem.  The candidates are built once
-    every row is read, column by column (_set_of).
+    goes through _value_problems and, if clean, is stored as that check read
+    it, as Candidate(...) stores it, so a file pays the full check only for
+    its odd rows, and reads each of their values once.  A row may instead be
+    a reader's Violation for a record that is no record.  Violations come in
+    row order, each row's value problems before its duplicate id, under
+    ``label(i)`` (default ``candidate '<id>'``), which is called only for a
+    row with a problem.  The candidates are built once every row is read,
+    column by column (_set_of).
     """
     ids: list[str] = []
     ps: list[float] = []
@@ -555,19 +562,16 @@ def _checked_rows(rows: Iterable, label: Callable[[int], str] | None = None
                     samples.append(tuple(times))
                     ts.append(mean)
                     continue
-        times = _samples(times)
-        problems = _value_problems(p, times)
+        problems, read = _value_problems(p, times)
         if rid in seen:
             problems.append(("id", f"duplicate candidate id {rid!r}"))
         if problems:
             subject = label(i) if label is not None else f"candidate {rid!r}"
             out.extend(Violation(subject, f, message) for f, message in problems)
         else:
-            times = tuple(map(float, times))
             ids.append(rid)
-            ps.append(float(p))
-            samples.append(times)
-            ts.append(fsum(times) / len(times))  # mean_time's rule
+            for column, value in zip((ps, samples, ts), read):
+                column.append(value)
         seen.add(rid)
     if out or not ids:
         return None, out

@@ -188,6 +188,43 @@ class TestIngest:
         path.write_bytes(data)
         assert run(capsys, argv + ["-i", str(path)]) == (1, "", f"trialorder: error: {message}\n")
 
+    def test_padded_integer_and_exponent_cells_build_the_json_twin(self, tmp_path):
+        # Each CSV cell is stripped once and read by the full check, which
+        # converts it as float() does; the JSON twin reads the same numbers.
+        csv_path, json_path = tmp_path / "odd.csv", tmp_path / "odd.json"
+        csv_path.write_text("id,p,t1,t2,t3\n"
+                            " a , 0.31 ,3, 1e-1 ,\n"
+                            "b,1,  2.5E0 ,7,0.1\n"
+                            "\t c\t,0,1e300,,\n"
+                            "d,  3e-1,0.2, ,\n")
+        json_path.write_text('{"candidates": ['
+                             '{"id": "a", "p": 0.31, "times": [3, 1e-1]},'
+                             ' {"id": "b", "p": 1, "times": [2.5E0, 7, 0.1]},'
+                             ' {"id": "c", "p": 0, "times": [1e300]},'
+                             ' {"id": "d", "p": 3e-1, "times": [0.2]}]}')
+        got, _ = cli.ingest(str(csv_path), "csv")
+        want, _ = cli.ingest(str(json_path), "json")
+
+        def bits(cset):
+            return (cset.ids, [p.hex() for p in cset.ps], [t.hex() for t in cset.ts],
+                    [[t.hex() for t in c.time_samples] for c in cset])
+
+        assert bits(got) == bits(want)
+        assert got.ids == ("a", "b", "c", "d") and got.ts[0] == math.fsum([3.0, 0.1]) / 2
+        assert all(type(v) is float for c in got for v in (c.p, *c.time_samples))
+
+    @pytest.mark.parametrize("data, shown", [
+        ("name, p ,t1\na,0.5,1\n", "name, p ,t1"),
+        ("\n , \n id ,q,t1\n", " id ,q,t1"),
+        ("id,p\n", "id,p"),
+    ], ids=["bad-id", "after-blank-rows", "no-time-column"])
+    def test_csv_header_error_quotes_the_raw_cells(self, capsys, tmp_path, data, shown):
+        path = tmp_path / "bad.csv"
+        path.write_text(data)
+        assert run(capsys, ["order", "-i", str(path)]) == (1, "", (
+            "trialorder: error: CSV parse error: header must be 'id,p,<time columns...>', "
+            f"got {shown}\n"))
+
     def test_csv_header_required(self, capsys, tmp_path):
         path = tmp_path / "headerless.csv"
         path.write_text("a,0.5,1\n")
@@ -769,6 +806,22 @@ def test_simulate_refuses_a_spread_whose_squares_overflow(capsys, tmp_path):
                     ' {"id": "b", "p": 0.5, "times": [1e200]}]}')
     argv = ["simulate", "--trials", "500", "--seed", "3", "-i", str(path)]
     assert run(capsys, argv) == (1, "", "trialorder: error: results.std_error is not finite: nan\n")
+
+
+@pytest.mark.parametrize("command, options", [
+    ("expect", ["order"]), ("simulate", ["order"]),
+    ("excess", ["k", "n", "order"]), ("bounds", ["k", "n", "order"]),
+])
+def test_shared_options_are_worded_alike_in_every_help(capsys, command, options):
+    helps = {
+        "k": "--k K earlier position, 1-based",
+        "n": "--n N positional distance (default 1)",
+        "order": "--order ORDER 'optimal' (the default) or comma-separated candidate ids",
+    }
+    code, out, _ = run(capsys, [command, "--help"])
+    assert code == 0
+    text = " ".join(out.split())
+    assert [helps[o] in text for o in options] == [True] * len(options)
 
 
 def test_verify_optimal_help_states_the_search_limit(capsys):

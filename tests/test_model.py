@@ -189,16 +189,22 @@ class TestOneRecordRule:
         with patch.object(model, "_value_problems", wraps=model._value_problems) as full_check:
             cset, violations = model._checked_rows([("a", p, times)])
         candidates, ps, ts = ([], [], []) if cset is None else map(list, (cset, cset.ps, cset.ts))
+        problems, row = model._value_problems(p, times)
         if not full_check.called:  # the plain-float check admitted the row
-            assert model._value_problems(p, times) == []
+            assert problems == []
         try:
             want = Candidate("a", p, times)
         except ValueError as e:
             assert (candidates, ps, ts, "; ".join(map(str, violations))) == ([], [], [], str(e))
+            assert row is None
         else:
             assert violations == []
             assert [_bits(c) for c in candidates] == [_bits(want)]
             assert [x.hex() for x in ps + ts] == [want.p.hex(), mean_time(want).hex()]
+            # The full check returns the row it read: the constructor's floats, bit for bit.
+            assert all(type(x) is float for x in (row[0], *row[1], row[2]))
+            assert [row[0].hex(), [t.hex() for t in row[1]], row[2].hex()] == [
+                want.p.hex(), [t.hex() for t in want.time_samples], mean_time(want).hex()]
 
     def test_plain_floats_skip_the_full_check(self):
         with patch.object(model, "_value_problems", wraps=model._value_problems) as full_check:
@@ -377,6 +383,14 @@ class TestOrdering:
     def test_swapped(self):
         assert Ordering((0, 1, 2)).swapped(0, 2).perm == (2, 1, 0)
 
+    @pytest.mark.parametrize("perm, entry", [
+        ([1.5, 0], "1.5"), ([1.0, 0], "1.0"), (["1", "0"], "'1'"), ((0, None), "None"),
+    ])
+    def test_an_entry_that_is_no_integer_is_named(self, perm, entry):
+        # int() would read 1.5 as 1 and "1" as 1; operator.index reads neither.
+        with pytest.raises(TypeError, match=re.escape(f"perm entry {entry} is not an integer")):
+            Ordering(perm)
+
 
 class TestValidate:
     def test_clean_set(self):
@@ -406,6 +420,15 @@ class TestValidate:
         report = validate([("a", 2.0, [0.0]), ("a", "oops", [1.0])])
         fields = {v.field for v in report.violations}
         assert {"p", "times", "id"} <= fields
+
+    @pytest.mark.parametrize("rec", ["abc", b"abc", ""])
+    def test_a_string_is_no_record(self, rec):
+        # Unpacked, "abc" would be id "a", p "b" and times "c".
+        message = f"record #0: field 'record': malformed record: {rec!r}"
+        assert str(validate([rec])) == message
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CandidateSet.from_records([rec])
+        assert str(validate([("a", 0.5, [1.0]), rec])) == message.replace("#0", "#1")
 
     @given(candidate_sets(max_size=5))
     @settings(max_examples=50)
@@ -437,6 +460,38 @@ class TestTimesRead:
 
         assert build(times()) == (1.0, 2.0, 4.0)
         assert reads == [1.0, 2.0, 4.0]
+
+
+class _Counted:
+    """A number that counts the float() calls made on it."""
+
+    def __init__(self, value: float, calls: list) -> None:
+        self.value, self.calls = value, calls
+
+    def __float__(self) -> float:
+        self.calls.append(self.value)
+        return self.value
+
+
+class TestOneRead:
+    """The full check reads each value once, and the record is stored as read."""
+
+    @pytest.mark.parametrize("build", [
+        lambda p, times: CandidateSet((Candidate("a", p, times),)),
+        lambda p, times: CandidateSet.from_records([("a", p, times)]),
+        lambda p, times: CandidateSet.from_records([{"id": "a", "p": p, "times": times}]),
+    ], ids=["Candidate", "from_records-tuple", "from_records-mapping"])
+    def test_each_value_is_converted_once(self, build):
+        calls = []
+        cset = build(_Counted(0.25, calls), [_Counted(t, calls) for t in (1.0, 2.0, 4.5)])
+        assert sorted(calls) == [0.25, 1.0, 2.0, 4.5]
+        assert (cset.ps, cset.ts, cset[0].time_samples) == ((0.25,), (2.5,), (1.0, 2.0, 4.5))
+
+    def test_a_refused_record_is_read_once_too(self):
+        calls = []
+        with pytest.raises(ValueError, match="probability 1.5 out of"):
+            Candidate("a", _Counted(1.5, calls), [_Counted(1.0, calls)])
+        assert sorted(calls) == [1.0, 1.5]
 
 
 _EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, 1e16, -1e16,
