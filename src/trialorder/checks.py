@@ -2,7 +2,8 @@
 
 verify_bounds_random draws random instances and holds each closed form
 against exact_excess_direct (a difference of schedule.expected_time values)
-and the rule against the exact search (search.brute_force_best_order).
+and the rule against the exact search (search.brute_force_best_order).  Each
+instance is drawn whole, as plain data (_draw), then evaluated (_evaluate).
 The instances come from _Stream, a plain-Python PCG64 stream that draws the
 same numbers as numpy's ``np.random.default_rng(seed)`` for every call the
 engine makes, so `check` runs without numpy and its reports keep the bytes
@@ -268,6 +269,104 @@ def _draw_kn(rng, n):
     return k, nn
 
 
+def _draw(rng, equal_p_only: bool) -> tuple:
+    """One instance as plain data: ``(general, lower, equal_t, equal_p, ka)``.
+
+    Each family is ``(ps, times, k, n)``, ``ka`` the adjacent swap's k on general; with
+    ``equal_p_only`` the rest are None.  Only this code (and _draw_times, _draw_kn) calls
+    the stream: its calls, their order and sizes, are the engine's call sequence.
+    """
+    general = lower = equal_t = ka = None
+    if not equal_p_only:
+        N = rng.integers(_N_CANDIDATES[0], _N_CANDIDATES[1] + 1)
+        general = (rng.uniform(*_P_RANGE, N), _draw_times(rng, N), *_draw_kn(rng, N))
+        ka = rng.integers(1, N)
+        # p descending, t ascending is ratio-sorted and satisfies the
+        # p_k >= p_{k+n}, t_k <= t_{k+n} swap premises for every pair.
+        lower = (sorted(rng.uniform(*_P_RANGE, N), reverse=True),
+                 sorted(_draw_times(rng, N), key=_mean), *_draw_kn(rng, N))
+        equal_t = (rng.uniform(*_P_RANGE, N), [[rng.uniform(*_T_RANGE)]] * N, *_draw_kn(rng, N))
+    N = rng.integers(_N_CANDIDATES[0], _N_CANDIDATES[1] + 1)
+    equal_p = ([rng.uniform(*_P_RANGE)] * N, _draw_times(rng, N), *_draw_kn(rng, N))
+    return general, lower, equal_t, equal_p, ka
+
+
+def _evaluate(instance: tuple, tally: _Tally) -> None:
+    """Record every check on one drawn instance, in the report's order; draws nothing."""
+    # The checks load bounds and excess here, so that importing this module does not.
+    from .bounds import (BoundAssumptions, adjacent_excess_bounds, swap_excess_lower_equal_t,
+                         swap_excess_lower_general, swap_excess_upper_equal_t,
+                         swap_excess_upper_general)
+    from .excess import (_swap_ends, adjacent_swap_excess, equal_p_swap_excess,
+                         exact_excess_direct, general_swap_excess)
+
+    def band(cset, profile):
+        # A bound's premises by construction: the drawn set's own p and t ranges.
+        ps, ts = cset.ps, cset.ts
+        return BoundAssumptions(c=min(ps), d=max(ps), t_min=min(ts), t_max=max(ts),
+                                profile=profile)
+
+    general, lower, equal_t, (ps_p, tss_p, k4, n4), ka = instance
+    if general is not None:
+        ps, tss, k, n = general
+        cset = _build_set(ps, tss)
+        order = solomonoff_order(cset)
+
+        # Exactness of the q-decomposition, and its adjacent reduction.
+        direct = exact_excess_direct(cset, order, k, n)
+        rep = general_swap_excess(cset, order, k, n)
+        tally.identity("decomposition-identity", rep.total, direct)
+        adj = adjacent_swap_excess(cset, order, ka)
+        dadj = exact_excess_direct(cset, order, ka, 1)
+        tally.identity("adjacent-exact", adj, dadj)
+        radj = general_swap_excess(cset, order, ka, 1).total
+        tally.identity("adjacent-reduction", radj, adj)
+
+        badj = adjacent_excess_bounds(cset, order, ka)
+        tally.sandwich("sandwich-adjacent", max(badj.lower - dadj, dadj - badj.upper), True)
+
+        # General upper bound on the ratio-sorted order.
+        up = swap_excess_upper_general(cset, order, k, n, band(cset, "general-upper"))
+        tally.sandwich("sandwich-upper-general", direct - up.upper, up.assumptions_ok)
+
+        # General lower bound on the premise-satisfying instance, in its drawn order.
+        ps_lo, tss_lo, k2, n2 = lower
+        cset_lo = _build_set(ps_lo, tss_lo)
+        order_lo = Ordering.identity(cset_lo.N)
+        lo = swap_excess_lower_general(cset_lo, order_lo, k2, n2, band(cset_lo, "general-lower"))
+        exc_lo = exact_excess_direct(cset_lo, order_lo, k2, n2)
+        tally.sandwich("sandwich-lower-general", lo.lower - exc_lo, lo.assumptions_ok)
+
+        # Equal-time sandwich.
+        ps_eq, tss_eq, k3, n3 = equal_t
+        cset_eq = _build_set(ps_eq, tss_eq)
+        order_eq = solomonoff_order(cset_eq)
+        a_eq = band(cset_eq, "equal-t-upper")
+        exc_eq = exact_excess_direct(cset_eq, order_eq, k3, n3)
+        up_eq = swap_excess_upper_equal_t(cset_eq, order_eq, k3, n3, a_eq)
+        lo_eq = swap_excess_lower_equal_t(cset_eq, order_eq, k3, n3, a_eq)
+        tally.sandwich("sandwich-upper-equal-t", exc_eq - up_eq.upper, up_eq.assumptions_ok)
+        tally.sandwich("sandwich-lower-equal-t", lo_eq.lower - exc_eq, lo_eq.assumptions_ok)
+
+    # Equal-probability instance: the corrected identity; drawn alone, the erratum count too.
+    cset_p = _build_set(ps_p, tss_p)
+    order_p = Ordering.identity(cset_p.N)  # the equal-p closed form is exact for any order
+    direct_p = exact_excess_direct(cset_p, order_p, k4, n4)
+    tally.identity("equal-p-corrected", equal_p_swap_excess(cset_p, order_p, k4, n4), direct_p)
+    if general is None:
+        _, _, tk, tkn = _swap_ends(cset_p, order_p, k4, n4)
+        if tk != tkn:
+            paper = equal_p_swap_excess(cset_p, order_p, k4, n4, use_paper_variant=True)
+            # "failure" means the printed formula misses the oracle, which it
+            # does by exactly (t_{k+n} - t_k) (1-p)^k on every such instance.
+            tally.identity("equal-p-paper-variant", paper, direct_p)
+    elif cset.N <= _OPTIMALITY_MAX_N:  # rule optimality against exhaustive search
+        bf = brute_force_best_order(cset)
+        rule = expected_time(cset, order)
+        tally.record("optimality", abs(rule - bf.best_expected_time),
+                     _agrees(rule, bf.best_expected_time))
+
+
 def verify_bounds_random(config: VerificationConfig) -> VerificationReport:
     """Cross-validate every closed form on randomly generated instances.
 
@@ -278,108 +377,13 @@ def verify_bounds_random(config: VerificationConfig) -> VerificationReport:
     rule optimality for N <= _OPTIMALITY_MAX_N.  Failures are report
     entries, never exceptions.
     """
-    # The checks load bounds and excess here, so that importing this module does not.
-    from .bounds import (BoundAssumptions, adjacent_excess_bounds, swap_excess_lower_equal_t,
-                         swap_excess_lower_general, swap_excess_upper_equal_t,
-                         swap_excess_upper_general)
-    from .excess import adjacent_swap_excess, exact_excess_direct, general_swap_excess
-
     rng = _Stream(config.seed)
     tally = _Tally()
-
     for _ in range(config.instances):
-        if config.equal_p_only:
-            _equal_p_checks(rng, tally, count_paper_variant=True)
-            continue
-
-        N = rng.integers(_N_CANDIDATES[0], _N_CANDIDATES[1] + 1)
-        cset = _build_set(rng.uniform(*_P_RANGE, N), _draw_times(rng, N))
-        order = solomonoff_order(cset)
-        k, n = _draw_kn(rng, N)
-
-        # Exactness of the q-decomposition, and its adjacent reduction.
-        direct = exact_excess_direct(cset, order, k, n)
-        rep = general_swap_excess(cset, order, k, n)
-        tally.identity("decomposition-identity", rep.total, direct)
-        ka = rng.integers(1, N)
-        adj = adjacent_swap_excess(cset, order, ka)
-        dadj = exact_excess_direct(cset, order, ka, 1)
-        tally.identity("adjacent-exact", adj, dadj)
-        radj = general_swap_excess(cset, order, ka, 1).total
-        tally.identity("adjacent-reduction", radj, adj)
-
-        badj = adjacent_excess_bounds(cset, order, ka)
-        tally.sandwich("sandwich-adjacent", max(badj.lower - dadj, dadj - badj.upper), True)
-
-        # General upper bound on the ratio-sorted order; premises by construction.
-        ps, mts = cset.ps, cset.ts
-        a_up = BoundAssumptions(c=min(ps), d=max(ps), t_min=min(mts), t_max=max(mts),
-                                profile="general-upper")
-        up = swap_excess_upper_general(cset, order, k, n, a_up)
-        tally.sandwich("sandwich-upper-general", direct - up.upper, up.assumptions_ok)
-
-        # General lower bound: build a premise-satisfying instance
-        # (p descending, t ascending is ratio-sorted and satisfies the
-        # p_k >= p_{k+n}, t_k <= t_{k+n} swap premises for every pair).
-        ps_lo = sorted(rng.uniform(*_P_RANGE, N), reverse=True)
-        ts_lo = sorted(_draw_times(rng, N), key=_mean)
-        cset_lo = _build_set(ps_lo, ts_lo)
-        order_lo = Ordering.identity(N)
-        k2, n2 = _draw_kn(rng, N)
-        mts_lo = cset_lo.ts
-        a_lo = BoundAssumptions(c=min(ps_lo), d=max(ps_lo), t_min=min(mts_lo), t_max=max(mts_lo),
-                                profile="general-lower")
-        lo = swap_excess_lower_general(cset_lo, order_lo, k2, n2, a_lo)
-        exc_lo = exact_excess_direct(cset_lo, order_lo, k2, n2)
-        tally.sandwich("sandwich-lower-general", lo.lower - exc_lo, lo.assumptions_ok)
-
-        # Equal-time sandwich.
-        ps_eq = rng.uniform(*_P_RANGE, N)
-        T_eq = rng.uniform(*_T_RANGE)
-        cset_eq = _build_set(ps_eq, [[T_eq]] * N)
-        order_eq = solomonoff_order(cset_eq)
-        k3, n3 = _draw_kn(rng, N)
-        a_eq = BoundAssumptions(c=min(ps_eq), d=max(ps_eq),
-                                t_min=T_eq, t_max=T_eq, profile="equal-t-upper")
-        exc_eq = exact_excess_direct(cset_eq, order_eq, k3, n3)
-        up_eq = swap_excess_upper_equal_t(cset_eq, order_eq, k3, n3, a_eq)
-        lo_eq = swap_excess_lower_equal_t(cset_eq, order_eq, k3, n3, a_eq)
-        tally.sandwich("sandwich-upper-equal-t", exc_eq - up_eq.upper, up_eq.assumptions_ok)
-        tally.sandwich("sandwich-lower-equal-t", lo_eq.lower - exc_eq, lo_eq.assumptions_ok)
-
-        _equal_p_checks(rng, tally, count_paper_variant=False)
-
-        # Rule optimality against exhaustive search.
-        if N <= _OPTIMALITY_MAX_N:
-            bf = brute_force_best_order(cset)
-            rule = expected_time(cset, order)
-            tally.record("optimality", abs(rule - bf.best_expected_time),
-                         _agrees(rule, bf.best_expected_time))
-
+        _evaluate(_draw(rng, config.equal_p_only), tally)
     return VerificationReport(
         instances=config.instances,
         seed=config.seed,
         equal_p_only=config.equal_p_only,
         checks=tally.as_checks(),
     )
-
-
-def _equal_p_checks(rng, tally, count_paper_variant: bool) -> None:
-    """Equal-probability instance: corrected identity, optional erratum count."""
-    from .excess import _swap_ends, equal_p_swap_excess, exact_excess_direct
-
-    N = rng.integers(_N_CANDIDATES[0], _N_CANDIDATES[1] + 1)
-    p = rng.uniform(*_P_RANGE)
-    cset = _build_set([p] * N, _draw_times(rng, N))
-    order = Ordering.identity(N)  # the equal-p closed form is exact for any order
-    k, n = _draw_kn(rng, N)
-    direct = exact_excess_direct(cset, order, k, n)
-    corr = equal_p_swap_excess(cset, order, k, n)
-    tally.identity("equal-p-corrected", corr, direct)
-    if count_paper_variant:
-        _, _, tk, tkn = _swap_ends(cset, order, k, n)
-        if tk != tkn:
-            paper = equal_p_swap_excess(cset, order, k, n, use_paper_variant=True)
-            # "failure" means the printed formula misses the oracle, which it
-            # does by exactly (t_{k+n} - t_k) (1-p)^k on every such instance.
-            tally.identity("equal-p-paper-variant", paper, direct)

@@ -55,7 +55,7 @@ def _read_source(source: str) -> bytes:
 def _json_items(text: str) -> list:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # a RecursionError: nested too deeply
         raise CliInputError(f"JSON parse error: {e}") from e
     if not isinstance(doc, dict) or "candidates" not in doc:
         raise CliInputError('JSON parse error: expected an object with a "candidates" list')

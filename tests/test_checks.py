@@ -78,3 +78,49 @@ class TestEngine:
         mine = verify_bounds_random(config).to_dict()
         monkeypatch.setattr(checks, "_Stream", np.random.default_rng)
         assert verify_bounds_random(config).to_dict() == mine
+
+
+def _leaves(x):
+    if isinstance(x, (tuple, list)):
+        for y in x:
+            yield from _leaves(y)
+    else:
+        yield x
+
+
+class TestDrawEvaluate:
+    @pytest.mark.parametrize("equal_p_only", [False, True])
+    def test_only_draw_draws(self, monkeypatch, equal_p_only):
+        # A full run leaves the stream where as many bare draws leave it, so
+        # evaluating an instance makes no call on the stream.
+        made = []
+
+        class Recorded(checks._Stream):
+            __slots__ = ()
+
+            def __init__(self, seed):
+                super().__init__(seed)
+                made.append(self)
+
+        alone = checks._Stream(11)
+        monkeypatch.setattr(checks, "_Stream", Recorded)
+        verify_bounds_random(VerificationConfig(60, 11, equal_p_only))
+        for _ in range(60):
+            checks._draw(alone, equal_p_only)
+        [run] = made
+        assert (run._state, run._half) == (alone._state, alone._half)
+
+    @pytest.mark.parametrize("equal_p_only", [False, True])
+    def test_an_instance_is_plain_data(self, equal_p_only):
+        rng = checks._Stream(4)
+        for _ in range(50):
+            instance = checks._draw(rng, equal_p_only)
+            general, lower, equal_t, equal_p, ka = instance
+            drawn = [equal_p] if equal_p_only else [general, lower, equal_t, equal_p, ka]
+            if equal_p_only:
+                assert (general, lower, equal_t, ka) == (None, None, None, None)
+            assert {type(v) for v in _leaves(drawn)} <= {float, int}
+            one, two = checks._Tally(), checks._Tally()
+            checks._evaluate(instance, one)
+            checks._evaluate(instance, two)
+            assert one.as_checks() == two.as_checks()

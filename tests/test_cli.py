@@ -188,6 +188,22 @@ class TestIngest:
         path.write_bytes(data)
         assert run(capsys, argv + ["-i", str(path)]) == (1, "", f"trialorder: error: {message}\n")
 
+    @pytest.mark.parametrize("template", [
+        '{"candidates": %s}',
+        '{"candidates": [{"id": "a", "p": 0.5, "times": %s}]}',
+    ], ids=["under-candidates", "inside-times"])
+    def test_deep_nesting_is_a_worded_parse_error(self, tmp_path, template):
+        # json.loads raises RecursionError, not JSONDecodeError, past the
+        # interpreter's recursion limit; a fresh process shows what a user sees.
+        path = tmp_path / "deep.json"
+        path.write_text(template % ("[" * 100_000 + "]" * 100_000))
+        env = dict(os.environ, PYTHONPATH=str(Path(trialorder.__file__).resolve().parent.parent))
+        proc = subprocess.run([sys.executable, "-m", "trialorder.cli", "order", "-i", str(path)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("trialorder: error: JSON parse error: "), proc.stderr
+
     def test_padded_integer_and_exponent_cells_build_the_json_twin(self, tmp_path):
         # Each CSV cell is stripped once and read by the full check, which
         # converts it as float() does; the JSON twin reads the same numbers.
