@@ -294,20 +294,21 @@ def _draw(rng, equal_p_only: bool) -> tuple:
 def _evaluate(instance: tuple, tally: _Tally) -> None:
     """Record every check on one drawn instance, in the report's order; draws nothing."""
     # The checks load bounds and excess here, so that importing this module does not.
-    from .bounds import (BoundAssumptions, adjacent_excess_bounds, swap_excess_lower_equal_t,
-                         swap_excess_lower_general, swap_excess_upper_equal_t,
-                         swap_excess_upper_general)
-    from .excess import (_swap_ends, adjacent_swap_excess, equal_p_swap_excess,
-                         exact_excess_direct, general_swap_excess)
-
-    def band(cset, profile):
-        # A bound's premises by construction: the drawn set's own p and t ranges.
-        ps, ts = cset.ps, cset.ts
-        return BoundAssumptions(c=min(ps), d=max(ps), t_min=min(ts), t_max=max(ts),
-                                profile=profile)
+    from .excess import _swap_ends, equal_p_swap_excess, exact_excess_direct
 
     general, lower, equal_t, (ps_p, tss_p, k4, n4), ka = instance
     if general is not None:
+        from .bounds import (BoundAssumptions, adjacent_excess_bounds, swap_excess_lower_equal_t,
+                             swap_excess_lower_general, swap_excess_upper_equal_t,
+                             swap_excess_upper_general)
+        from .excess import adjacent_swap_excess, general_swap_excess
+
+        def band(cset, profile):
+            # A bound's premises by construction: the drawn set's own p and t ranges.
+            ps, ts = cset.ps, cset.ts
+            return BoundAssumptions(c=min(ps), d=max(ps), t_min=min(ts), t_max=max(ts),
+                                    profile=profile)
+
         ps, tss, k, n = general
         cset = _build_set(ps, tss)
         order = solomonoff_order(cset)
