@@ -137,8 +137,6 @@ def ingest(source: str, fmt: str) -> tuple[CandidateSet, str]:
     cset, problems, digest = model._gc_paused(_parsed, source, fmt)
     if problems:
         raise CliInputError("\n".join(str(v) for v in problems))
-    if cset is None:
-        raise CliInputError("empty set: no candidates in input")
     return cset, digest
 
 

@@ -124,8 +124,8 @@ class ValidationReport(_Record):
 
 def _is_bool(v) -> bool:
     # A numpy boolean is no bool subclass; its dtype kind is "b".  Callers
-    # skip plain floats, the common case: the dtype lookup alone would
-    # triple the cost of checking a row.
+    # skip plain floats and strs (float() reads no str spelling of a boolean),
+    # the common cases: the dtype lookup alone would triple a row's check.
     return isinstance(v, bool) or getattr(getattr(v, "dtype", None), "kind", None) == "b"
 
 
@@ -142,7 +142,20 @@ def _number(v) -> float | None:
         return None
     except OverflowError:
         return -math.inf if v < 0 else math.inf
-    return None if type(v) is not float and _is_bool(v) else value
+    return value if type(v) is float or type(v) is str or not _is_bool(v) else None
+
+
+def _shown(value) -> str:
+    """``repr(value)`` as a message echoes it: past 100 characters, a prefix and the length.
+
+    A value whose repr raises (an int past the digit limit, a list nested past
+    the recursion limit) is named by its type, so an echo never raises.
+    """
+    try:
+        text = repr(value)
+    except Exception:
+        return f"<unprintable {type(value).__name__}>"
+    return text if len(text) <= 100 else f"{text[:100]}... ({len(text)} characters)"
 
 
 def _value_problems(p, times) -> tuple[list[tuple[str, str]], tuple | None]:
@@ -154,7 +167,7 @@ def _value_problems(p, times) -> tuple[list[tuple[str, str]], tuple | None]:
     out: list[tuple[str, str]] = []
     p_value = _number(p)
     if p_value is None:
-        out.append(("p", f"not a number: {p!r}"))
+        out.append(("p", f"not a number: {_shown(p)}"))
     elif not (0.0 <= p_value <= 1.0):
         out.append(("p", f"probability {p_value!r} out of [0, 1]"))
 
@@ -164,7 +177,7 @@ def _value_problems(p, times) -> tuple[list[tuple[str, str]], tuple | None]:
         except TypeError:
             pass
     if type(times) is not tuple:
-        out.append(("times", f"not a sequence: {times!r}"))
+        out.append(("times", f"not a sequence: {_shown(times)}"))
         return out, None
     if not times:
         out.append(("times", "no execution time samples"))
@@ -173,7 +186,7 @@ def _value_problems(p, times) -> tuple[list[tuple[str, str]], tuple | None]:
     for t in times:
         value = _number(t)
         if value is None:
-            out.append(("times", f"not a number: {t!r}"))
+            out.append(("times", f"not a number: {_shown(t)}"))
         elif not math.isfinite(value):
             out.append(("times", f"non-finite time sample {value!r}"))
         elif value <= 0.0:
@@ -231,10 +244,8 @@ class CandidateSet(_Record):
 
     def __init__(self, candidates: Iterable[Candidate]) -> None:
         built, problems = _checked_rows((c.id, c.p, c.time_samples) for c in candidates)
-        if problems:  # a Candidate is clean, so this is a duplicate id
+        if problems:  # a Candidate is clean, so this is a duplicate id or the empty set
             raise ValueError(problems[0].message)
-        if built is None:
-            raise ValueError("empty candidate set")
         self.__dict__.update(built.__dict__)
 
     @classmethod
@@ -273,30 +284,41 @@ class CandidateSet(_Record):
 
     @classmethod
     def from_records(cls, records: Iterable) -> "CandidateSet":
-        """Build a set from raw records, reporting every violation at once.
+        """Build a set from raw records, reporting every violation at once, in record order.
 
         A record is a mapping with keys ``id``, ``p``, ``times`` (or
         ``time_samples``), a 3-sequence ``(id, p, times)``, or a Candidate.
         """
-        cset, problems = _check_records(records)
+        cset, problems = _gc_paused(_checked_rows, _records(records))
         if problems:
             raise ValueError(str(ValidationReport(tuple(problems))))
         return cset
 
 
-def _coerce_record(rec, i: int):
-    """Extract (id, p, times) from a record without validating values."""
-    if type(rec) is not tuple:  # a plain tuple, such as a drawn instance's, skips the ABC tests
-        if isinstance(rec, Candidate):
-            return rec.id, rec.p, rec.time_samples
-        if type(rec) is dict or isinstance(rec, Mapping):
-            rid = str(rec["id"]) if "id" in rec else f"#{i}"
-            times = rec["times"] if "times" in rec else rec.get("time_samples", ())
-            return rid, rec.get("p"), times
-        if isinstance(rec, (str, bytes)):  # would unpack into one-character fields
-            raise TypeError("a string is no record")
-    rid, p, times = rec
-    return str(rid), p, times
+def _records(records: Iterable) -> Iterator:
+    """Each raw record (see from_records) as an ``(id, p, times)`` row, its values unread.
+
+    A record that is no record yields, in its place, the Violation that names it.
+    """
+    for i, rec in enumerate(records):
+        try:
+            if type(rec) is tuple:  # a plain tuple skips the ABC tests below
+                rid, p, times = rec
+            elif isinstance(rec, Candidate):
+                rid, p, times = rec.id, rec.p, rec.time_samples
+            elif type(rec) is dict or isinstance(rec, Mapping):
+                rid = rec["id"] if "id" in rec else f"#{i}"
+                p = rec.get("p")
+                times = rec["times"] if "times" in rec else rec.get("time_samples", ())
+            elif isinstance(rec, (str, bytes)):  # would unpack into one-character fields
+                raise TypeError("a string is no record")
+            else:
+                rid, p, times = rec
+            rid = str(rid)
+        except (TypeError, ValueError):
+            yield Violation(f"record #{i}", "record", f"malformed record: {_shown(rec)}")
+        else:
+            yield rid, p, times
 
 
 class Ordering(_Record):
@@ -310,10 +332,10 @@ class Ordering(_Record):
             try:
                 entries.append(operator.index(i))
             except TypeError:
-                raise TypeError(f"perm entry {i!r} is not an integer") from None
+                raise TypeError(f"perm entry {_shown(i)} is not an integer") from None
         perm = tuple(entries)
         if sorted(perm) != list(range(len(perm))):
-            raise ValueError(f"perm {perm!r} is not a permutation of 0..{len(perm) - 1}")
+            raise ValueError(f"perm {_shown(perm)} is not a permutation of 0..{len(perm) - 1}")
         self.__dict__["perm"] = perm
 
     @cached_property
@@ -486,30 +508,7 @@ def validate(candidates: Iterable) -> ValidationReport:
     probability out of range, non-positive time, empty sample list, duplicate
     id, empty set.
     """
-    return ValidationReport(tuple(_check_records(candidates)[1]))
-
-
-def _check_records(records: Iterable) -> tuple[CandidateSet | None, list[Violation]]:
-    """Check and build raw records (see from_records): ``(set or None, violations)``.
-
-    Malformed records are listed first, then _checked_rows' problems; an
-    input without records is an empty set.
-    """
-    malformed: list[Violation] = []
-
-    def rows():
-        for i, rec in enumerate(records):
-            try:
-                row = _coerce_record(rec, i)
-            except (TypeError, ValueError):
-                malformed.append(Violation(f"record #{i}", "record", f"malformed record: {rec!r}"))
-                continue
-            yield row
-
-    cset, problems = _gc_paused(_checked_rows, rows())
-    if cset is None and not problems and not malformed:
-        problems.append(Violation("set", "candidates", "empty candidate set"))
-    return cset, malformed + problems
+    return ValidationReport(tuple(_gc_paused(_checked_rows, _records(candidates))[1]))
 
 
 def _checked_rows(rows: Iterable, label: Callable[[int], str] | None = None
@@ -518,15 +517,16 @@ def _checked_rows(rows: Iterable, label: Callable[[int], str] | None = None
 
     The one route from records to a CandidateSet, built with its ``ps`` and
     ``ts`` columns (each mean computed once, by mean_time's rule) when there
-    are rows and no violations.  A row whose p is a float in [0, 1], whose
-    times is a non-empty list or tuple of finite positive floats with a
-    finite sum and whose id is new is stored as it stands, its times as a
-    tuple made at its row (a reader's list is freed with the row); any other
-    goes through _value_problems and, if clean, is stored as that check read
-    it, as Candidate(...) stores it, so a file pays the full check only for
-    its odd rows, and reads each of their values once.  A row may instead be
-    a reader's Violation for a record that is no record.  Violations come in
-    row order, each row's value problems before its duplicate id, under
+    are no violations; no rows at all is one, ``empty candidate set``.  A
+    row whose p is a float in [0, 1], whose times is a non-empty list or
+    tuple of finite positive floats with a finite sum and whose id is new is
+    stored as it stands, its times as a tuple made at its row (a reader's
+    list is freed with the row); any other goes through _value_problems and,
+    if clean, is stored as that check read it, as Candidate(...) stores it,
+    so a file pays the full check only for its odd rows, and reads each of
+    their values once.  A row may instead be a reader's Violation for a
+    record that is no record, listed in its place.  Violations come in row
+    order, each row's value problems before its duplicate id, under
     ``label(i)`` (default ``candidate '<id>'``), which is called only for a
     row with a problem.  The candidates are built once every row is read,
     column by column (_set_of).
@@ -573,9 +573,9 @@ def _checked_rows(rows: Iterable, label: Callable[[int], str] | None = None
             for column, value in zip((ps, samples, ts), read):
                 column.append(value)
         seen.add(rid)
-    if out or not ids:
-        return None, out
-    return _set_of(ids, ps, samples, ts), out
+    if not out and not ids:  # no rows were read
+        out.append(Violation("set", "candidates", "empty candidate set"))
+    return None if out else _set_of(ids, ps, samples, ts), out
 
 
 def _set_of(ids: Sequence[str], ps: Sequence[float], samples: Iterable, ts: Sequence[float]

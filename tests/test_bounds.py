@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -95,6 +96,13 @@ class TestWeightedGeometricSum:
     def test_rejects_negative_count(self):
         with pytest.raises(ValueError, match=r"^n must be >= 0, got -1$"):
             weighted_geometric_sum(0.5, -1)
+
+    @pytest.mark.parametrize("r", [1.0 - 5e-4, 1.0 - 1e-9, 1.0 + 1e-9, 1.0 + 5e-4])
+    @pytest.mark.parametrize("n", [1, 7, 50])
+    def test_near_one_matches_the_exact_sum(self, r, n):
+        # Within 1e-3 of r = 1 the closed form cancels, so the sum is taken directly.
+        exact = sum(l * Fraction(r) ** l for l in range(1, n + 1))
+        assert abs(Fraction(weighted_geometric_sum(r, n)) - exact) <= Fraction(1e-12) * exact
 
     @given(st.floats(-2.0, 2.0, allow_nan=False), st.integers(1, 50))
     @settings(max_examples=400)

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import math
 import os
@@ -71,7 +72,7 @@ class TestIngest:
         path.write_text('{"candidates": []}')
         code, _, err = run(capsys, ["order", "-i", str(path)])
         assert code == 1
-        assert "empty set" in err
+        assert err == "trialorder: error: set: field 'candidates': empty candidate set\n"
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["order", "-i", "/nonexistent/x.json"])
@@ -203,6 +204,24 @@ class TestIngest:
         assert (proc.returncode, proc.stdout) == (1, "")
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("trialorder: error: JSON parse error: "), proc.stderr
+
+    @pytest.mark.parametrize("record, field", [
+        ({"id": "a", "p": list(range(100_000)), "times": [1.0]}, "p"),
+        ({"id": "a", "p": 0.5, "times": [json.loads("[" * 899 + "]" * 899)]}, "times"),
+    ], ids=["long-p", "deep-times"])
+    def test_a_refused_value_is_echoed_bounded(self, tmp_path, record, field):
+        # A fresh process shows what a user sees: there json.loads and repr
+        # reach the depth that a test runner's own frames would cut short.
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"candidates": [record]}))
+        env = dict(os.environ, PYTHONPATH=str(Path(trialorder.__file__).resolve().parent.parent))
+        proc = subprocess.run([sys.executable, "-m", "trialorder.cli", "order", "-i", str(path)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert len(proc.stderr.encode()) < 1024, len(proc.stderr)
+        shown = repr(record[field] if field == "p" else record[field][0])
+        assert proc.stderr == (f"trialorder: error: candidates[0]: field '{field}': not a number: "
+                               f"{shown[:100]}... ({len(shown)} characters)\n")
 
     def test_padded_integer_and_exponent_cells_build_the_json_twin(self, tmp_path):
         # Each CSV cell is stripped once and read by the full check, which
@@ -1215,3 +1234,23 @@ class TestStdin:
         code, out, _ = run(capsys, ["order", "--format", "json"])
         assert code == 0
         assert json.loads(out)["results"]["order"] == ["c1", "c2", "c3"]
+
+    def test_input_format_reads_csv_from_standard_input(self, capsys, monkeypatch, three):
+        import io
+
+        csv_text = b"id,p,t1\nc1,0.5,1.0\nc2,0.4,1.0\nc3,0.3,1.0\n"
+        monkeypatch.setattr(sys, "stdin", type("S", (), {"buffer": io.BytesIO(csv_text)})())
+        code, out, _ = run(capsys, ["order", "-i", "-", "--input-format", "csv",
+                                    "--format", "json"])
+        assert code == 0
+        from_stdin = json.loads(out)
+        assert from_stdin["results"] == json.loads(run(capsys, ["order", "-i", three,
+                                                                "--format", "json"])[1])["results"]
+        assert from_stdin["input_sha256"] == hashlib.sha256(csv_text).hexdigest()
+
+    def test_input_format_overrides_the_file_name(self, capsys, tmp_path, three):
+        path = tmp_path / "three.csv"  # JSON under a CSV name
+        path.write_text(THREE_JSON)
+        assert run(capsys, ["order", "-i", str(path)])[0] == 1  # read as CSV by its name
+        got = run(capsys, ["order", "-i", str(path), "--input-format", "json", "--format", "json"])
+        assert got == run(capsys, ["order", "-i", three, "--format", "json"])

@@ -58,3 +58,12 @@ def test_names_of_the_search_and_the_checks_are_the_oracles():
     for name in ("BruteForceResult", "brute_force_best_order", "VerificationConfig",
                  "VerificationReport", "CheckStats", "verify_bounds_random"):
         assert getattr(trialorder, name) is getattr(trialorder.oracle, name), name
+
+
+def test_submodules_are_package_attributes():
+    # The package's __getattr__ resolves a submodule's name to the submodule,
+    # and dir() lists it beside every public name.
+    assert trialorder.__getattr__("bounds") is importlib.import_module("trialorder.bounds")
+    assert set(dir(trialorder)) >= {*trialorder.__all__, *trialorder._MODULES}
+    assert {"bounds", "checks", "excess", "model", "oracle", "schedule", "search"} <= set(
+        trialorder._MODULES)

@@ -107,10 +107,10 @@ class TestCandidateSet:
         with pytest.raises(ValueError) as exc:
             CandidateSet.from_records([("a", 1.5, [0.0]), ("a", 0.5, [1.0]), 42])
         assert str(exc.value).split("; ") == [
-            "record #2: field 'record': malformed record: 42",
             "candidate 'a': field 'p': probability 1.5 out of [0, 1]",
             "candidate 'a': field 'times': non-positive time sample 0.0",
             "candidate 'a': field 'id': duplicate candidate id 'a'",
+            "record #2: field 'record': malformed record: 42",
         ]
 
     def test_from_records_rejects_string_times_and_boolean_numbers(self):
@@ -391,6 +391,17 @@ class TestOrdering:
         with pytest.raises(TypeError, match=re.escape(f"perm entry {entry} is not an integer")):
             Ordering(perm)
 
+    def test_refused_perms_are_echoed_bounded(self):
+        with pytest.raises(ValueError, match=r"^perm <unprintable tuple> is not a permutation "
+                                             r"of 0\.\.0$"):
+            Ordering((10**5000,))
+        perm = tuple(range(1, 100_001))
+        shown = repr(perm)
+        with pytest.raises(ValueError) as refused:
+            Ordering(perm)
+        assert str(refused.value) == (f"perm {shown[:100]}... ({len(shown)} characters) "
+                                      "is not a permutation of 0..99999")
+
 
 class TestValidate:
     def test_clean_set(self):
@@ -434,6 +445,20 @@ class TestValidate:
     @settings(max_examples=50)
     def test_constructed_sets_are_always_clean(self, cset):
         assert validate(cset).ok
+
+    @pytest.mark.parametrize("records, message", [
+        ([10**5000], "record #0: field 'record': malformed record: <unprintable int>"),
+        ([("a", [10**5000], [1.0])], "candidate 'a': field 'p': not a number: <unprintable list>"),
+    ], ids=["record", "p"])
+    def test_a_value_past_the_digit_limit_is_listed_by_its_type(self, records, message):
+        # repr of an int past the interpreter's digit limit raises ValueError.
+        assert str(validate(records)) == message
+
+    def test_a_long_value_is_echoed_bounded(self):
+        p = list(range(100_000))
+        shown = repr(p)
+        assert str(validate([("a", p, [1.0])])) == (
+            f"candidate 'a': field 'p': not a number: {shown[:100]}... ({len(shown)} characters)")
 
 
 class TestTimesRead:

@@ -338,6 +338,8 @@ class TestVerifyBoundsRandom:
         assert stats.runs == 200  # continuous times: swapped pair always differs
         assert stats.failures == stats.runs
         assert rep.stats("equal-p-corrected").failures == 0
+        with pytest.raises(KeyError, match="optimality"):  # run only on a default instance
+            rep.stats("optimality")
 
     def test_report_serializes(self):
         rep = verify_bounds_random(VerificationConfig(instances=5, seed=1))
