@@ -9,21 +9,26 @@ written: the swap exchanges the k-th and (k+n)-th candidates of the chosen
 ordering.  ``--order`` is either ``optimal`` (the p/t rule, the default) or an
 explicit comma-separated permutation of candidate ids.
 
-Exit codes: 0 success; 1 invalid input or usage, or a result that is not
-finite (inf or nan; no report is printed); 2 assumption violation (always
-for unsatisfiable ones such as the equal-time profile on unequal times, and for
-flagged ones only under --strict); 3 internal cross-check failure (a closed
-form disagreed with its oracle).
+Exit codes: 0 success; 1 invalid input or usage, a result that is not finite
+(inf or nan; no report is printed), or a report that could not be written (a
+full disk, a closed pipe); 2 assumption violation (always for unsatisfiable
+ones such as the equal-time profile on unequal times, and for flagged ones only
+under --strict); 3 internal cross-check failure (a closed form disagreed with
+its oracle).
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import contextlib
 import functools
 import io
 import json
 import math
+import os
 import sys
+import threading
 from pathlib import Path
 
 from . import __version__
@@ -31,7 +36,7 @@ from . import model, schedule  # csv, hashlib, excess, bounds, search, checks, o
 from .errors import AssumptionError
 from .model import CandidateSet, Ordering
 
-__all__ = ["main", "build_parser", "ingest", "emit", "CliInputError"]
+__all__ = ["main", "run_process", "build_parser", "ingest", "emit", "CliInputError"]
 
 
 class CliInputError(Exception):
@@ -90,7 +95,7 @@ def _records_from_csv(raw: bytes):
             raise CliInputError("CSV parse error: empty file")
         if len(header) < 3 or header[0] != "id" or header[1] != "p":
             raise CliInputError("CSV parse error: header must be 'id,p,<time columns...>', got "
-                                + ",".join(first))
+                                + model._clipped(",".join(first)))
         # Each cell is stripped once; blank rows are skipped, so record i is non-blank row i + 2.
         for row in filter(any, ([cell.strip() for cell in r] for r in reader)):
             yield row[0], row[1] if len(row) > 1 else None, [cell for cell in row[2:] if cell]
@@ -581,9 +586,39 @@ def main(argv=None) -> int:
     seed = getattr(args, "seed", None)
     if seed is not None:
         report["seed"] = seed
-    sys.stdout.write(emit(report, args.format))
+    try:  # flushed here: a failed write is worded here, and what it left unwritten goes nowhere
+        sys.stdout.write(emit(report, args.format))
+        sys.stdout.flush()
+    except OSError as e:  # a full disk, a closed pipe (see the Python docs' note on SIGPIPE)
+        with contextlib.suppress(OSError, ValueError), open(os.devnull, "wb") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        print(f"trialorder: error: cannot write the report: {e}", file=sys.stderr)
+        return 1
     return code
 
 
+def run_process():
+    """Run main() as the ``trialorder`` process, which exits with main's code.
+
+    Unless something watches the interpreter, the exit skips its teardown (module
+    cleanup, the last collection, freeing numpy): the exit handlers run, stdout and
+    stderr are flushed, then os._exit.  A host process ends too; embed main(argv).
+    """
+    code = main()
+    hooks = getattr(sys, "monitoring", None)  # CPython 3.12 on: cProfile's, coverage's
+    if (sys.gettrace() or sys.getprofile() or any(map(hooks.get_tool, range(6)) if hooks else ())
+            or "bdb" in sys.modules  # pdb clears its trace function on "continue"
+            or sys.flags.inspect or threading.active_count() > 1
+            or not hasattr(atexit, "_run_exitfuncs")):
+        sys.exit(code)
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (AttributeError, OSError, ValueError):  # the normal exit words it, as it would have
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    run_process()

@@ -145,8 +145,13 @@ def _number(v) -> float | None:
     return value if type(v) is float or type(v) is str or not _is_bool(v) else None
 
 
+def _clipped(text: str) -> str:
+    """``text`` as a message echoes it: past 100 characters, a prefix and the length."""
+    return text if len(text) <= 100 else f"{text[:100]}... ({len(text)} characters)"
+
+
 def _shown(value) -> str:
-    """``repr(value)`` as a message echoes it: past 100 characters, a prefix and the length.
+    """``repr(value)`` as a message echoes it, _clipped.
 
     A value whose repr raises (an int past the digit limit, a list nested past
     the recursion limit) is named by its type, so an echo never raises.
@@ -155,7 +160,7 @@ def _shown(value) -> str:
         text = repr(value)
     except Exception:
         return f"<unprintable {type(value).__name__}>"
-    return text if len(text) <= 100 else f"{text[:100]}... ({len(text)} characters)"
+    return _clipped(text)
 
 
 def _value_problems(p, times) -> tuple[list[tuple[str, str]], tuple | None]:
@@ -216,7 +221,7 @@ class Candidate(_Record):
         id = str(id)
         problems, row = _value_problems(p, time_samples)
         if problems:
-            subject = f"candidate {id!r}"
+            subject = f"candidate {_shown(id)}"
             raise ValueError("; ".join(str(Violation(subject, f, m)) for f, m in problems))
         for store, value in zip(_CANDIDATE_SETTERS, (id, *row[:2])):
             store(self, value)
@@ -527,7 +532,7 @@ def _checked_rows(rows: Iterable, label: Callable[[int], str] | None = None
     their values once.  A row may instead be a reader's Violation for a
     record that is no record, listed in its place.  Violations come in row
     order, each row's value problems before its duplicate id, under
-    ``label(i)`` (default ``candidate '<id>'``), which is called only for a
+    ``label(i)`` (default ``candidate '<id>'``, the id _shown), called only for a
     row with a problem.  The candidates are built once every row is read,
     column by column (_set_of).
     """
@@ -564,9 +569,9 @@ def _checked_rows(rows: Iterable, label: Callable[[int], str] | None = None
                     continue
         problems, read = _value_problems(p, times)
         if rid in seen:
-            problems.append(("id", f"duplicate candidate id {rid!r}"))
+            problems.append(("id", f"duplicate candidate id {_shown(rid)}"))
         if problems:
-            subject = label(i) if label is not None else f"candidate {rid!r}"
+            subject = label(i) if label is not None else f"candidate {_shown(rid)}"
             out.extend(Violation(subject, f, message) for f, message in problems)
         else:
             ids.append(rid)

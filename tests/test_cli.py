@@ -1254,3 +1254,109 @@ class TestStdin:
         assert run(capsys, ["order", "-i", str(path)])[0] == 1  # read as CSV by its name
         got = run(capsys, ["order", "-i", str(path), "--input-format", "json", "--format", "json"])
         assert got == run(capsys, ["order", "-i", three, "--format", "json"])
+
+
+def _process(args: list, stdout=subprocess.PIPE, **env) -> subprocess.CompletedProcess:
+    """``python -m trialorder.cli *args`` in a new interpreter that imports this tree."""
+    env = dict(os.environ, PYTHONPATH=str(Path(trialorder.__file__).resolve().parent.parent),
+               **env)
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
+                          env=env, timeout=60)
+
+
+class TestProcessExit:
+    """The process exit skips interpreter teardown, and changes no byte and no code."""
+
+    REPRO = json.dumps({"candidates": [  # the excess cross-check miss of ROADMAP item 7
+        {"id": "c0", "p": 0.9999999262933826, "times": [18219167.35877053]},
+        {"id": "c1", "p": 0.9999995214488577, "times": [8.872100419217524]},
+        {"id": "c2", "p": 0.504426336701845, "times": [0.011447255316293446]}]})
+
+    @pytest.mark.parametrize("argv, text, expected", [
+        (["order"], THREE_JSON, 0),
+        (["order"], '{"candidates": [{"id": "a", "p": 1.5, "times": [1.0]}, 5]}', 1),
+        (["bounds", "--k", "1", "--n", "2", "--c", "0.3", "--d", "0.45", "--strict"],
+         THREE_JSON, 2),
+        (["excess", "--order", "c0,c2,c1", "--k", "2", "--n", "1"], REPRO, 3),
+    ], ids=["exit-0", "exit-1", "exit-2", "exit-3"])
+    def test_the_process_prints_what_main_returns(self, capsys, tmp_path, argv, text, expected):
+        path = tmp_path / "set.json"
+        path.write_text(text)
+        argv = [*argv, "-i", str(path), "--format", "json"]
+        proc = _process(["-m", "trialorder.cli", *argv])
+        code, out, err = run(capsys, argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
+        assert code == expected
+
+    @pytest.mark.parametrize("thread, teardown", [
+        ("", b""),  # the fast exit: no module is torn down
+        ("threading.Thread(target=time.sleep, args=(0.2,)).start()", b"torn down\n"),
+    ], ids=["fast", "second-thread"])
+    def test_exit_handlers_of_the_host_still_run(self, three, thread, teardown):
+        # The probe's __del__ runs only when the interpreter tears builtins down.
+        proc = _process(["-c", "import atexit, builtins, os, runpy, sys, threading, time\n"
+                               "atexit.register(print, 'handler ran', file=sys.stderr)\n"
+                               "builtins.probe = type('P', (), {'__del__': lambda self: "
+                               "os.write(2, b'torn down\\n')})()\n"
+                               f"{thread}\n"
+                               f"sys.argv = ['trialorder', 'order', '-i', {three!r}]\n"
+                               "runpy.run_module('trialorder.cli', run_name='__main__')\n"
+                               "print('not reached')\n"])
+        assert proc.returncode == 0
+        assert proc.stdout.startswith(b"command: order\n")
+        assert b"not reached" not in proc.stdout
+        assert proc.stderr == b"handler ran\n" + teardown
+
+    def test_a_profiler_keeps_the_normal_exit(self, three):
+        proc = _process(["-m", "cProfile", "-m", "trialorder.cli", "order", "-i", three])
+        assert proc.returncode == 0
+        report, _, stats = proc.stdout.partition(b"ratio_sorted: True\n")
+        assert report.startswith(b"command: order\n")
+        assert b"function calls" in stats
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_a_full_disk_exits_1_with_one_line(self, three, unbuffered):
+        with open("/dev/full", "wb") as full:
+            proc = _process(["-m", "trialorder.cli", "order", "-i", three], stdout=full,
+                            PYTHONUNBUFFERED=unbuffered)
+        assert proc.returncode == 1
+        assert proc.stderr == (b"trialorder: error: cannot write the report: "
+                               b"[Errno 28] No space left on device\n")
+
+    def test_a_closed_pipe_exits_1_with_one_line(self, tmp_path):
+        # Past a pipe's buffer, so the write itself meets the closed end.
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"candidates": [
+            {"id": f"c{i}", "p": 0.5, "times": [1.0 + i]} for i in range(2000)]}))
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = _process(["-m", "trialorder.cli", "order", "-i", str(path)], stdout=write)
+        finally:
+            os.close(write)
+        assert proc.returncode == 1
+        assert proc.stderr == b"trialorder: error: cannot write the report: [Errno 32] Broken pipe\n"
+
+    def test_a_long_id_is_echoed_bounded(self, capsys, tmp_path):
+        long_id = "x" * 100_000
+        path = tmp_path / "twins.json"
+        path.write_text(json.dumps({"candidates": [
+            {"id": long_id, "p": 0.5, "times": [1.0]}, {"id": long_id, "p": 0.4, "times": [1.0]}]}))
+        code, out, err = run(capsys, ["order", "-i", str(path)])
+        assert (code, out) == (1, "")
+        assert err == ("trialorder: error: candidates[1]: field 'id': duplicate candidate id "
+                       f"{repr(long_id)[:100]}... (100002 characters)\n")
+        assert len(str(trialorder.validate([(long_id, 1.5, [1.0])]))) < 1024
+        with pytest.raises(ValueError) as info:
+            trialorder.Candidate(long_id, 1.5, (1.0,))
+        assert len(str(info.value)) < 1024
+
+    def test_a_long_refused_header_is_echoed_bounded(self, capsys, tmp_path):
+        header = "name," + ",".join(f"t{i}" for i in range(50_000))
+        path = tmp_path / "wide.csv"
+        path.write_text(header + "\n")
+        code, out, err = run(capsys, ["order", "-i", str(path)])
+        assert (code, out) == (1, "")
+        assert err == ("trialorder: error: CSV parse error: header must be "
+                       f"'id,p,<time columns...>', got {header[:100]}... ({len(header)} characters)\n")
