@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .errors import AssumptionError, SingularityError
 from .excess import _swap_ends
-from .model import PROFILES, CandidateSet, Ordering, Violation, _Record, _sum
+from .model import PROFILES, CandidateSet, Ordering, Violation, _label, _Record, _spread, _sum
 
 __all__ = [
     "PROFILES",
@@ -40,9 +40,6 @@ __all__ = [
     "swap_excess_lower_equal_t",
     "check_assumptions",
 ]
-
-EQUAL_T_REL_TOL = 1e-12
-
 
 class BoundAssumptions(_Record):
     """Probability band [c, d] and time band [t_min, t_max] a bound relies on.
@@ -151,8 +148,7 @@ def _band_violations(cset: CandidateSet, a: BoundAssumptions) -> list[Violation]
     out = []
     for c, p in zip(cset, cset.ps):
         if not a.c <= p <= a.d:
-            out.append(Violation(f"candidate {c.id!r}", "p",
-                                 f"probability {p} outside [{a.c}, {a.d}]"))
+            out.append(Violation(_label(c.id), "p", f"probability {p} outside [{a.c}, {a.d}]"))
     return out
 
 
@@ -162,20 +158,18 @@ def _time_violations(cset: CandidateSet, t_min: float, t_max: float) -> list[Vio
     out = []
     for c, mt in zip(cset, cset.ts):
         if mt > t_max:
-            out.append(Violation(f"candidate {c.id!r}", "times",
-                                 f"mean time {mt} above t_max={t_max}"))
+            out.append(Violation(_label(c.id), "times", f"mean time {mt} above t_max={t_max}"))
         if mt < t_min:
-            out.append(Violation(f"candidate {c.id!r}", "times",
-                                 f"mean time {mt} below t_min={t_min}"))
+            out.append(Violation(_label(c.id), "times", f"mean time {mt} below t_min={t_min}"))
     return out
 
 
 def _equal_time_violations(cset: CandidateSet) -> list[Violation]:
-    lo, hi = min(cset.ts), max(cset.ts)
-    if hi - lo > EQUAL_T_REL_TOL * max(1.0, abs(hi)):
-        return [Violation("set", "times",
-                          f"mean times are not all equal (range {lo}..{hi})")]
-    return []
+    spread = _spread(cset.ts)
+    if spread is None:
+        return []
+    lo, hi = spread
+    return [Violation("set", "times", f"mean times are not all equal (range {lo}..{hi})")]
 
 
 def _premises(cset: CandidateSet, a: BoundAssumptions, profile: str) -> list[Violation]:

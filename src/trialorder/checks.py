@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import operator
 
+from .excess import (_swap_ends, adjacent_swap_excess, equal_p_swap_excess, exact_excess_direct,
+                     general_swap_excess)
 from .model import CandidateSet, Ordering, _agrees, _checked_rows, _Record, _sum
 from .schedule import expected_time, solomonoff_order
 from .search import brute_force_best_order
@@ -206,22 +208,10 @@ class VerificationReport(_Record):
         raise KeyError(name)
 
     def to_dict(self) -> dict:
-        return {
-            "instances": self.instances,
-            "seed": self.seed,
-            "equal_p_only": self.equal_p_only,
-            "total_failures": self.total_failures,
-            "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "runs": c.runs,
-                    "failures": c.failures,
-                    "max_residual": c.max_residual,
-                }
-                for c in self.checks
-            ],
-        }
+        head = self._asdict()
+        del head["checks"]
+        return {**head, "total_failures": self.total_failures, "passed": self.passed,
+                "checks": [c._asdict() for c in self.checks]}
 
 
 class _Tally:
@@ -290,23 +280,20 @@ def _draw(rng, equal_p_only: bool) -> tuple:
     return general, lower, equal_t, equal_p, ka
 
 
+def _band(cset: CandidateSet) -> dict:
+    """A bound's premises by construction: the drawn set's own p and t ranges."""
+    ps, ts = cset.ps, cset.ts
+    return {"c": min(ps), "d": max(ps), "t_min": min(ts), "t_max": max(ts)}
+
+
 def _evaluate(instance: tuple, tally: _Tally) -> None:
     """Record every check on one drawn instance, in the report's order; draws nothing."""
-    # The checks load bounds and excess here, so that importing this module does not.
-    from .excess import _swap_ends, equal_p_swap_excess, exact_excess_direct
-
     general, lower, equal_t, (ps_p, tss_p, k4, n4), ka = instance
     if general is not None:
+        # Loaded here, so that an equal-p-only run does not load the bounds.
         from .bounds import (BoundAssumptions, adjacent_excess_bounds, swap_excess_lower_equal_t,
                              swap_excess_lower_general, swap_excess_upper_equal_t,
                              swap_excess_upper_general)
-        from .excess import adjacent_swap_excess, general_swap_excess
-
-        def band(cset, profile):
-            # A bound's premises by construction: the drawn set's own p and t ranges.
-            ps, ts = cset.ps, cset.ts
-            return BoundAssumptions(c=min(ps), d=max(ps), t_min=min(ts), t_max=max(ts),
-                                    profile=profile)
 
         ps, tss, k, n = general
         cset = _build_set(ps, tss)
@@ -326,14 +313,16 @@ def _evaluate(instance: tuple, tally: _Tally) -> None:
         tally.sandwich("sandwich-adjacent", max(badj.lower - dadj, dadj - badj.upper), True)
 
         # General upper bound on the ratio-sorted order.
-        up = swap_excess_upper_general(cset, order, k, n, band(cset, "general-upper"))
+        a_up = BoundAssumptions(**_band(cset), profile="general-upper")
+        up = swap_excess_upper_general(cset, order, k, n, a_up)
         tally.sandwich("sandwich-upper-general", direct - up.upper, up.assumptions_ok)
 
         # General lower bound on the premise-satisfying instance, in its drawn order.
         ps_lo, tss_lo, k2, n2 = lower
         cset_lo = _build_set(ps_lo, tss_lo)
         order_lo = Ordering.identity(cset_lo.N)
-        lo = swap_excess_lower_general(cset_lo, order_lo, k2, n2, band(cset_lo, "general-lower"))
+        a_lo = BoundAssumptions(**_band(cset_lo), profile="general-lower")
+        lo = swap_excess_lower_general(cset_lo, order_lo, k2, n2, a_lo)
         exc_lo = exact_excess_direct(cset_lo, order_lo, k2, n2)
         tally.sandwich("sandwich-lower-general", lo.lower - exc_lo, lo.assumptions_ok)
 
@@ -341,7 +330,7 @@ def _evaluate(instance: tuple, tally: _Tally) -> None:
         ps_eq, tss_eq, k3, n3 = equal_t
         cset_eq = _build_set(ps_eq, tss_eq)
         order_eq = solomonoff_order(cset_eq)
-        a_eq = band(cset_eq, "equal-t-upper")
+        a_eq = BoundAssumptions(**_band(cset_eq), profile="equal-t-upper")
         exc_eq = exact_excess_direct(cset_eq, order_eq, k3, n3)
         up_eq = swap_excess_upper_equal_t(cset_eq, order_eq, k3, n3, a_eq)
         lo_eq = swap_excess_lower_equal_t(cset_eq, order_eq, k3, n3, a_eq)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import atexit
-import contextlib
 import functools
 import io
 import json
@@ -29,6 +28,7 @@ import math
 import os
 import sys
 import threading
+from contextlib import suppress
 from pathlib import Path
 
 from . import __version__
@@ -39,7 +39,7 @@ from .model import CandidateSet, Ordering
 __all__ = ["main", "run_process", "build_parser", "ingest", "emit", "CliInputError"]
 
 
-class CliInputError(Exception):
+class CliInputError(ValueError):
     """Unreadable, unparsable, or invalid input; maps to exit code 1."""
 
 
@@ -174,6 +174,16 @@ def _resolve_ordering(spec: str | None, cset: CandidateSet) -> Ordering:
 _HEAD = ("command", "version", "input_sha256", "seed")  # a report's keys before its results
 
 
+def _head(report: dict) -> dict:
+    """The report's head: each _HEAD key that is set, in _HEAD order."""
+    return {k: report[k] for k in _HEAD if report.get(k) is not None}
+
+
+def _is_table(value) -> bool:
+    """Whether a result is a table: a non-empty list of dicts, the first one's keys its columns."""
+    return isinstance(value, list) and bool(value) and isinstance(value[0], dict)
+
+
 def _flatten(prefix: str, value, out: dict) -> None:
     if isinstance(value, dict):
         for k, v in value.items():
@@ -192,22 +202,14 @@ def _emit_csv(report: dict) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     results = report.get("results", {})
-    table = None
-    for key in ("table", "checks"):
-        rows = results.get(key)
-        if isinstance(rows, list) and rows and isinstance(rows[0], dict):
-            table = rows
-            break
+    table = next(filter(_is_table, results.values()), None)
     if table is not None:
         headers = list(table[0].keys())
         w.writerow(headers)
         for row in table:
             w.writerow([row.get(h) for h in headers])
     else:
-        flat: dict = {}
-        for k in _HEAD:
-            if report.get(k) is not None:
-                flat[k] = report[k]
+        flat = _head(report)
         _flatten("", results, flat)
         w.writerow(list(flat.keys()))
         w.writerow([flat[k] for k in flat])
@@ -227,13 +229,10 @@ def _non_finite(key: str, value):
 
 
 def _emit_text(report: dict) -> str:
-    lines: list[str] = []
-    for k in _HEAD:
-        if report.get(k) is not None:
-            lines.append(f"{k}: {report[k]}")
+    lines = [f"{k}: {v}" for k, v in _head(report).items()]
     results = report.get("results", {})
     for k, v in results.items():
-        if isinstance(v, list) and v and isinstance(v[0], dict):
+        if _is_table(v):
             headers = list(v[0].keys())
             cells = [[str(row.get(h)) for h in headers] for row in v]
             widths = [max(len(h), *(len(r[i]) for r in cells)) for i, h in enumerate(headers)]
@@ -310,7 +309,7 @@ def emit(report: dict, fmt: str) -> str:
     JSON is the bytes of json.dumps(report, sort_keys=True, indent=2), written
     by the stdlib's C encoder (see _json); it is stable-key-ordered and
     round-trips losslessly.  Text is a human-readable rendering; CSV flattens
-    the numeric payload (or emits the table for tabular results).
+    the numeric payload, or emits the first result that is a table (_is_table).
     """
     if fmt == "json":
         return _json(report, 0, set()) + "\n"
@@ -363,13 +362,7 @@ def _cmd_excess(args, cset: CandidateSet):
     agree = model._agrees(rep.total, direct)
     return {
         "ordering": _ids(cset, ordering),
-        "k": rep.k,
-        "n": rep.n,
-        "q1": rep.q1,
-        "q2": rep.q2,
-        "q3": rep.q3,
-        "total": rep.total,
-        "method": rep.method,
+        **rep._asdict(),
         "direct_oracle": direct,
         "oracle_abs_diff": abs(rep.total - direct),
         "oracle_agrees": agree,
@@ -381,42 +374,35 @@ def _cmd_bounds(args, cset: CandidateSet):
 
     ordering = _resolve_ordering(args.order, cset)
     k, n = args.k, args.n
-    assumptions = None
+    band = dict.fromkeys(("c", "d", "t_min", "t_max"))  # the premises' bands; adjacent has none
     if args.profile == "adjacent":
         if n != 1:
             raise CliInputError("--profile adjacent is defined for --n 1")
-        band = [f"--{f}" for f in ("c", "d", "tmin", "tmax") if getattr(args, f) is not None]
-        if band:
+        given = [f"--{f}" for f in ("c", "d", "tmin", "tmax") if getattr(args, f) is not None]
+        if given:
             raise CliInputError("--profile adjacent reads no --c, --d, --tmin or --tmax; "
-                                f"got {', '.join(band)}")
+                                f"got {', '.join(given)}")
         res = bounds.adjacent_excess_bounds(cset, ordering, k)
     else:
         if args.c is None or args.d is None:
             raise CliInputError(f"--profile {args.profile} requires --c and --d")
-        assumptions = bounds.BoundAssumptions(
-            c=args.c,
-            d=args.d,
-            t_min=args.tmin if args.tmin is not None else min(cset.ts),
-            t_max=args.tmax if args.tmax is not None else max(cset.ts),
-            profile=args.profile,
-        )
+        band = {"c": args.c, "d": args.d,
+                "t_min": args.tmin if args.tmin is not None else min(cset.ts),
+                "t_max": args.tmax if args.tmax is not None else max(cset.ts)}
         evaluate = {
             "general-upper": bounds.swap_excess_upper_general,
             "general-lower": bounds.swap_excess_lower_general,
             "equal-t-upper": bounds.swap_excess_upper_equal_t,
             "equal-t-lower": bounds.swap_excess_lower_equal_t,
         }[args.profile]
-        res = evaluate(cset, ordering, k, n, assumptions)
+        res = evaluate(cset, ordering, k, n, bounds.BoundAssumptions(**band, profile=args.profile))
     exact = excess.exact_excess_direct(cset, ordering, k, n)
     return {
         "ordering": _ids(cset, ordering),
         "profile": args.profile,
         "k": k,
         "n": n,
-        "c": assumptions.c if assumptions else None,
-        "d": assumptions.d if assumptions else None,
-        "t_min": assumptions.t_min if assumptions else None,
-        "t_max": assumptions.t_max if assumptions else None,
+        **band,
         "lower": res.lower,
         "upper": res.upper,
         "A": res.A,
@@ -448,18 +434,12 @@ def _cmd_simulate(args, cset: CandidateSet):
     from . import oracle
 
     ordering = _resolve_ordering(args.order, cset)
-    res = oracle.simulate(cset, ordering, args.trials, args.seed)
-    return {
-        "ordering": _ids(cset, ordering),
-        "trials": res.trials,
-        "mean_time": res.mean_time,
-        "std_error": res.std_error,
-        "success_rate": res.success_rate,
-        "generator": res.generator,
-    }, 0
+    fields = oracle.simulate(cset, ordering, args.trials, args.seed)._asdict()
+    del fields["seed"]  # the report's head holds it
+    return {"ordering": _ids(cset, ordering), **fields}, 0
 
 
-def _cmd_check(args):
+def _cmd_check(args, cset=None):
     from . import checks
 
     cfg = checks.VerificationConfig(
@@ -549,27 +529,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(text: str) -> Exception | None:
+    """Write and flush ``text``: None, or the error, its unwritten bytes then sent to os.devnull."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except (AttributeError, OSError) as e:  # no stdout (None), a full disk, a closed pipe
+        with suppress(AttributeError, OSError, ValueError), open(os.devnull, "wb") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())  # so the exit's flush cannot fail again
+        return e
+    return None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except SystemExit as exc:  # a failed write of help or a version is ignored, as argparse does
+        _write("")
         return 0 if exc.code in (0, None) else 1
 
-    digest = None
+    cset = digest = None
     try:
         if hasattr(args, "input"):  # the command's parser takes a candidate file
             cset, digest = ingest(args.input, _infer_format(args.input, args.input_format))
-            results, code = args.run(args, cset)
-        else:
-            results, code = args.run(args)
-    except CliInputError as e:
-        print(f"trialorder: error: {e}", file=sys.stderr)
-        return 1
+        results, code = args.run(args, cset)
     except AssumptionError as e:
         print(f"trialorder: assumption violation: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:
+    except ValueError as e:  # a CliInputError, or a value a computation refused
         print(f"trialorder: error: {e}", file=sys.stderr)
         return 1
     bad = [f"{k} is not finite: {v!r}" for k, v in _non_finite("results", results)]
@@ -586,13 +574,9 @@ def main(argv=None) -> int:
     seed = getattr(args, "seed", None)
     if seed is not None:
         report["seed"] = seed
-    try:  # flushed here: a failed write is worded here, and what it left unwritten goes nowhere
-        sys.stdout.write(emit(report, args.format))
-        sys.stdout.flush()
-    except OSError as e:  # a full disk, a closed pipe (see the Python docs' note on SIGPIPE)
-        with contextlib.suppress(OSError, ValueError), open(os.devnull, "wb") as null:
-            os.dup2(null.fileno(), sys.stdout.fileno())
-        print(f"trialorder: error: cannot write the report: {e}", file=sys.stderr)
+    error = _write(emit(report, args.format))
+    if error is not None:
+        print(f"trialorder: error: cannot write the report: {error}", file=sys.stderr)
         return 1
     return code
 

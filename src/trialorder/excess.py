@@ -21,7 +21,7 @@ upper bound); the test suite asserts equality with the direct route.
 from __future__ import annotations
 
 from .errors import AssumptionError, SingularityError
-from .model import CandidateSet, Ordering, _check_compatible, _prefix, _Record, _terms_sum
+from .model import CandidateSet, Ordering, _check_compatible, _prefix, _Record, _spread, _terms_sum
 from .schedule import expected_time
 
 __all__ = [
@@ -31,9 +31,6 @@ __all__ = [
     "general_swap_excess",
     "equal_p_swap_excess",
 ]
-
-EQUAL_P_REL_TOL = 1e-12
-
 
 class ExcessReport(_Record):
     """Signed swap penalty with its q1/q2/q3 decomposition.
@@ -149,13 +146,13 @@ def equal_p_swap_excess(
     reporting (see README, Errata).
     """
     _, _, tk, tkn = _swap_ends(cset, ordering, k, n)
-    ps = cset.ps
-    p_lo, p_hi = min(ps), max(ps)
-    if p_hi - p_lo > EQUAL_P_REL_TOL * max(1.0, p_hi):
+    spread = _spread(cset.ps)
+    if spread is not None:
+        p_lo, p_hi = spread
         raise AssumptionError(
             f"candidate probabilities are not all equal (spread {p_hi - p_lo:.3e})"
         )
-    p = ps[0]
+    p = cset.ps[0]
     if not 0.0 < p < 1.0:
         raise AssumptionError(f"shared probability p={p} must lie strictly inside (0, 1)")
     q = 1.0 - p

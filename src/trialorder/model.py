@@ -75,6 +75,10 @@ class _Record:
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
 
+    def _asdict(self) -> dict:
+        """The fields by name, in ``_fields`` order: a report's copy of the record."""
+        return dict(zip(self._fields, self._values()))
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -163,6 +167,17 @@ def _shown(value) -> str:
     return _clipped(text)
 
 
+def _label(id: str) -> str:
+    """A candidate as a message names it: ``candidate '<id>'``, the id _shown."""
+    return f"candidate {_shown(id)}"
+
+
+def _spread(xs: Sequence[float]) -> tuple[float, float] | None:
+    """``(min, max)`` of xs, or None where they are equal to 1e-12 relative (absolute below 1)."""
+    lo, hi = min(xs), max(xs)
+    return (lo, hi) if hi - lo > 1e-12 * max(1.0, abs(hi)) else None
+
+
 def _value_problems(p, times) -> tuple[list[tuple[str, str]], tuple | None]:
     """``(problems, row)``: every ``(field, message)`` wrong with a record's p and times.
 
@@ -221,8 +236,7 @@ class Candidate(_Record):
         id = str(id)
         problems, row = _value_problems(p, time_samples)
         if problems:
-            subject = f"candidate {_shown(id)}"
-            raise ValueError("; ".join(str(Violation(subject, f, m)) for f, m in problems))
+            raise ValueError("; ".join(str(Violation(_label(id), f, m)) for f, m in problems))
         for store, value in zip(_CANDIDATE_SETTERS, (id, *row[:2])):
             store(self, value)
 
@@ -532,9 +546,8 @@ def _checked_rows(rows: Iterable, label: Callable[[int], str] | None = None
     their values once.  A row may instead be a reader's Violation for a
     record that is no record, listed in its place.  Violations come in row
     order, each row's value problems before its duplicate id, under
-    ``label(i)`` (default ``candidate '<id>'``, the id _shown), called only for a
-    row with a problem.  The candidates are built once every row is read,
-    column by column (_set_of).
+    ``label(i)`` (default _label(id)), called only for a row with a problem.
+    The candidates are built once every row is read, column by column (_set_of).
     """
     ids: list[str] = []
     ps: list[float] = []
@@ -571,7 +584,7 @@ def _checked_rows(rows: Iterable, label: Callable[[int], str] | None = None
         if rid in seen:
             problems.append(("id", f"duplicate candidate id {_shown(rid)}"))
         if problems:
-            subject = label(i) if label is not None else f"candidate {_shown(rid)}"
+            subject = label(i) if label is not None else _label(rid)
             out.extend(Violation(subject, f, message) for f, message in problems)
         else:
             ids.append(rid)

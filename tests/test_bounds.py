@@ -333,6 +333,17 @@ class TestCheckAssumptions:
         violations = check_assumptions(cs, a)
         assert any("not all equal" in v.message for v in violations)
 
+    @pytest.mark.parametrize("t, gap, equal", [
+        (0.5, 0.9e-12, True), (0.5, 1.1e-12, False),  # below 1: 1e-12 absolute
+        (1000.0, 0.9e-9, True), (1000.0, 1.1e-9, False),  # above: 1e-12 of the largest
+    ])
+    def test_equal_t_spread_threshold(self, t, gap, equal):
+        cs = make_set([0.5, 0.4], [t, t + gap])
+        a = BoundAssumptions(c=0.3, d=0.5, profile="equal-t-upper")
+        want = () if equal else (
+            Violation("set", "times", f"mean times are not all equal (range {t}..{t + gap})"),)
+        assert check_assumptions(cs, a) == want
+
     def test_general_lower_checks_time_floor(self):
         cs = make_set([0.5, 0.4], [0.5, 2.0])
         a = BoundAssumptions(c=0.3, d=0.5, t_min=1.0, t_max=2.0, profile="general-lower")

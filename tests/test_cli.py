@@ -962,6 +962,12 @@ class TestEmission:
         assert lines[0].startswith("position,id,p,mean_time,ratio")
         assert len(lines) == 4
 
+    def test_a_table_under_any_key_is_emitted_as_a_table(self):
+        report = {"command": "mine", "results": {"note": "x", "rows": [{"a": 1, "b": 2},
+                                                                     {"a": 3, "b": 4}]}}
+        assert cli.emit(report, "csv") == "a,b\n1,2\n3,4\n"
+        assert cli.emit(report, "text") == "command: mine\nnote: x\nrows:\n  a  b\n  1  2\n  3  4\n"
+
     def test_text_output_mentions_results(self, capsys, three):
         code, out, _ = run(capsys, ["order", "-i", three])
         assert code == 0
@@ -1182,6 +1188,9 @@ class TestLazyNumpy:
                    "assert loaded('numpy', 'trialorder.oracle', 'trialorder.bounds',\n"
                    "              'trialorder.excess') == []\n"
                    "with contextlib.redirect_stdout(io.StringIO()):\n"
+                   "    assert trialorder.cli.main(['check', '--instances', '2', '--equal-p']) == 3\n"
+                   "assert loaded('trialorder.excess', 'trialorder.bounds') == ['trialorder.excess']\n"
+                   "with contextlib.redirect_stdout(io.StringIO()):\n"
                    "    assert trialorder.cli.main(['check', '--instances', '2']) == 0\n"
                    "assert 'trialorder.checks' in sys.modules\n"
                    "assert loaded('numpy', 'trialorder.oracle') == []\n")
@@ -1351,6 +1360,53 @@ class TestProcessExit:
         with pytest.raises(ValueError) as info:
             trialorder.Candidate(long_id, 1.5, (1.0,))
         assert len(str(info.value)) < 1024
+
+    def test_a_long_id_in_a_bound_report_is_echoed_bounded(self, capsys, tmp_path):
+        long_id = "x" * 100_000
+        records = [(long_id, 0.9, [1.0]), ("b", 0.4, [2.0]), ("c", 0.5, [2.0])]
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"candidates": [
+            {"id": rid, "p": p, "times": times} for rid, p, times in records]}))
+        code, out, _ = run(capsys, ["bounds", "-i", str(path), "--k", "1", "--c", "0.3",
+                                    "--d", "0.6", "--format", "json"])
+        reported = json.loads(out)["results"]["violations"]
+        audit = trialorder.check_assumptions(trialorder.CandidateSet.from_records(records),
+                                             trialorder.BoundAssumptions(c=0.3, d=0.6))
+        assert code == 0
+        assert reported == [str(v) for v in audit] == [
+            f"candidate {repr(long_id)[:100]}... (100002 characters): field 'p': "
+            "probability 0.9 outside [0.3, 0.6]"]
+        assert len(reported[0]) < 200
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["order", "--help"]],
+                             ids=["help", "version", "order-help"])
+    def test_help_into_a_closed_pipe_exits_0_silently(self, argv, unbuffered):
+        # argparse ignores a failed write of what it prints, and so does main's flush of it.
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = _process(["-m", "trialorder.cli", *argv], stdout=write,
+                            PYTHONUNBUFFERED=unbuffered)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+
+    def test_a_closed_stdout_exits_without_a_traceback(self, three):
+        # Started with descriptor 1 closed, the interpreter sets sys.stdout to None.
+        env = dict(os.environ, PYTHONPATH=str(Path(trialorder.__file__).resolve().parent.parent))
+
+        def closed(*argv):
+            proc = subprocess.run(["sh", "-c", '"$0" -m trialorder.cli "$@" >&-', sys.executable,
+                                   *argv], stderr=subprocess.PIPE, env=env, timeout=60)
+            return proc.returncode, proc.stderr
+
+        assert closed("--version") == (0, f"trialorder {trialorder.__version__}\n".encode())
+        code, err = closed("--bogus")
+        assert code == 1 and b"Traceback" not in err
+        assert closed("order", "-i", three) == (
+            1, b"trialorder: error: cannot write the report: "
+               b"'NoneType' object has no attribute 'write'\n")
 
     def test_a_long_refused_header_is_echoed_bounded(self, capsys, tmp_path):
         header = "name," + ",".join(f"t{i}" for i in range(50_000))

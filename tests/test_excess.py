@@ -211,6 +211,16 @@ class TestEqualProbability:
         with pytest.raises(AssumptionError, match="not all equal"):
             equal_p_swap_excess(THREE, IDENT3, 1, 1)
 
+    @pytest.mark.parametrize("gap, equal", [(0.9e-12, True), (1.1e-12, False)])
+    def test_spread_threshold(self, gap, equal):
+        # Every p is at most 1, so the spread allowed is 1e-12 * max(1, p_max) = 1e-12.
+        cs = make_set([0.5, 0.5 + gap, 0.5], [1.0, 2.0, 4.0])
+        if equal:
+            assert equal_p_swap_excess(cs, Ordering.identity(3), 1, 2) == pytest.approx(2.25)
+        else:
+            with pytest.raises(AssumptionError, match=r"not all equal \(spread 1\.1\d*e-12\)"):
+                equal_p_swap_excess(cs, Ordering.identity(3), 1, 2)
+
     def test_degenerate_shared_probability_rejected(self):
         cs = make_set([1.0, 1.0], [1.0, 2.0])
         with pytest.raises(AssumptionError, match=r"\(0, 1\)"):
