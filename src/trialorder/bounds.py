@@ -60,7 +60,7 @@ class BoundAssumptions(_Record):
             raise ValueError(f"t_max must be positive, got {t_max}")
         if profile not in PROFILES:
             raise ValueError(f"unknown profile {profile!r}; choose from {PROFILES}")
-        self.__dict__.update(c=c, d=d, t_min=t_min, t_max=t_max, profile=profile)
+        super().__init__(c, d, t_min, t_max, profile)
 
 
 class BoundResult(_Record):
@@ -71,10 +71,6 @@ class BoundResult(_Record):
     """
 
     _fields = ("lower", "upper", "A", "B", "violations")
-
-    def __init__(self, lower: float | None, upper: float | None, A: float | None,
-                 B: float | None, violations: tuple[Violation, ...]) -> None:
-        self.__dict__.update(lower=lower, upper=upper, A=A, B=B, violations=violations)
 
     @property
     def assumptions_ok(self) -> bool:

@@ -175,23 +175,15 @@ class VerificationConfig(_Record):
     def __init__(self, instances: int, seed: int, equal_p_only: bool = False) -> None:
         if instances < 0:
             raise ValueError(f"instances must be >= 0, got {instances}")
-        self.__dict__.update(instances=instances, seed=seed, equal_p_only=equal_p_only)
+        super().__init__(instances, seed, equal_p_only)
 
 
 class CheckStats(_Record):
     _fields = ("name", "runs", "failures", "max_residual")
 
-    def __init__(self, name: str, runs: int, failures: int, max_residual: float) -> None:
-        self.__dict__.update(name=name, runs=runs, failures=failures, max_residual=max_residual)
-
 
 class VerificationReport(_Record):
     _fields = ("instances", "seed", "equal_p_only", "checks")
-
-    def __init__(self, instances: int, seed: int, equal_p_only: bool,
-                 checks: tuple[CheckStats, ...]) -> None:
-        self.__dict__.update(instances=instances, seed=seed, equal_p_only=equal_p_only,
-                             checks=checks)
 
     @property
     def total_failures(self) -> int:

@@ -54,7 +54,7 @@ def _read_source(source: str) -> bytes:
     try:
         return Path(source).read_bytes()
     except OSError as e:
-        raise CliInputError(f"cannot read {source!r}: {e}") from e
+        raise CliInputError(f"cannot read {model._shown(source)}: {e.strerror or e}") from e
 
 
 def _json_items(text: str) -> list:
@@ -160,7 +160,8 @@ def _resolve_ordering(spec: str | None, cset: CandidateSet) -> Ordering:
     index = {c.id: i for i, c in enumerate(cset)}
     unknown = [s for s in ids if s not in index]
     if unknown:
-        raise CliInputError(f"unknown candidate id(s) in --order: {', '.join(unknown)}")
+        raise CliInputError("unknown candidate id(s) in --order: "
+                            + model._clipped(", ".join(map(model._shown, unknown))))
     if len(ids) != cset.N or len(set(ids)) != cset.N:
         raise CliInputError("--order must list every candidate id exactly once")
     return Ordering(tuple(index[s] for s in ids))
@@ -529,15 +530,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(text: str) -> Exception | None:
-    """Write and flush ``text``: None, or the error, its unwritten bytes then sent to os.devnull."""
+def _write(text: str) -> str | None:
+    """Write and flush ``text``: None, or why not, its unwritten bytes then sent to os.devnull."""
+    if sys.stdout is None:  # the process was started with descriptor 1 closed
+        return "stdout is closed"
     try:
         sys.stdout.write(text)
         sys.stdout.flush()
-    except (AttributeError, OSError) as e:  # no stdout (None), a full disk, a closed pipe
+    except OSError as e:  # a full disk, a closed pipe
         with suppress(AttributeError, OSError, ValueError), open(os.devnull, "wb") as null:
             os.dup2(null.fileno(), sys.stdout.fileno())  # so the exit's flush cannot fail again
-        return e
+        return str(e)
     return None
 
 

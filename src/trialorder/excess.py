@@ -41,10 +41,6 @@ class ExcessReport(_Record):
 
     _fields = ("k", "n", "q1", "q2", "q3", "total", "method")
 
-    def __init__(self, k: int, n: int, q1: float, q2: float, q3: float, total: float,
-                 method: str) -> None:
-        self.__dict__.update(k=k, n=n, q1=q1, q2=q2, q3=q3, total=total, method=method)
-
 
 def _swap_ends(cset: CandidateSet, ordering: Ordering, k: int, n: int) -> tuple[float, ...]:
     """``(p_k, p_(k+n), t_k, t_(k+n))`` of a valid swap, else ValueError.

@@ -61,16 +61,42 @@ MAX_BRUTE_FORCE_N = 10
 class _Record:
     """Base of the immutable value types: ``==``, ``hash`` and ``repr`` over ``_fields``.
 
-    A subclass names its fields in ``_fields``.  Its __init__ stores them in
-    slots, if the subclass declares them in ``__slots__`` (Candidate, of which
-    a set holds one per record), or else in ``__dict__``, where anything
-    besides the fields (a cache) takes no part in equality.  Instances of
-    different classes are never equal.  After construction no attribute can
-    be assigned or deleted.
+    A subclass names its fields in ``_fields``, and a default as a class
+    attribute of the field's name.  __init__ stores the fields in
+    ``__dict__``, where anything besides them (a cache) takes no part in
+    equality; Candidate, of which a set holds one per record, stores its own
+    in slots.  Instances of different classes are never equal.  After
+    construction no attribute can be assigned or deleted.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values, **named) -> None:
+        """Store the fields: by position, then by name, else the field's default.
+
+        A missing, unknown, surplus or doubly given field raises TypeError.
+        """
+        fields = self._fields
+        if not named and len(values) == len(fields):  # every field by position
+            self.__dict__.update(zip(fields, values))
+            return
+        cls = type(self)
+        if len(values) > len(fields):
+            raise TypeError(f"{cls.__qualname__}() takes {len(fields)} fields, got {len(values)}")
+        for name, value in zip(fields, values):
+            if name in named:
+                raise TypeError(f"{cls.__qualname__}() got field {name!r} twice")
+            named[name] = value
+        for name in fields:
+            if name not in named:
+                if not hasattr(cls, name):
+                    raise TypeError(f"{cls.__qualname__}() missing field {name!r}")
+                named[name] = getattr(cls, name)
+        if len(named) > len(fields):
+            unknown = next(name for name in named if name not in fields)
+            raise TypeError(f"{cls.__qualname__}() got unknown field {unknown!r}")
+        self.__dict__.update(named)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -103,18 +129,12 @@ class Violation(_Record):
 
     _fields = ("subject", "field", "message")
 
-    def __init__(self, subject: str, field: str, message: str) -> None:
-        self.__dict__.update(subject=subject, field=field, message=message)
-
     def __str__(self) -> str:
         return f"{self.subject}: field '{self.field}': {self.message}"
 
 
 class ValidationReport(_Record):
     _fields = ("violations",)
-
-    def __init__(self, violations: tuple[Violation, ...]) -> None:
-        self.__dict__["violations"] = violations
 
     @property
     def ok(self) -> bool:
@@ -355,7 +375,7 @@ class Ordering(_Record):
         perm = tuple(entries)
         if sorted(perm) != list(range(len(perm))):
             raise ValueError(f"perm {_shown(perm)} is not a permutation of 0..{len(perm) - 1}")
-        self.__dict__["perm"] = perm
+        super().__init__(perm)
 
     @cached_property
     def _index(self):

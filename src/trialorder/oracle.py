@@ -62,11 +62,7 @@ class SimulationResult(_Record):
     """Monte Carlo estimate of the expected solving time for one ordering."""
 
     _fields = ("trials", "mean_time", "std_error", "success_rate", "seed", "generator")
-
-    def __init__(self, trials: int, mean_time: float, std_error: float, success_rate: float,
-                 seed: int, generator: str = "philox") -> None:
-        self.__dict__.update(trials=trials, mean_time=mean_time, std_error=std_error,
-                             success_rate=success_rate, seed=seed, generator=generator)
+    generator = "philox"
 
 
 def _simulate_chunk(g: np.random.Generator, p: np.ndarray, samples: list, m: int):
@@ -133,11 +129,11 @@ def simulate(cset: CandidateSet, ordering: Ordering, trials: int, seed: int) -> 
         wins += chunk_wins
 
     mean = time_sum / trials
-    std_error = 0.0  # of one trial; and where the mean overflowed, which the CLI refuses
-    if trials > 1 and math.isfinite(mean):
+    std_error = 0.0  # of one trial
+    if trials > 1:
         var = (time_sqsum - trials * mean * mean) / (trials - 1)
-        # Where the squares overflow, var is inf - inf = nan, and stays so for
-        # the CLI to refuse; only a var that rounded to <= 0 reads as 0.
+        # Where the squares or the mean overflow, var is inf - inf = nan, and
+        # stays so for the CLI to refuse; only a var that rounded to <= 0 reads as 0.
         std_error = 0.0 if var <= 0.0 else math.sqrt(var / trials)
     return SimulationResult(
         trials=trials,

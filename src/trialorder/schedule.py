@@ -33,9 +33,7 @@ class ExpectationOptions(_Record):
     """Whether expected_time adds the all-candidates-fail tail (default: yes)."""
 
     _fields = ("include_failure_tail",)
-
-    def __init__(self, include_failure_tail: bool = True) -> None:
-        self.__dict__["include_failure_tail"] = include_failure_tail
+    include_failure_tail = True
 
 
 def solomonoff_order(cset: CandidateSet) -> Ordering:

@@ -22,10 +22,6 @@ class BruteForceResult(_Record):
 
     _fields = ("best_order", "best_expected_time", "evaluated")
 
-    def __init__(self, best_order: Ordering, best_expected_time: float, evaluated: int) -> None:
-        self.__dict__.update(best_order=best_order, best_expected_time=best_expected_time,
-                             evaluated=evaluated)
-
 
 def _eq2(ps, ts, perm) -> float:
     """Expected time of ``perm``, failure tail included, in numpy's row-sum rounding.

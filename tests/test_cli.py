@@ -830,7 +830,8 @@ def test_simulate_refuses_an_overflowing_mean_without_warnings(capsys, tmp_path)
     path.write_text('{"candidates": [{"id":"a","p":0.5,"times":[1e308]},'
                     ' {"id":"b","p":0.5,"times":[1e308]}, {"id":"c","p":0.5,"times":[1.0]}]}')
     argv = ["simulate", "--trials", "2000", "--seed", "3", "-i", str(path)]
-    assert run(capsys, argv) == (1, "", "trialorder: error: results.mean_time is not finite: inf\n")
+    assert run(capsys, argv) == (1, "", "trialorder: error: results.mean_time is not finite: inf\n"
+                                        "trialorder: error: results.std_error is not finite: nan\n")
 
 
 def test_simulate_refuses_a_spread_whose_squares_overflow(capsys, tmp_path):
@@ -1405,8 +1406,29 @@ class TestProcessExit:
         code, err = closed("--bogus")
         assert code == 1 and b"Traceback" not in err
         assert closed("order", "-i", three) == (
-            1, b"trialorder: error: cannot write the report: "
-               b"'NoneType' object has no attribute 'write'\n")
+            1, b"trialorder: error: cannot write the report: stdout is closed\n")
+
+    MANY = [str(i) for i in range(20_000)]
+
+    @pytest.mark.parametrize("order, echo", [
+        # Each id is echoed by its clipped repr, and the joined list clipped again.
+        ("x" * 100_000, "'" + "x" * 99 + "... (123 characters)"),
+        (",".join(MANY), ", ".join(map(repr, MANY))[:100] + "... (168888 characters)"),
+        ("", "''"),
+    ], ids=["long-id", "20000-ids", "empty-id"])
+    def test_unknown_order_ids_are_echoed_bounded(self, three, order, echo):
+        proc = _process(["-m", "trialorder.cli", "expect", "-i", three, "--order", order])
+        assert proc.returncode == 1
+        assert proc.stderr.decode() == ("trialorder: error: unknown candidate id(s) in --order: "
+                                        f"{echo}\n")
+        assert len(proc.stderr) < 1024
+
+    def test_an_unreadable_long_path_is_echoed_once_bounded(self, tmp_path):
+        path = str(tmp_path / ("x" * 100_000))
+        proc = _process(["-m", "trialorder.cli", "order", "-i", path])
+        assert proc.returncode == 1
+        assert proc.stderr.decode() == (f"trialorder: error: cannot read {repr(path)[:100]}... "
+                                        f"({len(path) + 2} characters): File name too long\n")
 
     def test_a_long_refused_header_is_echoed_bounded(self, capsys, tmp_path):
         header = "name," + ",".join(f"t{i}" for i in range(50_000))

@@ -91,15 +91,24 @@ def test_repr_lists_every_field_in_order(cls, fields, text, other):
 
 @pytest.mark.parametrize("cls, fields, text, other", CASES, ids=IDS)
 def test_positional_and_keyword_construction_agree(cls, fields, text, other):
-    by_position, by_keyword = cls(*fields.values()), cls(**fields)
-    assert by_position == by_keyword
+    values, half = list(fields.values()), len(fields) // 2
+    by_position, by_keyword = cls(*values), cls(**fields)
+    mixed = cls(*values[:half], **dict(list(fields.items())[half:]))
+    assert by_position == by_keyword == mixed
     for name, value in fields.items():
         assert getattr(by_position, name) == value
         assert getattr(by_keyword, name) == value
+        assert getattr(mixed, name) == value
+    first, *rest = fields
     with pytest.raises(TypeError):
-        cls(*fields.values(), None)  # one argument too many
+        cls(*values, None)  # one argument too many
     with pytest.raises(TypeError):
         cls(**fields, unknown=None)
+    with pytest.raises(TypeError):
+        cls(*values, **{first: fields[first]})  # given by position and by name
+    if cls is not ExpectationOptions:  # its one field has a default
+        with pytest.raises(TypeError):
+            cls(**{name: fields[name] for name in rest})  # the first field missing
 
 
 @pytest.mark.parametrize("cls, fields, text, other", CASES, ids=IDS)
@@ -170,6 +179,10 @@ def test_defaults():
     assert SimulationResult(10, 1.5, 0.1, 0.9, 3).generator == "philox"
     assert VerificationConfig(5, 1).equal_p_only is False
     assert VerificationConfig(instances=5, seed=1) == VerificationConfig(5, 1, False)
+    # A record's default is the class attribute of the field's name.
+    assert (SimulationResult.generator, ExpectationOptions.include_failure_tail) == ("philox", True)
+    pcg = type("PcgResult", (SimulationResult,), {"generator": "pcg"})
+    assert pcg(10, 1.5, 0.1, 0.9, seed=3).generator == "pcg"
 
 
 def test_construction_coerces_as_documented():
