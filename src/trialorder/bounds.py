@@ -246,7 +246,7 @@ def adjacent_excess_bounds(cset: CandidateSet, ordering: Ordering, k: int) -> Bo
         lower = scale * _wu(prefix_ps, S)
     else:  # the exact Q_0 = 1 or Q_1 = 1 - p_1
         lower = scale * (1.0 - prefix_ps[0] if prefix_ps else 1.0)
-    return BoundResult(lower=lower, upper=upper, A=None, B=None, violations=tuple(violations))
+    return BoundResult(lower, upper, None, None, tuple(violations))
 
 
 def swap_excess_upper_general(
@@ -273,7 +273,7 @@ def swap_excess_upper_general(
         T * ((1.0 - pkn) / (1.0 - pk)) * (d / c) * (1.0 - c) ** k
         * (A - B * (1.0 - c) ** (n - 1))
     )
-    return BoundResult(lower=None, upper=upper, A=A, B=B, violations=tuple(violations))
+    return BoundResult(None, upper, A, B, tuple(violations))
 
 
 def swap_excess_lower_general(
@@ -331,7 +331,7 @@ def swap_excess_lower_general(
     if dp > 0.0 and c * t > 0.0 and (1.0 - d) ** k > 0.0:
         f = (d * t) / (c * T) if use_paper_variant else (d * T) / (c * t)
         A = A0 + ((1.0 - pk) / dp) * d * k * (1.0 / (1.0 - d) - f * es / (1.0 - d) ** k)
-    return BoundResult(lower=lower, upper=None, A=A, B=B, violations=tuple(violations))
+    return BoundResult(lower, None, A, B, tuple(violations))
 
 
 def _common_mean_time(cset: CandidateSet) -> float:
@@ -370,7 +370,7 @@ def swap_excess_upper_equal_t(
         T * d * ((pk - pkn) / (1.0 - pk)) * ((1.0 - c) ** k / c**2)
         * (A - B * (1.0 - c) ** (n - 1))
     )
-    return BoundResult(lower=None, upper=upper, A=A, B=B, violations=tuple(violations))
+    return BoundResult(None, upper, A, B, tuple(violations))
 
 
 def swap_excess_lower_equal_t(
@@ -402,4 +402,4 @@ def swap_excess_lower_equal_t(
         T * c * ((pk - pkn) / (1.0 - pk)) * ((1.0 - d) ** k / d**2)
         * (A - B * (1.0 - d) ** (n - 1))
     )
-    return BoundResult(lower=lower, upper=None, A=A, B=B, violations=tuple(violations))
+    return BoundResult(lower, None, A, B, tuple(violations))

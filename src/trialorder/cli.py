@@ -161,7 +161,7 @@ def _resolve_ordering(spec: str | None, cset: CandidateSet) -> Ordering:
     unknown = [s for s in ids if s not in index]
     if unknown:
         raise CliInputError("unknown candidate id(s) in --order: "
-                            + model._clipped(", ".join(map(model._shown, unknown))))
+                            + model._clipped(", ".join(map(repr, unknown))))
     if len(ids) != cset.N or len(set(ids)) != cset.N:
         raise CliInputError("--order must list every candidate id exactly once")
     return Ordering(tuple(index[s] for s in ids))

@@ -118,8 +118,7 @@ def general_swap_excess(cset: CandidateSet, ordering: Ordering, k: int, n: int) 
     q2 = _terms_sum(q2_term, p[k + 1:stop + 1], T[k + 1:stop + 1], Q[k:stop])
     q3 = T_kn * Q_kn1 * gap / keep
 
-    return ExcessReport(k=k, n=n, q1=q1, q2=q2, q3=q3, total=q1 + q2 + q3,
-                        method="q-decomposition")
+    return ExcessReport(k, n, q1, q2, q3, q1 + q2 + q3, "q-decomposition")
 
 
 def equal_p_swap_excess(

@@ -76,27 +76,28 @@ class _Record:
         """Store the fields: by position, then by name, else the field's default.
 
         A missing, unknown, surplus or doubly given field raises TypeError.
+        A call that gives every field by position (the check engine's) binds
+        no name.
         """
         fields = self._fields
-        if not named and len(values) == len(fields):  # every field by position
-            self.__dict__.update(zip(fields, values))
-            return
-        cls = type(self)
-        if len(values) > len(fields):
-            raise TypeError(f"{cls.__qualname__}() takes {len(fields)} fields, got {len(values)}")
-        for name, value in zip(fields, values):
-            if name in named:
-                raise TypeError(f"{cls.__qualname__}() got field {name!r} twice")
-            named[name] = value
-        for name in fields:
-            if name not in named:
-                if not hasattr(cls, name):
+        if named or len(values) != len(fields):  # complete values by name, then by default
+            cls = type(self)
+            if len(values) > len(fields):
+                raise TypeError(f"{cls.__qualname__}() takes {len(fields)} fields, got {len(values)}")
+            rest = []
+            for name in fields[len(values):]:
+                if name in named:
+                    rest.append(named.pop(name))
+                elif hasattr(cls, name):
+                    rest.append(getattr(cls, name))
+                else:
                     raise TypeError(f"{cls.__qualname__}() missing field {name!r}")
-                named[name] = getattr(cls, name)
-        if len(named) > len(fields):
-            unknown = next(name for name in named if name not in fields)
-            raise TypeError(f"{cls.__qualname__}() got unknown field {unknown!r}")
-        self.__dict__.update(named)
+            if named:  # a name left over: a field's given by position too, or no field's
+                name = next(iter(named))
+                raise TypeError(f"{cls.__qualname__}() got field {name!r} twice" if name in fields
+                                else f"{cls.__qualname__}() got unknown field {name!r}")
+            values += tuple(rest)
+        self.__dict__.update(zip(fields, values))
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

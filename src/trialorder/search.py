@@ -91,8 +91,4 @@ def brute_force_best_order(cset: CandidateSet) -> BruteForceResult:
                  if not S & b and t * q + cost[S | b] == cost[S])
         perm.append(j)
         S |= 1 << j
-    return BruteForceResult(
-        best_order=Ordering(tuple(perm)),
-        best_expected_time=_eq2(ps, ts, perm),
-        evaluated=math.factorial(N),
-    )
+    return BruteForceResult(Ordering(tuple(perm)), _eq2(ps, ts, perm), math.factorial(N))

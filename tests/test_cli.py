@@ -1411,8 +1411,8 @@ class TestProcessExit:
     MANY = [str(i) for i in range(20_000)]
 
     @pytest.mark.parametrize("order, echo", [
-        # Each id is echoed by its clipped repr, and the joined list clipped again.
-        ("x" * 100_000, "'" + "x" * 99 + "... (123 characters)"),
+        # The ids are echoed by their reprs, the joined list clipped once.
+        ("x" * 100_000, "'" + "x" * 99 + "... (100002 characters)"),
         (",".join(MANY), ", ".join(map(repr, MANY))[:100] + "... (168888 characters)"),
         ("", "''"),
     ], ids=["long-id", "20000-ids", "empty-id"])
