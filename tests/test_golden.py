@@ -25,6 +25,10 @@ cases need no input file; their digests were taken before ``VerificationConfig``
 generator-range and tolerance fields, and the equal-p one exits 3 (the
 printed equal-p formula misses its oracle), so each digest is pinned beside
 its exit code.  Each case is emitted as json, text and csv.
+
+Beside each case's digests, LEAVES pins a digest per leaf path of its JSON
+report (a table's column is one leaf), taken at the same bytes, so a failure
+names the values that moved.
 """
 
 from __future__ import annotations
@@ -184,8 +188,8 @@ def write_inputs(directory) -> None:
     (directory / "equal_t.json").write_text(json.dumps({"candidates": EQUAL_T}))
 
 
-def report_digest(directory, case: str, fmt: str) -> tuple[int, str]:
-    """(exit code, sha256 of stdout) of one case in one output format."""
+def run_case(directory, case: str, fmt: str) -> tuple[int, str]:
+    """(exit code, stdout) of one case in one output format."""
     source, argv = cases()[case]
     argv = list(argv) + ["--format", fmt]
     if source is not None:
@@ -193,7 +197,31 @@ def report_digest(directory, case: str, fmt: str) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
-    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return code, out.getvalue()
+
+
+def leaf_digests(value, path: str = "") -> dict[str, str]:
+    """Path -> 16-hex digest of each leaf of a JSON report; a table's column is one leaf.
+
+    ``results.q2`` names a value, ``results.table[*].ratio`` a table's column.
+    """
+    if isinstance(value, dict):
+        return {leaf: digest for k, v in value.items()
+                for leaf, digest in leaf_digests(v, f"{path}.{k}" if path else k).items()}
+    if cli._is_table(value):
+        return {f"{path}[*].{k}": leaf_digests([row[k] for row in value], path)[path]
+                for k in value[0]}
+    return {path: hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()[:16]}
+
+
+def moved(pinned: dict[str, str], got: dict[str, str]) -> list[str]:
+    """The paths whose digests differ, or that only one side has."""
+    return sorted(p for p in pinned.keys() | got.keys() if pinned.get(p) != got.get(p))
+
+
+def moved_leaves(directory, case: str) -> list[str]:
+    """The leaf paths of the case's JSON report whose digests moved from LEAVES."""
+    return moved(LEAVES[case], leaf_digests(json.loads(run_case(directory, case, "json")[1])))
 
 
 GOLDEN: dict[str, tuple[int, str]] = {  # case/format -> (exit code, sha256 of stdout)
@@ -311,6 +339,349 @@ GOLDEN: dict[str, tuple[int, str]] = {  # case/format -> (exit code, sha256 of s
 }
 
 
+LEAVES: dict[str, dict[str, str]] = {  # case -> leaf path -> digest (leaf_digests)
+    "check": {
+        "command": "977a0be5b459b891", "input_sha256": "74234e98afe7498f",
+        "results.checks[*].failures": "94d0e6543843bb74",
+        "results.checks[*].max_residual": "db51928220c90073",
+        "results.checks[*].name": "df5f02b11d55bd4c", "results.checks[*].runs": "926e4d76b3ee27ac",
+        "results.equal_p_only": "fcbcf165908dd18a", "results.instances": "4a44dc15364204a8",
+        "results.passed": "b5bea41b6c623f7c", "results.seed": "4e07408562bedb8b",
+        "results.total_failures": "5feceb66ffc86f38", "seed": "4e07408562bedb8b",
+        "version": "8e633b4f41f99d4c",
+    },
+    "check_equal_p": {
+        "command": "977a0be5b459b891", "input_sha256": "74234e98afe7498f",
+        "results.checks[*].failures": "dc70b606280157d3",
+        "results.checks[*].max_residual": "98c2014c04271b6a",
+        "results.checks[*].name": "4c127679ed042e4d", "results.checks[*].runs": "f351ab094227ae1a",
+        "results.equal_p_only": "b5bea41b6c623f7c", "results.instances": "1a6562590ef19d10",
+        "results.passed": "fcbcf165908dd18a", "results.seed": "4e07408562bedb8b",
+        "results.total_failures": "1a6562590ef19d10", "seed": "4e07408562bedb8b",
+        "version": "8e633b4f41f99d4c",
+    },
+    "check_seed11": {
+        "command": "977a0be5b459b891", "input_sha256": "74234e98afe7498f",
+        "results.checks[*].failures": "94d0e6543843bb74",
+        "results.checks[*].max_residual": "06124df24c8f7c67",
+        "results.checks[*].name": "df5f02b11d55bd4c", "results.checks[*].runs": "9ad4d57cd648beac",
+        "results.equal_p_only": "fcbcf165908dd18a", "results.instances": "27badc983df1780b",
+        "results.passed": "b5bea41b6c623f7c", "results.seed": "4fc82b26aecb47d2",
+        "results.total_failures": "5feceb66ffc86f38", "seed": "4fc82b26aecb47d2",
+        "version": "8e633b4f41f99d4c",
+    },
+    "equal_t.json/bounds_equal_t_lower": {
+        "command": "940e8afe0a0244c3", "input_sha256": "8175ec62f3036dd2",
+        "results.A": "270222ec19c6819c", "results.B": "1126dd40b15ffdf2",
+        "results.assumptions_ok": "fcbcf165908dd18a", "results.c": "221764976efe0413",
+        "results.d": "973b372a514f91db", "results.exact_excess": "d21b10021afab70c",
+        "results.k": "d4735e3a265e16ee", "results.lower": "b279c59067cfc6e5",
+        "results.n": "4b227777d4dd1fc6", "results.ordering": "f70a2d1daefb2532",
+        "results.profile": "951b840462d384fa", "results.t_max": "7a78fdf5c5f9236e",
+        "results.t_min": "7a78fdf5c5f9236e", "results.upper": "74234e98afe7498f",
+        "results.violations": "a6ac986391e2561c", "version": "8e633b4f41f99d4c",
+    },
+    "equal_t.json/bounds_equal_t_lower_k5": {
+        "command": "940e8afe0a0244c3", "input_sha256": "8175ec62f3036dd2",
+        "results.A": "6d27426cc0b7594c", "results.B": "ffb37a4743ed7605",
+        "results.assumptions_ok": "b5bea41b6c623f7c", "results.c": "81748789f5cc0a4e",
+        "results.d": "03544a14074bd7c0", "results.exact_excess": "6d1242ab35919aaf",
+        "results.k": "ef2d127de37b942b", "results.lower": "822166768cd02d35",
+        "results.n": "4e07408562bedb8b", "results.ordering": "a3b812b29a9c2abb",
+        "results.profile": "951b840462d384fa", "results.t_max": "7a78fdf5c5f9236e",
+        "results.t_min": "7a78fdf5c5f9236e", "results.upper": "74234e98afe7498f",
+        "results.violations": "4f53cda18c2baa0c", "version": "8e633b4f41f99d4c",
+    },
+    "equal_t.json/bounds_equal_t_upper": {
+        "command": "940e8afe0a0244c3", "input_sha256": "8175ec62f3036dd2",
+        "results.A": "576954fa46546534", "results.B": "f0c4bfb0b8ede8f5",
+        "results.assumptions_ok": "b5bea41b6c623f7c", "results.c": "81748789f5cc0a4e",
+        "results.d": "03544a14074bd7c0", "results.exact_excess": "f2daffb5d7b6eb65",
+        "results.k": "d4735e3a265e16ee", "results.lower": "74234e98afe7498f",
+        "results.n": "4e07408562bedb8b", "results.ordering": "a3b812b29a9c2abb",
+        "results.profile": "acd1132283aff317", "results.t_max": "7a78fdf5c5f9236e",
+        "results.t_min": "7a78fdf5c5f9236e", "results.upper": "8f92b9881c5bb3c4",
+        "results.violations": "4f53cda18c2baa0c", "version": "8e633b4f41f99d4c",
+    },
+    "large.json/bounds_adjacent": {
+        "command": "940e8afe0a0244c3", "input_sha256": "0f55904fa8f186a7",
+        "results.A": "74234e98afe7498f", "results.B": "74234e98afe7498f",
+        "results.assumptions_ok": "b5bea41b6c623f7c", "results.c": "74234e98afe7498f",
+        "results.d": "74234e98afe7498f", "results.exact_excess": "351cd139a3099b3a",
+        "results.k": "ce8457d59078a699", "results.lower": "cc127ac9a5cb9723",
+        "results.n": "6b86b273ff34fce1", "results.ordering": "e439d57b777e7e28",
+        "results.profile": "75e12b16b5a95550", "results.t_max": "74234e98afe7498f",
+        "results.t_min": "74234e98afe7498f", "results.upper": "74c0230a959054dc",
+        "results.violations": "4f53cda18c2baa0c", "version": "8e633b4f41f99d4c",
+    },
+    "large.json/bounds_general_lower": {
+        "command": "940e8afe0a0244c3", "input_sha256": "0f55904fa8f186a7",
+        "results.A": "74234e98afe7498f", "results.B": "fc4eeade22beec6d",
+        "results.assumptions_ok": "fcbcf165908dd18a", "results.c": "ddd2d84fc61cdb49",
+        "results.d": "1faa6c07d60ccd38", "results.exact_excess": "9e5ec77c518ea2b0",
+        "results.k": "4a44dc15364204a8", "results.lower": "99ec41b3aceda166",
+        "results.n": "ef2d127de37b942b", "results.ordering": "e439d57b777e7e28",
+        "results.profile": "5031052082fd422d", "results.t_max": "f28e15d3d6edd0f7",
+        "results.t_min": "3cb9cc84eb7ca523", "results.upper": "74234e98afe7498f",
+        "results.violations": "d92c8902e1916f0d", "version": "8e633b4f41f99d4c",
+    },
+    "large.json/bounds_general_lower_k1500": {
+        "command": "940e8afe0a0244c3", "input_sha256": "0f55904fa8f186a7",
+        "results.A": "74234e98afe7498f", "results.B": "7e283e184f716f08",
+        "results.assumptions_ok": "fcbcf165908dd18a", "results.c": "ddd2d84fc61cdb49",
+        "results.d": "1faa6c07d60ccd38", "results.exact_excess": "2610b0f8b03d4e21",
+        "results.k": "9f69998560dcfd80", "results.lower": "4e4c0ba3aecaadb9",
+        "results.n": "ef2d127de37b942b", "results.ordering": "e439d57b777e7e28",
+        "results.profile": "5031052082fd422d", "results.t_max": "f28e15d3d6edd0f7",
+        "results.t_min": "3cb9cc84eb7ca523", "results.upper": "74234e98afe7498f",
+        "results.violations": "e83420083a297ab0", "version": "8e633b4f41f99d4c",
+    },
+    "large.json/bounds_general_upper": {
+        "command": "940e8afe0a0244c3", "input_sha256": "0f55904fa8f186a7",
+        "results.A": "7741d254d77985a7", "results.B": "859b772e21ab3a37",
+        "results.assumptions_ok": "b5bea41b6c623f7c", "results.c": "ddd2d84fc61cdb49",
+        "results.d": "1faa6c07d60ccd38", "results.exact_excess": "555570f87b2b2964",
+        "results.k": "6b86b273ff34fce1", "results.lower": "74234e98afe7498f",
+        "results.n": "ce8457d59078a699", "results.ordering": "e439d57b777e7e28",
+        "results.profile": "0ecc12d31711eaf9", "results.t_max": "f28e15d3d6edd0f7",
+        "results.t_min": "3cb9cc84eb7ca523", "results.upper": "ad9fdc40ce1e9f91",
+        "results.violations": "4f53cda18c2baa0c", "version": "8e633b4f41f99d4c",
+    },
+    "large.json/excess": {
+        "command": "1b73928046b27df5", "input_sha256": "0f55904fa8f186a7",
+        "results.direct_oracle": "555570f87b2b2964", "results.k": "6b86b273ff34fce1",
+        "results.method": "551e78181b221bd0", "results.n": "ce8457d59078a699",
+        "results.oracle_abs_diff": "197d310af3acc176", "results.oracle_agrees": "b5bea41b6c623f7c",
+        "results.ordering": "e439d57b777e7e28", "results.q1": "091313f8c5a7b29e",
+        "results.q2": "4db141761472b302", "results.q3": "c2c8f530aa6dbd7e",
+        "results.total": "1d711c64a0f6c962", "version": "8e633b4f41f99d4c",
+    },
+    "large.json/expect": {
+        "command": "035fc98bd805985d", "input_sha256": "0f55904fa8f186a7",
+        "results.expected_time": "4c3a63fc46b08944",
+        "results.include_failure_tail": "b5bea41b6c623f7c", "results.ordering": "e439d57b777e7e28",
+        "version": "8e633b4f41f99d4c",
+    },
+    "large.json/expect_no_tail": {
+        "command": "035fc98bd805985d", "input_sha256": "0f55904fa8f186a7",
+        "results.expected_time": "4c43851d7c9669b9",
+        "results.include_failure_tail": "fcbcf165908dd18a", "results.ordering": "e439d57b777e7e28",
+        "version": "8e633b4f41f99d4c",
+    },
+    "large.json/order": {
+        "command": "78000f9390ebddc1", "input_sha256": "0f55904fa8f186a7",
+        "results.order": "e439d57b777e7e28", "results.perm": "a85b5271725bd9bd",
+        "results.ratio_sorted": "b5bea41b6c623f7c", "results.table[*].id": "e439d57b777e7e28",
+        "results.table[*].mean_time": "f3696bf5e2e4c2e3", "results.table[*].p": "34deaef40313c28a",
+        "results.table[*].position": "218f5d773ccf98a2",
+        "results.table[*].ratio": "f8928fd04577bc31", "version": "8e633b4f41f99d4c",
+    },
+    "large.json/simulate": {
+        "command": "b09cfb79f1a3892d", "input_sha256": "0f55904fa8f186a7",
+        "results.generator": "a3a7d23bd87d5f05", "results.mean_time": "8e72486ee46c0b55",
+        "results.ordering": "e439d57b777e7e28", "results.std_error": "fb3eeb14ed615444",
+        "results.success_rate": "d0ff5974b6aa52cf", "results.trials": "0f8eb4b72b6e0c9e",
+        "seed": "7902699be42c8a8e", "version": "8e633b4f41f99d4c",
+    },
+    "small.csv/bounds_adjacent": {
+        "command": "940e8afe0a0244c3", "input_sha256": "a4ccd3bffc9be456",
+        "results.A": "74234e98afe7498f", "results.B": "74234e98afe7498f",
+        "results.assumptions_ok": "b5bea41b6c623f7c", "results.c": "74234e98afe7498f",
+        "results.d": "74234e98afe7498f", "results.exact_excess": "09a078a869a2e296",
+        "results.k": "4e07408562bedb8b", "results.lower": "3cbe349dff9684f8",
+        "results.n": "6b86b273ff34fce1", "results.ordering": "ab26f2ed88db2fbf",
+        "results.profile": "75e12b16b5a95550", "results.t_max": "74234e98afe7498f",
+        "results.t_min": "74234e98afe7498f", "results.upper": "29ade7385c24a140",
+        "results.violations": "4f53cda18c2baa0c", "version": "8e633b4f41f99d4c",
+    },
+    "small.csv/bounds_general_upper": {
+        "command": "940e8afe0a0244c3", "input_sha256": "a4ccd3bffc9be456",
+        "results.A": "0d1e0300a52d7bef", "results.B": "6a21a900c040622b",
+        "results.assumptions_ok": "b5bea41b6c623f7c", "results.c": "0f95d6aa322dc8b8",
+        "results.d": "f7efac9564924514", "results.exact_excess": "1b6db83016a90698",
+        "results.k": "6b86b273ff34fce1", "results.lower": "74234e98afe7498f",
+        "results.n": "4e07408562bedb8b", "results.ordering": "ab26f2ed88db2fbf",
+        "results.profile": "0ecc12d31711eaf9", "results.t_max": "5e799650e425b1d4",
+        "results.t_min": "3d5e2130f2566352", "results.upper": "2be9da9301c28fd3",
+        "results.violations": "4f53cda18c2baa0c", "version": "8e633b4f41f99d4c",
+    },
+    "small.csv/excess": {
+        "command": "1b73928046b27df5", "input_sha256": "a4ccd3bffc9be456",
+        "results.direct_oracle": "1b6db83016a90698", "results.k": "6b86b273ff34fce1",
+        "results.method": "551e78181b221bd0", "results.n": "4e07408562bedb8b",
+        "results.oracle_abs_diff": "05ba57926337b257", "results.oracle_agrees": "b5bea41b6c623f7c",
+        "results.ordering": "ab26f2ed88db2fbf", "results.q1": "91b997cdfcf7e86d",
+        "results.q2": "4f951de980bb733b", "results.q3": "5c93b9b974e50bfc",
+        "results.total": "a11aad5e2d5bce2e", "version": "8e633b4f41f99d4c",
+    },
+    "small.csv/expect": {
+        "command": "035fc98bd805985d", "input_sha256": "a4ccd3bffc9be456",
+        "results.expected_time": "92582f79c1af5da4",
+        "results.include_failure_tail": "b5bea41b6c623f7c", "results.ordering": "ab26f2ed88db2fbf",
+        "version": "8e633b4f41f99d4c",
+    },
+    "small.csv/expect_no_tail": {
+        "command": "035fc98bd805985d", "input_sha256": "a4ccd3bffc9be456",
+        "results.expected_time": "47804b5d6bf195cf",
+        "results.include_failure_tail": "fcbcf165908dd18a", "results.ordering": "e06bd5675b831108",
+        "version": "8e633b4f41f99d4c",
+    },
+    "small.csv/order": {
+        "command": "78000f9390ebddc1", "input_sha256": "a4ccd3bffc9be456",
+        "results.order": "ab26f2ed88db2fbf", "results.perm": "dcd156885b3a816b",
+        "results.ratio_sorted": "b5bea41b6c623f7c", "results.table[*].id": "ab26f2ed88db2fbf",
+        "results.table[*].mean_time": "64a869eda3309a21", "results.table[*].p": "ae56167fbf2c662f",
+        "results.table[*].position": "6ab66a3db24bd625",
+        "results.table[*].ratio": "0d5d1be2ef411bb1", "version": "8e633b4f41f99d4c",
+    },
+    "small.csv/simulate": {
+        "command": "b09cfb79f1a3892d", "input_sha256": "a4ccd3bffc9be456",
+        "results.generator": "a3a7d23bd87d5f05", "results.mean_time": "c49e98097acf67e2",
+        "results.ordering": "ab26f2ed88db2fbf", "results.std_error": "d018d123735bac7e",
+        "results.success_rate": "5870e1b5bb5d5c5c", "results.trials": "39e5b4830d4d9c14",
+        "seed": "7902699be42c8a8e", "version": "8e633b4f41f99d4c",
+    },
+    "small.csv/verify_optimal": {
+        "command": "2f1b393b889dacbc", "input_sha256": "a4ccd3bffc9be456",
+        "results.agree": "b5bea41b6c623f7c", "results.best_expected_time": "fabf22f21ea69d4e",
+        "results.best_order": "ab26f2ed88db2fbf", "results.evaluated": "9d8aa099e798b1bb",
+        "results.rule_expected_time": "92582f79c1af5da4", "results.rule_order": "ab26f2ed88db2fbf",
+        "version": "8e633b4f41f99d4c",
+    },
+    "small.json/bounds_adjacent": {
+        "command": "940e8afe0a0244c3", "input_sha256": "84ebc5869a296fdf",
+        "results.A": "74234e98afe7498f", "results.B": "74234e98afe7498f",
+        "results.assumptions_ok": "b5bea41b6c623f7c", "results.c": "74234e98afe7498f",
+        "results.d": "74234e98afe7498f", "results.exact_excess": "eeec907ca07b3224",
+        "results.k": "4e07408562bedb8b", "results.lower": "41702fc3fecbb27e",
+        "results.n": "6b86b273ff34fce1", "results.ordering": "e68ca93c242ccf01",
+        "results.profile": "75e12b16b5a95550", "results.t_max": "74234e98afe7498f",
+        "results.t_min": "74234e98afe7498f", "results.upper": "2482a60e7053f5a4",
+        "results.violations": "4f53cda18c2baa0c", "version": "8e633b4f41f99d4c",
+    },
+    "small.json/bounds_adjacent_against": {
+        "command": "940e8afe0a0244c3", "input_sha256": "84ebc5869a296fdf",
+        "results.A": "74234e98afe7498f", "results.B": "74234e98afe7498f",
+        "results.assumptions_ok": "fcbcf165908dd18a", "results.c": "74234e98afe7498f",
+        "results.d": "74234e98afe7498f", "results.exact_excess": "712f5b2f1ab53a2e",
+        "results.k": "4e07408562bedb8b", "results.lower": "afa3eb56723981b4",
+        "results.n": "6b86b273ff34fce1", "results.ordering": "6cf806ca1923967e",
+        "results.profile": "75e12b16b5a95550", "results.t_max": "74234e98afe7498f",
+        "results.t_min": "74234e98afe7498f", "results.upper": "8ee44feff10579f8",
+        "results.violations": "e029551b1b442e3b", "version": "8e633b4f41f99d4c",
+    },
+    "small.json/bounds_adjacent_k1": {
+        "command": "940e8afe0a0244c3", "input_sha256": "84ebc5869a296fdf",
+        "results.A": "74234e98afe7498f", "results.B": "74234e98afe7498f",
+        "results.assumptions_ok": "b5bea41b6c623f7c", "results.c": "74234e98afe7498f",
+        "results.d": "74234e98afe7498f", "results.exact_excess": "774245dee0d09c41",
+        "results.k": "6b86b273ff34fce1", "results.lower": "e84f69d111f8e38c",
+        "results.n": "6b86b273ff34fce1", "results.ordering": "e68ca93c242ccf01",
+        "results.profile": "75e12b16b5a95550", "results.t_max": "74234e98afe7498f",
+        "results.t_min": "74234e98afe7498f", "results.upper": "e84f69d111f8e38c",
+        "results.violations": "4f53cda18c2baa0c", "version": "8e633b4f41f99d4c",
+    },
+    "small.json/bounds_adjacent_k2": {
+        "command": "940e8afe0a0244c3", "input_sha256": "84ebc5869a296fdf",
+        "results.A": "74234e98afe7498f", "results.B": "74234e98afe7498f",
+        "results.assumptions_ok": "b5bea41b6c623f7c", "results.c": "74234e98afe7498f",
+        "results.d": "74234e98afe7498f", "results.exact_excess": "978dce4b8ed42dd9",
+        "results.k": "d4735e3a265e16ee", "results.lower": "0a693a3c81f01cc0",
+        "results.n": "6b86b273ff34fce1", "results.ordering": "e68ca93c242ccf01",
+        "results.profile": "75e12b16b5a95550", "results.t_max": "74234e98afe7498f",
+        "results.t_min": "74234e98afe7498f", "results.upper": "3004dd6b04309819",
+        "results.violations": "4f53cda18c2baa0c", "version": "8e633b4f41f99d4c",
+    },
+    "small.json/bounds_general_lower_against": {
+        "command": "940e8afe0a0244c3", "input_sha256": "84ebc5869a296fdf",
+        "results.A": "74234e98afe7498f", "results.B": "d233593d545bd6db",
+        "results.assumptions_ok": "fcbcf165908dd18a", "results.c": "221764976efe0413",
+        "results.d": "973b372a514f91db", "results.exact_excess": "cb5debf78ebf6006",
+        "results.k": "d4735e3a265e16ee", "results.lower": "68b73ccd2a90a306",
+        "results.n": "4e07408562bedb8b", "results.ordering": "4d620c285440d1ee",
+        "results.profile": "5031052082fd422d", "results.t_max": "90c318d6e5e13ed1",
+        "results.t_min": "cdfdf03940a41816", "results.upper": "74234e98afe7498f",
+        "results.violations": "9435d8d46abb8f6a", "version": "8e633b4f41f99d4c",
+    },
+    "small.json/bounds_general_lower_against_strict": {
+        "command": "940e8afe0a0244c3", "input_sha256": "84ebc5869a296fdf",
+        "results.A": "74234e98afe7498f", "results.B": "d233593d545bd6db",
+        "results.assumptions_ok": "fcbcf165908dd18a", "results.c": "221764976efe0413",
+        "results.d": "973b372a514f91db", "results.exact_excess": "cb5debf78ebf6006",
+        "results.k": "d4735e3a265e16ee", "results.lower": "68b73ccd2a90a306",
+        "results.n": "4e07408562bedb8b", "results.ordering": "4d620c285440d1ee",
+        "results.profile": "5031052082fd422d", "results.t_max": "90c318d6e5e13ed1",
+        "results.t_min": "cdfdf03940a41816", "results.upper": "74234e98afe7498f",
+        "results.violations": "9435d8d46abb8f6a", "version": "8e633b4f41f99d4c",
+    },
+    "small.json/bounds_general_upper": {
+        "command": "940e8afe0a0244c3", "input_sha256": "84ebc5869a296fdf",
+        "results.A": "3410f4c8ea3666f3", "results.B": "63c88f8cfbc8ae3a",
+        "results.assumptions_ok": "b5bea41b6c623f7c", "results.c": "6de46cd529dd9841",
+        "results.d": "8ad56c931558425f", "results.exact_excess": "c918208349768c15",
+        "results.k": "6b86b273ff34fce1", "results.lower": "74234e98afe7498f",
+        "results.n": "4e07408562bedb8b", "results.ordering": "e68ca93c242ccf01",
+        "results.profile": "0ecc12d31711eaf9", "results.t_max": "90c318d6e5e13ed1",
+        "results.t_min": "c22664948b0e6431", "results.upper": "31fbf4e3fb447c1a",
+        "results.violations": "4f53cda18c2baa0c", "version": "8e633b4f41f99d4c",
+    },
+    "small.json/bounds_general_upper_narrow": {
+        "command": "940e8afe0a0244c3", "input_sha256": "84ebc5869a296fdf",
+        "results.A": "ddd7cacb3a58d969", "results.B": "ad3c8627fccc30c4",
+        "results.assumptions_ok": "fcbcf165908dd18a", "results.c": "221764976efe0413",
+        "results.d": "973b372a514f91db", "results.exact_excess": "c918208349768c15",
+        "results.k": "6b86b273ff34fce1", "results.lower": "74234e98afe7498f",
+        "results.n": "4e07408562bedb8b", "results.ordering": "e68ca93c242ccf01",
+        "results.profile": "0ecc12d31711eaf9", "results.t_max": "a19a1584344c1f37",
+        "results.t_min": "c22664948b0e6431", "results.upper": "145e246bfa1a3b6e",
+        "results.violations": "0240e5454cbf4ef0", "version": "8e633b4f41f99d4c",
+    },
+    "small.json/excess": {
+        "command": "1b73928046b27df5", "input_sha256": "84ebc5869a296fdf",
+        "results.direct_oracle": "c918208349768c15", "results.k": "6b86b273ff34fce1",
+        "results.method": "551e78181b221bd0", "results.n": "4e07408562bedb8b",
+        "results.oracle_abs_diff": "aa356bb69fed54eb", "results.oracle_agrees": "b5bea41b6c623f7c",
+        "results.ordering": "e68ca93c242ccf01", "results.q1": "69d542c3df87c181",
+        "results.q2": "9d7db19a50f584eb", "results.q3": "042c6372f737deaf",
+        "results.total": "1dad4f02c61ccb9b", "version": "8e633b4f41f99d4c",
+    },
+    "small.json/expect": {
+        "command": "035fc98bd805985d", "input_sha256": "84ebc5869a296fdf",
+        "results.expected_time": "6705e7cfb3b18fac",
+        "results.include_failure_tail": "b5bea41b6c623f7c", "results.ordering": "e68ca93c242ccf01",
+        "version": "8e633b4f41f99d4c",
+    },
+    "small.json/expect_no_tail": {
+        "command": "035fc98bd805985d", "input_sha256": "84ebc5869a296fdf",
+        "results.expected_time": "f5df4e12263275dc",
+        "results.include_failure_tail": "fcbcf165908dd18a", "results.ordering": "0ecad64987448ff9",
+        "version": "8e633b4f41f99d4c",
+    },
+    "small.json/order": {
+        "command": "78000f9390ebddc1", "input_sha256": "84ebc5869a296fdf",
+        "results.order": "e68ca93c242ccf01", "results.perm": "1e5940b172f0025f",
+        "results.ratio_sorted": "b5bea41b6c623f7c", "results.table[*].id": "e68ca93c242ccf01",
+        "results.table[*].mean_time": "240aeeda5c0553af", "results.table[*].p": "5cc754c993d9aecf",
+        "results.table[*].position": "6ab66a3db24bd625",
+        "results.table[*].ratio": "bdd4b98cd758ba73", "version": "8e633b4f41f99d4c",
+    },
+    "small.json/simulate": {
+        "command": "b09cfb79f1a3892d", "input_sha256": "84ebc5869a296fdf",
+        "results.generator": "a3a7d23bd87d5f05", "results.mean_time": "dc9f788833618daa",
+        "results.ordering": "e68ca93c242ccf01", "results.std_error": "a7d802982750117b",
+        "results.success_rate": "10df93f3b9132b6f", "results.trials": "39e5b4830d4d9c14",
+        "seed": "7902699be42c8a8e", "version": "8e633b4f41f99d4c",
+    },
+    "small.json/verify_optimal": {
+        "command": "2f1b393b889dacbc", "input_sha256": "84ebc5869a296fdf",
+        "results.agree": "b5bea41b6c623f7c", "results.best_expected_time": "45d42b15de20e3d4",
+        "results.best_order": "e68ca93c242ccf01", "results.evaluated": "9d8aa099e798b1bb",
+        "results.rule_expected_time": "6705e7cfb3b18fac", "results.rule_order": "e68ca93c242ccf01",
+        "version": "8e633b4f41f99d4c",
+    },
+}
+
+
 @pytest.fixture(scope="module")
 def inputs_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("golden")
@@ -322,7 +693,18 @@ def test_every_case_is_pinned():
     assert sorted(GOLDEN) == sorted(f"{case}/{fmt}" for case in cases() for fmt in FORMATS)
 
 
+def test_every_case_has_leaf_pins():
+    assert sorted(LEAVES) == sorted(cases())
+
+
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("case", sorted(cases()))
 def test_report_bytes_unchanged(inputs_dir, case, fmt):
-    assert report_digest(inputs_dir, case, fmt) == GOLDEN[f"{case}/{fmt}"]
+    code, out = run_case(inputs_dir, case, fmt)
+    # The JSON report's leaves are checked on every run, the others' only on a failure.
+    leaves = moved(LEAVES[case], leaf_digests(json.loads(out))) if fmt == "json" else None
+    if (code, hashlib.sha256(out.encode()).hexdigest()) != GOLDEN[f"{case}/{fmt}"] or leaves:
+        if leaves is None:
+            leaves = moved_leaves(inputs_dir, case)
+        pytest.fail(f"{case}/{fmt} changed (exit {code}); leaves moved: "
+                    + (", ".join(leaves) or "none, so the exit code or the rendering changed"))
