@@ -328,8 +328,7 @@ def _ids(cset: CandidateSet, ordering: Ordering) -> list[str]:
     return [cset[i].id for i in ordering]
 
 
-def _cmd_order(args, cset: CandidateSet):
-    ordering = schedule.solomonoff_order(cset)
+def _cmd_order(args, cset: CandidateSet, ordering: Ordering):
     table = []
     for pos, idx in enumerate(ordering, start=1):
         p, t = cset.ps[idx], cset.ts[idx]
@@ -343,26 +342,22 @@ def _cmd_order(args, cset: CandidateSet):
     }, 0
 
 
-def _cmd_expect(args, cset: CandidateSet):
-    ordering = _resolve_ordering(args.order, cset)
+def _cmd_expect(args, cset: CandidateSet, ordering: Ordering):
     opts = schedule.ExpectationOptions(include_failure_tail=not args.no_tail)
     value = schedule.expected_time(cset, ordering, opts)
     return {
-        "ordering": _ids(cset, ordering),
         "include_failure_tail": opts.include_failure_tail,
         "expected_time": value,
     }, 0
 
 
-def _cmd_excess(args, cset: CandidateSet):
+def _cmd_excess(args, cset: CandidateSet, ordering: Ordering):
     from . import excess
 
-    ordering = _resolve_ordering(args.order, cset)
     rep = excess.general_swap_excess(cset, ordering, args.k, args.n)
     direct = excess.exact_excess_direct(cset, ordering, args.k, args.n)
     agree = model._agrees(rep.total, direct)
     return {
-        "ordering": _ids(cset, ordering),
         **rep._asdict(),
         "direct_oracle": direct,
         "oracle_abs_diff": abs(rep.total - direct),
@@ -370,10 +365,9 @@ def _cmd_excess(args, cset: CandidateSet):
     }, (0 if agree else 3)
 
 
-def _cmd_bounds(args, cset: CandidateSet):
+def _cmd_bounds(args, cset: CandidateSet, ordering: Ordering):
     from . import bounds, excess
 
-    ordering = _resolve_ordering(args.order, cset)
     k, n = args.k, args.n
     band = dict.fromkeys(("c", "d", "t_min", "t_max"))  # the premises' bands; adjacent has none
     if args.profile == "adjacent":
@@ -399,7 +393,6 @@ def _cmd_bounds(args, cset: CandidateSet):
         res = evaluate(cset, ordering, k, n, bounds.BoundAssumptions(**band, profile=args.profile))
     exact = excess.exact_excess_direct(cset, ordering, k, n)
     return {
-        "ordering": _ids(cset, ordering),
         "profile": args.profile,
         "k": k,
         "n": n,
@@ -414,33 +407,31 @@ def _cmd_bounds(args, cset: CandidateSet):
     }, (2 if (args.strict and not res.assumptions_ok) else 0)
 
 
-def _cmd_verify_optimal(args, cset: CandidateSet):
+def _cmd_verify_optimal(args, cset: CandidateSet, ordering: Ordering):
     from . import search
 
     bf = search.brute_force_best_order(cset)
-    rule_order = schedule.solomonoff_order(cset)
-    rule_value = schedule.expected_time(cset, rule_order)
+    rule_value = schedule.expected_time(cset, ordering)
     agree = model._agrees(rule_value, bf.best_expected_time)
     return {
         "evaluated": bf.evaluated,
         "best_order": _ids(cset, bf.best_order),
         "best_expected_time": bf.best_expected_time,
-        "rule_order": _ids(cset, rule_order),
+        "rule_order": _ids(cset, ordering),
         "rule_expected_time": rule_value,
         "agree": agree,
     }, (0 if agree else 3)
 
 
-def _cmd_simulate(args, cset: CandidateSet):
+def _cmd_simulate(args, cset: CandidateSet, ordering: Ordering):
     from . import oracle
 
-    ordering = _resolve_ordering(args.order, cset)
     fields = oracle.simulate(cset, ordering, args.trials, args.seed)._asdict()
     del fields["seed"]  # the report's head holds it
-    return {"ordering": _ids(cset, ordering), **fields}, 0
+    return fields, 0
 
 
-def _cmd_check(args, cset=None):
+def _cmd_check(args, cset, ordering):
     from . import checks
 
     cfg = checks.VerificationConfig(
@@ -457,8 +448,8 @@ def _cmd_check(args, cset=None):
 
 def build_parser() -> argparse.ArgumentParser:
     # Every command takes --format; all but check also read a candidate file.
-    # An option several commands share is declared once, in a parent parser.
-    # Each command's parser names its handler as ``run``.
+    # An option several commands share is declared once, in a parent parser,
+    # and main reads it.  Each command's parser names its handler as ``run``.
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--format", choices=("json", "csv", "text"), default="text",
                         help="output format (default: text)")
@@ -473,6 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     swap = argparse.ArgumentParser(add_help=False)
     swap.add_argument("--k", type=int, required=True, help="earlier position, 1-based")
     swap.add_argument("--n", type=int, default=1, help="positional distance (default 1)")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
 
     parser = argparse.ArgumentParser(
         prog="trialorder",
@@ -513,16 +506,14 @@ def build_parser() -> argparse.ArgumentParser:
                               description=verify_help)
     p_verify.set_defaults(run=_cmd_verify_optimal)
 
-    p_sim = sub.add_parser("simulate", parents=[with_input, ordered],
+    p_sim = sub.add_parser("simulate", parents=[with_input, ordered, seeded],
                            help="seeded Monte Carlo estimate of the expected solving time")
     p_sim.add_argument("--trials", type=int, default=100_000)
-    p_sim.add_argument("--seed", type=int, default=0)
     p_sim.set_defaults(run=_cmd_simulate)
 
-    p_check = sub.add_parser("check", parents=[output],
+    p_check = sub.add_parser("check", parents=[output, seeded],
                              help="randomized cross-validation of every closed form")
     p_check.add_argument("--instances", type=int, default=1000)
-    p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--equal-p", action="store_true",
                          help="pin the generator to equal-probability instances")
     p_check.set_defaults(run=_cmd_check)
@@ -552,17 +543,20 @@ def main(argv=None) -> int:
         _write("")
         return 0 if exc.code in (0, None) else 1
 
-    cset = digest = None
+    cset = digest = ordering = None
     try:
         if hasattr(args, "input"):  # the command's parser takes a candidate file
             cset, digest = ingest(args.input, _infer_format(args.input, args.input_format))
-        results, code = args.run(args, cset)
+            ordering = _resolve_ordering(getattr(args, "order", None), cset)
+        results, code = args.run(args, cset, ordering)
     except AssumptionError as e:
         print(f"trialorder: assumption violation: {e}", file=sys.stderr)
         return 2
     except ValueError as e:  # a CliInputError, or a value a computation refused
         print(f"trialorder: error: {e}", file=sys.stderr)
         return 1
+    if hasattr(args, "order"):  # the results lead with the ordering given
+        results = {"ordering": _ids(cset, ordering), **results}
     bad = [f"{k} is not finite: {v!r}" for k, v in _non_finite("results", results)]
     if bad:  # JSON has no inf or nan, so such a report is not printed in any format
         print("\n".join(f"trialorder: error: {b}" for b in bad), file=sys.stderr)
