@@ -24,7 +24,8 @@ from typing import Sequence
 
 from .errors import AssumptionError, SingularityError
 from .excess import _swap_ends
-from .model import PROFILES, CandidateSet, Ordering, Violation, _label, _Record, _spread, _sum
+from .model import (PROFILES, CandidateSet, Ordering, Violation, _label, _Record, _shown, _spread,
+                    _sum)
 
 __all__ = [
     "PROFILES",
@@ -59,7 +60,7 @@ class BoundAssumptions(_Record):
         if t_max <= 0.0:
             raise ValueError(f"t_max must be positive, got {t_max}")
         if profile not in PROFILES:
-            raise ValueError(f"unknown profile {profile!r}; choose from {PROFILES}")
+            raise ValueError(f"unknown profile {_shown(profile)}; choose from {PROFILES}")
         super().__init__(c, d, t_min, t_max, profile)
 
 

@@ -21,7 +21,7 @@ import operator
 
 from .excess import (_swap_ends, adjacent_swap_excess, equal_p_swap_excess, exact_excess_direct,
                      general_swap_excess)
-from .model import CandidateSet, Ordering, _agrees, _checked_rows, _Record, _sum
+from .model import CandidateSet, Ordering, _agrees, _checked_rows, _Record, _shown, _sum
 from .schedule import expected_time, solomonoff_order
 from .search import brute_force_best_order
 
@@ -43,7 +43,7 @@ def _seed_words(seed) -> list[int]:
     try:
         seed = operator.index(seed)
     except TypeError:
-        raise TypeError(f"seed must be a non-negative integer, got {seed!r}") from None
+        raise TypeError(f"seed must be a non-negative integer, got {_shown(seed)}") from None
     if seed < 0:
         raise ValueError("expected non-negative integer")  # numpy's wording
     entropy = [seed & _MASK32]
@@ -174,7 +174,7 @@ class VerificationConfig(_Record):
 
     def __init__(self, instances: int, seed: int, equal_p_only: bool = False) -> None:
         if instances < 0:
-            raise ValueError(f"instances must be >= 0, got {instances}")
+            raise ValueError(f"instances must be >= 0, got {_shown(instances)}")
         super().__init__(instances, seed, equal_p_only)
 
 

@@ -26,6 +26,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import threading
 from contextlib import suppress
@@ -446,6 +447,22 @@ def _cmd_check(args, cset, ordering):
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose refusals echo each value as model._clipped cuts it.
+
+    add_subparsers makes each command's parser of this class too.
+    """
+
+    def error(self, message):
+        unrecognized = "unrecognized arguments: "
+        if message.startswith(unrecognized):  # the arguments joined, then clipped once
+            message = unrecognized + model._clipped(message[len(unrecognized):])
+        else:  # each quoted repr on its own, so the choices hint is kept
+            message = re.sub(r"'(?:[^'\\]|\\.)*'" r'|"(?:[^"\\]|\\.)*"',
+                             lambda m: model._clipped(m[0]), message)
+        super().error(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     # Every command takes --format; all but check also read a candidate file.
     # An option several commands share is declared once, in a parent parser,
@@ -467,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=0)
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="trialorder",
         description="Optimal candidate ordering, exact swap penalties, verified bounds.",
     )

@@ -21,7 +21,8 @@ upper bound); the test suite asserts equality with the direct route.
 from __future__ import annotations
 
 from .errors import AssumptionError, SingularityError
-from .model import CandidateSet, Ordering, _check_compatible, _prefix, _Record, _spread, _terms_sum
+from .model import (CandidateSet, Ordering, _check_compatible, _prefix, _Record, _shown, _spread,
+                    _terms_sum)
 from .schedule import expected_time
 
 __all__ = [
@@ -51,9 +52,10 @@ def _swap_ends(cset: CandidateSet, ordering: Ordering, k: int, n: int) -> tuple[
     """
     _check_compatible(cset, ordering)
     if n < 1:
-        raise ValueError(f"swap distance n={n} must be >= 1")
+        raise ValueError(f"swap distance n={_shown(n)} must be >= 1")
     if k < 1 or k + n > cset.N:
-        raise ValueError(f"swap positions k={k}, k+n={k + n} out of range 1..{cset.N}")
+        raise ValueError(f"swap positions k={_shown(k)}, k+n={_shown(k + n)} "
+                         f"out of range 1..{cset.N}")
     i, j = ordering.perm[k - 1], ordering.perm[k + n - 1]
     return cset.ps[i], cset.ps[j], cset.ts[i], cset.ts[j]
 

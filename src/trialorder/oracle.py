@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .model import MAX_BRUTE_FORCE_N, CandidateSet, Ordering, _check_compatible, _Record
+from .model import MAX_BRUTE_FORCE_N, CandidateSet, Ordering, _check_compatible, _Record, _shown
 
 __all__ = [
     "MAX_BRUTE_FORCE_N",
@@ -109,7 +109,7 @@ def simulate(cset: CandidateSet, ordering: Ordering, trials: int, seed: int) -> 
     """
     _check_compatible(cset, ordering)
     if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+        raise ValueError(f"trials must be >= 1, got {_shown(trials)}")
     ordered = [cset[i] for i in ordering.perm]
     N = len(ordered)
     p = np.array([c.p for c in ordered])

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import hashlib
 import json
@@ -1438,3 +1439,64 @@ class TestProcessExit:
         assert (code, out) == (1, "")
         assert err == ("trialorder: error: CSV parse error: header must be "
                        f"'id,p,<time columns...>', got {header[:100]}... ({len(header)} characters)\n")
+
+
+class TestUsageEchoes:
+    """A refused option value is echoed as model._clipped cuts it, the choices hint kept."""
+
+    LONG = "x" * 100_000
+
+    @pytest.mark.parametrize("argv, named", [
+        (["check", "--seed", LONG], "argument --seed: invalid int value: "),
+        (["check", "--instances", LONG], "argument --instances: invalid int value: "),
+        (["order", "--format", LONG], "argument --format: invalid choice: "),
+        (["bounds", "--k", "1", "--c", LONG], "argument --c: invalid float value: "),
+        ([LONG], "argument command: invalid choice: "),
+        (["excess", "--k", "9" * 5_000], "argument --k: invalid int value: "),
+    ], ids=["check-seed", "check-instances", "order-format", "bounds-c", "command", "excess-k"])
+    def test_a_long_refused_value_is_echoed_bounded(self, capsys, argv, named):
+        code, out, err = run(capsys, argv)
+        value = argv[-1]
+        assert (code, out) == (1, "")
+        assert f"{named}{repr(value)[:100]}... ({len(value) + 2} characters)" in err
+        assert len(err.encode()) < 1024
+        if "choice" in named:  # the hint follows the clipped value
+            assert re.search(r"characters\) \(choose from '[a-z]+', ", err)
+
+    def test_unrecognized_arguments_are_clipped_once(self, capsys, three):
+        extra = [str(i) for i in range(20_000)]
+        code, out, err = run(capsys, ["order", "-i", three, *extra])
+        joined = " ".join(extra)
+        assert (code, out) == (1, "")
+        assert err.endswith(f"error: unrecognized arguments: {joined[:100]}... "
+                            f"({len(joined)} characters)\n")
+        assert len(err.encode()) < 1024
+
+    @pytest.mark.parametrize("argv, line", [
+        (["frob"], "argument command: invalid choice: 'frob' (choose from 'order', 'expect', "),
+        (["check", "--seed", "x"], "argument --seed: invalid int value: 'x'\n"),
+        (["order", "--format", "yaml"], "argument --format: invalid choice: 'yaml' ("),
+        (["order", "--bogus", "it's", 'a "b"'], "unrecognized arguments: --bogus it's a \"b\"\n"),
+    ], ids=["command", "seed", "format", "unrecognized"])
+    def test_a_short_refusal_keeps_argparse_text(self, capsys, monkeypatch, argv, line):
+        got = run(capsys, argv)
+        assert got[0] == 1 and line in got[2]
+        monkeypatch.setattr(cli._Parser, "error", argparse.ArgumentParser.error)
+        assert run(capsys, argv) == got
+
+    BIG = "9" * 4_000
+
+    @pytest.mark.parametrize("argv, echo", [
+        (["excess", "--k", BIG], f"swap positions k={BIG[:100]}... (4000 characters), "
+                                 f"k+n=1{'0' * 99}... (4001 characters) out of range 1..3"),
+        (["excess", "--k", "1", "--n", "-" + BIG],
+         f"swap distance n=-{BIG[:99]}... (4001 characters) must be >= 1"),
+        (["simulate", "--trials", "-" + BIG], f"trials must be >= 1, got -{BIG[:99]}... "
+                                              "(4001 characters)"),
+        (["check", "--instances", "-" + BIG], f"instances must be >= 0, got -{BIG[:99]}... "
+                                              "(4001 characters)"),
+    ], ids=["excess-k", "excess-n", "simulate-trials", "check-instances"])
+    def test_a_long_integer_is_echoed_bounded(self, capsys, three, argv, echo):
+        code, out, err = run(capsys, [*argv, "-i", three] if argv[0] != "check" else argv)
+        assert (code, out, err) == (1, "", f"trialorder: error: {echo}\n")
+        assert len(err.encode()) < 1024

@@ -29,6 +29,7 @@ from trialorder import (
     VerificationConfig,
     VerificationReport,
     Violation,
+    verify_bounds_random,
 )
 
 V = Violation("candidate 'a'", "p", "bad")
@@ -212,6 +213,18 @@ def test_construction_coerces_as_documented():
 def test_constructors_validate(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: BoundAssumptions(0.1, 0.5, profile="x" * 100_000), "unknown profile 'xxx"),
+    (lambda: verify_bounds_random(VerificationConfig(0, seed="x" * 100_000)),
+     "seed must be a non-negative integer, got 'xxx"),
+], ids=["profile", "seed"])
+def test_a_long_refused_value_is_echoed_bounded(build, message):
+    with pytest.raises((TypeError, ValueError)) as info:
+        build()
+    assert str(info.value).startswith(message) and "... (100002 characters)" in str(info.value)
+    assert len(str(info.value)) < 300
 
 
 def test_candidate_set_compares_hashes_and_prints_only_its_candidates():
