@@ -11,9 +11,9 @@ cross-validated against exact-search and Monte Carlo oracles.
 __version__ = "0.1.0"
 
 # Every public name, in __all__'s order, with the submodule that exports it.
-# A name is imported on first use, so `import trialorder` loads no submodule
-# and a command loads only what it runs; the oracle, which needs numpy, stays
-# unloaded until simulate or SimulationResult is used.
+# A name is imported on first use, so `import trialorder` loads no submodule and
+# a command loads only what it runs.  No name needs numpy (simulate loads it past
+# montecarlo._PLAIN_MAX_CELLS); the oracle, which re-exports names, loads it.
 _EXPORTS = (
     ("errors", ("AssumptionError", "SingularityError")),
     ("model", ("Candidate", "CandidateSet", "Ordering", "ValidationReport", "Violation",
@@ -25,13 +25,13 @@ _EXPORTS = (
                 "product_lower_bound_wu", "weighted_geometric_sum", "adjacent_excess_bounds",
                 "swap_excess_upper_general", "swap_excess_lower_general",
                 "swap_excess_upper_equal_t", "swap_excess_lower_equal_t", "check_assumptions")),
-    ("oracle", ("SimulationResult",)),
+    ("montecarlo", ("SimulationResult",)),
     ("search", ("BruteForceResult", "brute_force_best_order")),
-    ("oracle", ("simulate",)),
+    ("montecarlo", ("simulate",)),
     ("checks", ("VerificationConfig", "VerificationReport", "CheckStats", "verify_bounds_random")),
 )
 _LAZY = {name: module for module, names in _EXPORTS for name in names}
-_MODULES = frozenset(_LAZY.values())
+_MODULES = frozenset({*_LAZY.values(), "oracle"})
 
 __all__ = ["__version__", *_LAZY]
 

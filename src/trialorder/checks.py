@@ -4,11 +4,10 @@ verify_bounds_random draws random instances and holds each closed form
 against exact_excess_direct (a difference of schedule.expected_time values)
 and the rule against the exact search (search.brute_force_best_order).  Each
 instance is drawn whole, as plain data (_draw), then evaluated (_evaluate).
-The instances come from _Stream, a plain-Python PCG64 stream that draws the
-same numbers as numpy's ``np.random.default_rng(seed)`` for every call the
-engine makes, so `check` runs without numpy and its reports keep the bytes
-they had when the engine drew from numpy.  oracle re-exports the public
-names.
+The instances come from streams._Stream, which draws what numpy's
+``np.random.default_rng(seed)`` draws for every call the engine makes, so
+`check` runs without numpy and keeps the bytes it had when the engine drew
+from numpy.  oracle re-exports the public names.
 
 Determinism contract: a report is a pure function of its configuration; the
 seed is any non-negative integer, and nothing here depends on which numpy,
@@ -17,130 +16,14 @@ if any, is installed.
 
 from __future__ import annotations
 
-import operator
-
 from .excess import (_swap_ends, adjacent_swap_excess, equal_p_swap_excess, exact_excess_direct,
                      general_swap_excess)
 from .model import CandidateSet, Ordering, _agrees, _checked_rows, _Record, _shown, _sum
 from .schedule import expected_time, solomonoff_order
 from .search import brute_force_best_order
+from .streams import _Stream
 
 __all__ = ["VerificationConfig", "CheckStats", "VerificationReport", "verify_bounds_random"]
-
-_MASK32 = (1 << 32) - 1
-_MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit LCG multiplier
-
-
-def _seed_words(seed) -> list[int]:
-    """numpy's ``SeedSequence(seed).generate_state(4, np.uint64)``: four 64-bit words.
-
-    The seed is split into 32-bit words, least significant first, and
-    hashed into a pool of four, then the pool into eight 32-bit outputs,
-    all in uint32 arithmetic with SeedSequence's constants.
-    """
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise TypeError(f"seed must be a non-negative integer, got {_shown(seed)}") from None
-    if seed < 0:
-        raise ValueError("expected non-negative integer")  # numpy's wording
-    entropy = [seed & _MASK32]
-    while seed >> 32:
-        seed >>= 32
-        entropy.append(seed & _MASK32)
-
-    mult = 0x43B0D7E5
-
-    def hashmix(value: int) -> int:
-        nonlocal mult
-        value = (value ^ mult) & _MASK32
-        mult = (mult * 0x931E8875) & _MASK32
-        value = (value * mult) & _MASK32
-        return value ^ (value >> 16)
-
-    def mix(x: int, y: int) -> int:
-        r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
-        return r ^ (r >> 16)
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-
-    mult = 0x8B51F9DD
-    out = []
-    for i in range(8):
-        value = (pool[i % 4] ^ mult) & _MASK32
-        mult = (mult * 0x58F38DED) & _MASK32
-        value = (value * mult) & _MASK32
-        out.append(value ^ (value >> 16))
-    return [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
-
-
-class _Stream:
-    """``np.random.default_rng(seed)`` for the calls the engine makes, in plain Python.
-
-    PCG64 (O'Neill 2014): a 128-bit LCG stepped before each draw, whose
-    64-bit output is XSL-RR of the new state.  ``random`` and ``uniform``
-    take 53 bits of one 64-bit draw; ``integers`` takes Lemire's (2019)
-    bounded method on 32-bit draws, each the low half of a fresh 64-bit draw
-    whose high half serves the next 32-bit call, as numpy's bit generator
-    keeps it.  A seed that is not an integer is refused; numpy would take
-    None as a request for OS entropy, or a list of words.
-    """
-
-    __slots__ = ("_state", "_inc", "_half")
-
-    def __init__(self, seed) -> None:
-        w = _seed_words(seed)
-        self._inc = ((w[2] << 64 | w[3]) << 1 | 1) & _MASK128
-        # pcg_setseq_128_srandom_r: from state 0, step, add the initial state, step.
-        self._state = (((self._inc + (w[0] << 64 | w[1])) * _PCG_MULT + self._inc)
-                       & _MASK128)
-        self._half: int | None = None
-
-    def _next64(self) -> int:
-        s = self._state = (self._state * _PCG_MULT + self._inc) & _MASK128
-        x = ((s >> 64) ^ s) & _MASK64
-        r = s >> 122
-        return (x >> r | x << (64 - r)) & _MASK64
-
-    def _next32(self) -> int:
-        half = self._half
-        if half is not None:
-            self._half = None
-            return half
-        x = self._next64()
-        self._half = x >> 32
-        return x & _MASK32
-
-    def random(self) -> float:
-        return (self._next64() >> 11) * (1.0 / 9007199254740992.0)
-
-    def uniform(self, lo: float, hi: float, size: int | None = None):
-        """One float in [lo, hi), or a list of ``size`` of them."""
-        span = hi - lo
-        if size is None:
-            return lo + span * self.random()
-        return [lo + span * self.random() for _ in range(size)]
-
-    def integers(self, lo: int, hi: int) -> int:
-        """An integer in [lo, hi), for 1 <= hi - lo <= 2**32; a one-value range draws nothing."""
-        span = hi - lo
-        if span == 1:
-            return lo
-        m = self._next32() * span
-        if m & _MASK32 < span:
-            threshold = (1 << 32) % span
-            while m & _MASK32 < threshold:
-                m = self._next32() * span
-        return lo + (m >> 32)
 
 
 def _mean(samples: list[float]) -> float:

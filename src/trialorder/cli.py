@@ -33,7 +33,7 @@ from contextlib import suppress
 from pathlib import Path
 
 from . import __version__
-from . import model, schedule  # csv, hashlib, excess, bounds, search, checks, oracle: on use
+from . import model, schedule  # csv, hashlib, excess, bounds, search, checks, montecarlo: on use
 from .errors import AssumptionError
 from .model import CandidateSet, Ordering
 
@@ -425,9 +425,9 @@ def _cmd_verify_optimal(args, cset: CandidateSet, ordering: Ordering):
 
 
 def _cmd_simulate(args, cset: CandidateSet, ordering: Ordering):
-    from . import oracle
+    from . import montecarlo
 
-    fields = oracle.simulate(cset, ordering, args.trials, args.seed)._asdict()
+    fields = montecarlo.simulate(cset, ordering, args.trials, args.seed)._asdict()
     del fields["seed"]  # the report's head holds it
     return fields, 0
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .model import MAX_BRUTE_FORCE_N, CandidateSet, Ordering, _Record, _sum
+from .model import MAX_BRUTE_FORCE_N, CandidateSet, Ordering, _pairwise_sum, _Record
 
 __all__ = ["MAX_BRUTE_FORCE_N", "BruteForceResult", "brute_force_best_order"]
 
@@ -27,11 +27,9 @@ def _eq2(ps, ts, perm) -> float:
     """Expected time of ``perm``, failure tail included, in numpy's row-sum rounding.
 
     Term k is (T_k Q_(k-1)) p_k, with T and Q accumulated left to right.  The
-    terms are added in the order numpy's pairwise row sum adds them, so the
-    value keeps the bits of the numpy reference in the tests: below 8 terms a
-    left-to-right sum from 0.0 (model._sum); for 8 to 10 terms
-    (MAX_BRUTE_FORCE_N), eight partials combined as
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest in order.
+    terms are added in the order numpy's pairwise row sum adds them
+    (model._pairwise_sum), so the value keeps the bits of the numpy
+    reference in the tests.
 
     A term with p = 0, and every term and the tail once Q is exactly 0, is
     exactly 0 wherever T is finite.  They are written as 0.0, so that a T
@@ -45,10 +43,7 @@ def _eq2(ps, ts, perm) -> float:
         T += ts[j]
         terms.append(T * Q * p if p and Q else 0.0)
         Q *= 1.0 - p
-    if len(terms) >= 8:  # no term is -0.0, so 0.0 + the partials are the partials
-        r = terms
-        terms = [((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])), *r[8:]]
-    total = _sum(terms)
+    total = _pairwise_sum(terms)
     return total + T * Q if Q else total
 
 

@@ -1148,8 +1148,10 @@ class TestLazyNumpy:
             "import trialorder\n"
             "trialorder.brute_force_best_order, trialorder.verify_bounds_random\n"
             "assert 'numpy' not in sys.modules, 'search and check names'\n"
-            "trialorder.simulate\n"
-            "assert 'numpy' in sys.modules, 'oracle names load the oracle'\n"
+            "trialorder.simulate, trialorder.SimulationResult\n"
+            "assert 'numpy' not in sys.modules, 'simulate names'\n"
+            "import trialorder.oracle\n"
+            "assert 'numpy' in sys.modules, 'the oracle loads numpy'\n"
             # The in-process large-N analysis relies on it: its array path runs once
             # numpy is loaded, and importing the oracle is what loads it there.
             "model = trialorder.model\n"
@@ -1195,11 +1197,15 @@ class TestLazyNumpy:
                    "with contextlib.redirect_stdout(io.StringIO()):\n"
                    "    assert trialorder.cli.main(['check', '--instances', '2']) == 0\n"
                    "assert 'trialorder.checks' in sys.modules\n"
-                   "assert loaded('numpy', 'trialorder.oracle') == []\n")
+                   "assert loaded('numpy', 'trialorder.oracle', 'trialorder.montecarlo') == []\n")
+        # Below the plain route's limit simulate loads no numpy; above it, the oracle and numpy.
+        limit = trialorder.montecarlo._PLAIN_MAX_CELLS
         _run_fresh("import trialorder.cli\n" + prelude +
-                   "main('simulate', '--trials', '10')\n"
-                   "assert loaded('numpy', 'trialorder.oracle') == ['numpy', 'trialorder.oracle']\n"
-                   "assert loaded('trialorder.search', 'trialorder.checks') == []\n")
+                   f"main('simulate', '--trials', '{limit // 3}')\n"
+                   "assert loaded('numpy', 'trialorder.oracle') == []\n"
+                   "assert loaded('trialorder.search', 'trialorder.checks') == []\n"
+                   f"main('simulate', '--trials', '{limit // 3 + 1}')\n"
+                   "assert loaded('numpy', 'trialorder.oracle') == ['numpy', 'trialorder.oracle']\n")
 
     def test_commands_run_with_numpy_blocked(self, capsys, tmp_path):
         # With numpy unimportable, each of these commands prints what it prints
@@ -1210,6 +1216,10 @@ class TestLazyNumpy:
                     ["bounds", "--profile", "adjacent", "--k", "2"], ["verify-optimal"]]
         runs = [argv + ["-i", str(path), "--format", "json"] for argv in commands]
         runs.append(["check", "--instances", "20", "--seed", "3", "--format", "json"])
+        # simulate below and above the plain route's limit, the latter over two chunks.
+        for trials in ("1000", "70000"):
+            runs.append(["simulate", "-i", str(path), "--trials", trials, "--seed", "3",
+                         "--format", "json"])
         stdout = _run_fresh(
             "import contextlib, io, json, sys\n"
             "sys.modules['numpy'] = None\n"

@@ -42,7 +42,7 @@ import random
 
 import pytest
 
-from trialorder import cli
+from trialorder import cli, montecarlo
 
 FORMATS = ("json", "text", "csv")
 
@@ -708,3 +708,13 @@ def test_report_bytes_unchanged(inputs_dir, case, fmt):
             leaves = moved_leaves(inputs_dir, case)
         pytest.fail(f"{case}/{fmt} changed (exit {code}); leaves moved: "
                     + (", ".join(leaves) or "none, so the exit code or the rendering changed"))
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("case", ["small.json/simulate", "small.csv/simulate"])
+def test_simulate_bytes_hold_on_the_plain_route(inputs_dir, monkeypatch, case, fmt):
+    # numpy is loaded here, so simulate takes the numpy route; the plain route
+    # must print the same bytes.
+    monkeypatch.setattr(montecarlo, "_route", lambda cells: montecarlo._plain_chunks)
+    code, out = run_case(inputs_dir, case, fmt)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[f"{case}/{fmt}"]

@@ -4,12 +4,14 @@ import json
 import math
 import random
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trialorder.montecarlo as montecarlo
 import trialorder.oracle as oracle_mod
 from helpers import candidate_sets, eq2_for_perms, make_set, rel_ok, simulate_chunk_matrix
 from trialorder import search
@@ -196,7 +198,7 @@ class TestSimulate:
         # over two chunks mean chunk 1 did not start where chunk 0 stopped.
         one = make_set([0.5, 0.5], [[1.0], [2.0]])
         two = make_set([0.5, 0.5], [[1.0, 1.0], [2.0]])
-        trials = oracle_mod._SIM_CHUNK + 5_000
+        trials = montecarlo._SIM_CHUNK + 5_000
         a = simulate(one, Ordering.identity(2), trials=trials, seed=3)
         b = simulate(two, Ordering.identity(2), trials=trials, seed=3)
         assert (a.mean_time, a.std_error, a.success_rate) == (
@@ -303,6 +305,89 @@ class TestSimulate:
         res = simulate(THREE, Ordering.identity(3), trials=10, seed=0)
         assert res.generator == "philox"
         assert res.seed == 0
+
+
+_ROUTE_P = (0.0, 5e-324, 0.5, 1 - 2**-53, 1.0)
+
+
+def _route_set(n: int, shift: int):
+    """N candidates: the edge p's, rotated by ``shift``, then p <= 0.2; 1-5 samples, one with 1,000.
+
+    The 1,000-sample candidate has a nonzero redraw threshold, 2**32 % 1000 = 296.
+    """
+    rng = random.Random(f"route-{n}-{shift}")
+    ps = [_ROUTE_P[(j + shift) % 5] if j < 5 else rng.uniform(0.0, 0.2) for j in range(n)]
+    ts = [[rng.uniform(0.1, 10.0) for _ in range(1000 if j == n // 2 else 1 + j % 5)]
+          for j in range(n)]
+    return make_set(ps, ts)
+
+
+def _on_route(monkeypatch, route, cs, trials, seed):
+    monkeypatch.setattr(montecarlo, "_route", lambda cells: route)
+    res = simulate(cs, Ordering.identity(cs.N), trials=trials, seed=seed)
+    return res.mean_time.hex(), res.std_error.hex(), res.success_rate.hex()
+
+
+class TestPlainRoute:
+    """The plain route draws what the numpy route draws, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 64])
+    def test_routes_agree_on_the_grid(self, monkeypatch, n):
+        grid = [1, 2, 7, 8, 9, 127, 128, 129, 10_000]
+        if n <= 8:
+            grid.append(65_537)  # two chunks
+        for shift, trials in enumerate(grid):
+            cs = _route_set(n, shift)
+            seed = 1000 * n + shift
+            assert (_on_route(monkeypatch, montecarlo._plain_chunks, cs, trials, seed)
+                    == _on_route(monkeypatch, oracle_mod._numpy_chunks, cs, trials, seed)), trials
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**64 + 3, 2**200])
+    @pytest.mark.parametrize("jump", [0, 1, 7, 2**64 + 1])
+    def test_blocks_equal_numpys_raw_words(self, seed, jump):
+        from trialorder.streams import _LANES, _philox, _seed_words
+
+        n = 2 * _LANES + 3  # three passes
+        raw = np.random.Philox(seed).jumped(jump).random_raw(4 * n).astype("<u8").tobytes()
+        key = _seed_words(seed)[:2]
+        assert _philox(key, jump, range(n)) == raw
+        assert _philox(key, jump, [9, 2, 5]) == raw[288:320] + raw[64:96] + raw[160:192]
+
+    def test_pairwise_sum_equals_numpys_reduce(self):
+        from trialorder.model import _pairwise_sum
+
+        rng = random.Random(17)
+        for n in [*range(1, 301), 65_536]:
+            xs = [rng.choice([-1.0, 1.0]) * rng.uniform(0.0, 10.0) ** rng.choice([1, 5, 20])
+                  for _ in range(n)]
+            assert _pairwise_sum(xs).hex() == float(np.add.reduce(np.array(xs))).hex(), n
+
+    @pytest.mark.parametrize("n", [3, 1000])
+    def test_a_redraw_takes_the_scalar_rule(self, monkeypatch, n):
+        # x = 0 leaves leftover 0, below 2**32 % n for n = 3 and 1000: drawn again.
+        from trialorder import streams
+
+        draws = [7, 0, 2**31 + 1, 0, 0, 5, 2**32 - 1, 0, *range(1, 3000, 3)]
+
+        def crafted(key, jump, first, count):
+            return streams._le(array("I", draws[first:first + count]))
+
+        class Crafted(streams._Stream):
+            __slots__ = ("_draws",)
+
+            def __init__(self) -> None:
+                self._draws = iter(draws)
+
+            def _next32(self) -> int:
+                return next(self._draws)
+
+        monkeypatch.setattr(montecarlo, "_halves", crafted)
+        reference = Crafted()
+        want = [reference.integers(0, n) for _ in range(20)]
+        index, end = montecarlo._indices(None, 0, 0, 20, n)
+        assert list(index) == want
+        assert end == 20 + 4  # four draws of 0, each drawn again
+        assert next(reference._draws) == draws[end]
 
 
 class TestVerifyBoundsRandom:
