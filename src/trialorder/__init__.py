@@ -12,8 +12,8 @@ __version__ = "0.1.0"
 
 # Every public name, in __all__'s order, with the submodule that exports it.
 # A name is imported on first use, so `import trialorder` loads no submodule and
-# a command loads only what it runs.  No name needs numpy (simulate loads it past
-# montecarlo._PLAIN_MAX_CELLS); the oracle, which re-exports names, loads it.
+# a command loads only what it runs.  No name needs numpy (simulate's numpy route
+# loads it past montecarlo._PLAIN_MAX_CELLS); the oracle, which re-exports names, does.
 _EXPORTS = (
     ("errors", ("AssumptionError", "SingularityError")),
     ("model", ("Candidate", "CandidateSet", "Ordering", "ValidationReport", "Violation",

@@ -54,11 +54,11 @@ class BoundAssumptions(_Record):
     def __init__(self, c: float, d: float, t_min: float = 0.0, t_max: float = math.inf,
                  profile: str = "general-upper") -> None:
         if not (0.0 < c <= d < 1.0):
-            raise ValueError(f"need 0 < c <= d < 1, got c={c}, d={d}")
+            raise ValueError(f"need 0 < c <= d < 1, got c={_shown(c)}, d={_shown(d)}")
         if not 0.0 <= t_min <= t_max:
-            raise ValueError(f"need 0 <= t_min <= t_max, got {t_min}, {t_max}")
+            raise ValueError(f"need 0 <= t_min <= t_max, got {_shown(t_min)}, {_shown(t_max)}")
         if t_max <= 0.0:
-            raise ValueError(f"t_max must be positive, got {t_max}")
+            raise ValueError(f"t_max must be positive, got {_shown(t_max)}")
         if profile not in PROFILES:
             raise ValueError(f"unknown profile {_shown(profile)}; choose from {PROFILES}")
         super().__init__(c, d, t_min, t_max, profile)

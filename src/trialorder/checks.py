@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .excess import (_swap_ends, adjacent_swap_excess, equal_p_swap_excess, exact_excess_direct,
                      general_swap_excess)
-from .model import CandidateSet, Ordering, _agrees, _checked_rows, _Record, _shown, _sum
+from .model import CandidateSet, Ordering, _agrees, _checked_rows, _pairwise_sum, _Record, _shown
 from .schedule import expected_time, solomonoff_order
 from .search import brute_force_best_order
 from .streams import _Stream
@@ -27,8 +27,8 @@ __all__ = ["VerificationConfig", "CheckStats", "VerificationReport", "verify_bou
 
 
 def _mean(samples: list[float]) -> float:
-    """``float(np.mean(samples))`` for fewer than 8 samples: a left-to-right sum from 0.0."""
-    return _sum(samples) / len(samples)
+    """``float(np.mean(samples))``: numpy's pairwise sum over the count."""
+    return _pairwise_sum(samples) / len(samples)
 
 
 # The one verification protocol behind every reported check: candidate counts,

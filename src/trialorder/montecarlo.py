@@ -1,10 +1,11 @@
 """Monte Carlo estimate of the expected solving time, drawn with numpy or without it.
 
 Chunk i of a run's trials draws from ``Philox(seed).jumped(i)`` by one of two
-routes that return the same bits: numpy's Generator (oracle._numpy_chunks), or
-the same raw words computed in plain Python by streams._philox and read by
-numpy's rules (_plain_chunk).  _route picks one; nothing here imports numpy, so
-a command-line `simulate` of a usual size runs without it.
+routes that return the same bits: numpy's Generator (_numpy_chunks), or the
+same raw words computed in plain Python by streams._philox and read by numpy's
+rules (_plain_chunks).  _route picks one, and imports numpy only for the numpy
+route, so a command-line `simulate` of a usual size runs without it.  Both work
+a block of at most _SIM_BLOCK success draws at a time: O(rows) memory a chunk.
 
 Determinism contract: results are a pure function of their arguments.  Each
 chunk is its own substream of the seed, so the outcome does not depend on
@@ -21,14 +22,15 @@ from contextlib import suppress
 from itertools import compress
 
 from .model import CandidateSet, Ordering, _check_compatible, _pairwise_sum, _Record, _shown
-from .streams import _bounded, _le, _philox, _seed_words
+from .streams import _indices, _le, _philox, _seed_words
 
 __all__ = ["SimulationResult", "simulate"]
 
 # Together these partition the trials into chunks, one Philox substream each:
-# changing either changes every report.  They bound no array's size.
+# changing either changes every report.  They bound no array's size; _SIM_BLOCK does.
 _SIM_CHUNK = 1 << 16  # trials per chunk, at most
 _SIM_CELLS = 1 << 22  # trials x candidates per chunk, at most
+_SIM_BLOCK = 1 << 16  # success draws per block of rows, at most (one row at least)
 
 # Trials x candidates up to which the plain route runs where numpy is not yet loaded:
 # where its time meets numpy's import cost.  On a 2-core x86-64 machine, CPython 3.11,
@@ -44,8 +46,51 @@ class SimulationResult(_Record):
     generator = "philox"
 
 
+def _numpy_chunks(ps: list, samples: list, seed):
+    """The numpy route: ``chunk(i, m)`` draws chunk i's m trials from Philox(seed).jumped(i)."""
+    np = sys.modules["numpy"]
+    p, arrays = np.array(ps), [np.asarray(t, dtype=float) for t in samples]
+    return lambda i, m: _simulate_chunk(
+        np.random.Generator(np.random.Philox(seed).jumped(i)), p, arrays, m)
+
+
+def _simulate_chunk(g, p, samples: list, m: int):
+    """(time sum, squared-time sum, successes) of m trials; keeps no m x N array.
+
+    The success events are drawn a block of rows at a time; g.random fills
+    row-major, so the blocks draw what one (m, N) call would.  The time
+    indices are then drawn column by column, and each trial's total is the
+    running sum at its last attempt: the left-to-right additions of a cumsum
+    along the row, without its m x N matrix.
+    """
+    np = sys.modules["numpy"]
+    N = len(samples)
+    attempts = np.empty(m, dtype=np.intp)  # position of each trial's last attempt
+    wins = 0
+    block = max(1, _SIM_BLOCK // N)
+    for start in range(0, m, block):
+        success = g.random((min(block, m - start), N)) < p
+        hit = success.any(axis=1)
+        wins += int(np.count_nonzero(hit))
+        attempts[start:start + len(hit)] = np.where(hit, success.argmax(axis=1) + 1, N)
+    # Trials by last attempt: those stopping at position j + 1 are by_end[ends[j]:ends[j + 1]].
+    by_end = np.argsort(attempts)
+    ends = np.bincount(attempts, minlength=N + 1).cumsum()
+    run = np.zeros(m)
+    totals = np.empty(m)
+    with np.errstate(over="ignore"):  # sums may overflow to inf; the CLI refuses such a result
+        for j in range(N):
+            if len(samples[j]) == 1:
+                run += samples[j][0]
+            else:
+                run += samples[j][g.integers(0, len(samples[j]), size=m)]
+            done = by_end[ends[j]:ends[j + 1]]
+            totals[done] = run[done]
+        return float(totals.sum()), float((totals * totals).sum()), wins
+
+
 def _plain_chunks(ps: list, samples: list, seed):
-    """The plain route: ``chunk(i, m)`` draws chunk i's m trials as oracle._simulate_chunk does."""
+    """The plain route: ``chunk(i, m)`` draws chunk i's m trials as _simulate_chunk does."""
     key = _seed_words(seed)[:2]  # Philox's key: SeedSequence(seed).generate_state(2, uint64)
     # numpy's success test (u >> 11) * 2**-53 < p, for the raw word u: p * 2**53 is exact.
     limits = [math.ceil(p * 9007199254740992.0) << 11 for p in ps]
@@ -56,21 +101,27 @@ def _plain_chunk(key, jump: int, limits: list, samples: list, m: int):
     """(time sum, squared-time sum, successes) of m trials from Philox(key).jumped(jump).
 
     g.random fills an (m, N) array row-major, so trial i's success draw at
-    position j is word iN + j, a success below limits[j]; only the blocks of
-    draws some trial reaches are computed.  The time indices follow, column
-    by column (_indices).  A trial's total adds its times left to right from
-    0.0; the totals and their squares are added in numpy's pairwise order.
+    position j is word iN + j, a success below limits[j]; in each block of
+    rows (_SIM_BLOCK) only the Philox blocks some trial reaches are computed.
+    The time indices follow, column by column (streams._indices).  A trial's
+    total adds its times left to right from 0.0, the totals and their squares
+    in numpy's pairwise order.
     """
     N = len(samples)
-    words = array("Q", bytes(8 * (m * N + 3 & -4)))  # the reached blocks' words, in place
-    cells = list(range(0, m * N, N))  # each trial still failing: its next draw, ascending
-    misses = []  # per position: whether each trial reaching it fails there
-    for j, limit in enumerate(limits):
-        # A new block holds the first cell of a trial, or a later cell 4-aligned.
-        new = sorted({c >> 2 for c in cells}) if not j else [c >> 2 for c in cells if not c & 3]
-        _fill(words, new, _philox(key, jump, new))
-        misses.append(miss := bytes([limit <= words[c] for c in cells]))
-        cells = [c + 1 for c in compress(cells, miss)]
+    rows = max(1, _SIM_BLOCK // N)
+    words = array("Q", bytes(8 * (min(rows, m) * N + 6 & -4)))  # a block's words, in place
+    misses = [bytearray() for _ in limits]  # per position: whether each trial reaching it fails
+    for start in range(0, m, rows):
+        # Cell c of the block is word 4 * first + c: its trials' first cells start at skip.
+        first, skip = divmod(start * N, 4)
+        cells = list(range(skip, skip + min(rows, m - start) * N, N))  # each trial still failing
+        for j, limit in enumerate(limits):
+            # A new block holds the first cell of a trial, or a later cell 4-aligned.
+            new = sorted({c >> 2 for c in cells}) if not j else [c >> 2 for c in cells if not c & 3]
+            _fill(words, new, _philox(key, jump, [first + b for b in new]))
+            misses[j] += (miss := bytes([limit <= words[c] for c in cells]))
+            if not (cells := [c + 1 for c in compress(cells, miss)]):
+                break  # every trial of the block has succeeded
 
     totals = [0.0] * m
     trials, run = list(range(m)), [0.0] * m  # the trials reaching a position, their running sums
@@ -84,7 +135,7 @@ def _plain_chunk(key, jump: int, limits: list, samples: list, m: int):
         for i, t in zip(trials, run):  # a trial's last write is its total
             totals[i] = t
         trials, run = list(compress(trials, miss)), list(compress(run, miss))
-    return _pairwise_sum(totals), _pairwise_sum([t * t for t in totals]), m - len(cells)
+    return _pairwise_sum(totals), _pairwise_sum([t * t for t in totals]), m - len(trials)
 
 
 def _fill(words: array, blocks: list, data: bytes) -> None:
@@ -99,48 +150,11 @@ def _fill(words: array, blocks: list, data: bytes) -> None:
             words[4 * b:4 * b + 4] = new[4 * k:4 * k + 4]
 
 
-def _halves(key, jump: int, first: int, count: int) -> array:
-    """32-bit draws first .. first + count - 1, raw: word h >> 1's low half, then its high."""
-    block, start = first >> 3, 4 * (first & 7)  # a block holds 8 halves
-    data = _philox(key, jump, range(block, (first + count + 7) >> 3))
-    return array("I", data[start:start + 4 * count])
-
-
-def _indices(key, jump: int, half: int, m: int, n: int):
-    """``g.integers(0, n, size=m)`` from 32-bit draw ``half`` on: the m indices, and the next draw.
-
-    Each draw x gives x * n >> 32 unless its leftover, x * n mod 2**32, is below
-    2**32 % n (streams._bounded).  The products are formed at once, one per 64-bit
-    lane of a Python int; a lane whose leftover calls for another draw is drawn
-    again by the scalar rule, and the lanes resume after it.
-    """
-    index, threshold = array("I"), (1 << 32) % n
-
-    def next32() -> int:
-        nonlocal half
-        half += 1
-        return _le(_halves(key, jump, half - 1, 1))[0]
-
-    while len(index) < m:
-        count = m - len(index)
-        lanes = array("I", bytes(8 * count))
-        lanes[::2] = _halves(key, jump, half, count)
-        out = _le(array("I", (int.from_bytes(lanes, "little") * n).to_bytes(8 * count, "little")))
-        taken = count
-        if threshold and min(out[::2]) < threshold:
-            taken = next(k for k, v in enumerate(out[::2]) if v < threshold)
-        index.extend(out[1:2 * taken:2])
-        half += taken
-        if taken < count:
-            index.append(_bounded(next32, n))
-    return index, half
-
-
 def _route(cells: int):
     """The chunk route for a run of ``cells`` trials x candidates (see the module docstring)."""
     if sys.modules.get("numpy") is not None or cells > _PLAIN_MAX_CELLS:
         with suppress(ImportError):  # numpy cannot be imported: the plain route at any size
-            from .oracle import _numpy_chunks
+            import numpy  # noqa: F401 (the numpy route reads it from sys.modules)
             return _numpy_chunks
     return _plain_chunks
 

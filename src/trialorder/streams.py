@@ -3,6 +3,7 @@
 Each draws the numbers numpy draws for the same seed, so `check` (on PCG64)
 and `simulate`'s plain route (on Philox) keep their bytes with any numpy, or
 none, installed; numpy keeps its raw streams stable across versions (NEP 19).
+Bounded integers take Lemire's rule, _bounded, or on Philox its lane form _indices.
 """
 
 from __future__ import annotations
@@ -183,3 +184,40 @@ def _philox(key: tuple[int, int], jump: int, blocks) -> bytes:
             out[w::4], out[w + 1::4] = pair[::2], pair[1::2]
         passes.append(out.tobytes())
     return b"".join(passes)
+
+
+def _halves(key, jump: int, first: int, count: int) -> array:
+    """32-bit draws first .. first + count - 1, raw: word h >> 1's low half, then its high."""
+    block, start = first >> 3, 4 * (first & 7)  # a block holds 8 halves
+    data = _philox(key, jump, range(block, (first + count + 7) >> 3))
+    return array("I", data[start:start + 4 * count])
+
+
+def _indices(key, jump: int, half: int, m: int, n: int):
+    """``g.integers(0, n, size=m)`` from 32-bit draw ``half`` on: the m indices, and the next draw.
+
+    Each draw x gives x * n >> 32 unless its leftover, x * n mod 2**32, is below
+    2**32 % n (_bounded).  The products are formed at once, one per 64-bit lane
+    of a Python int; a lane whose leftover calls for another draw is drawn
+    again by _bounded, and the lanes resume after it.
+    """
+    index, threshold = array("I"), (1 << 32) % n
+
+    def next32() -> int:
+        nonlocal half
+        half += 1
+        return _le(_halves(key, jump, half - 1, 1))[0]
+
+    while len(index) < m:
+        count = m - len(index)
+        lanes = array("I", bytes(8 * count))
+        lanes[::2] = _halves(key, jump, half, count)
+        out = _le(array("I", (int.from_bytes(lanes, "little") * n).to_bytes(8 * count, "little")))
+        taken = count
+        if threshold and min(out[::2]) < threshold:
+            taken = next(k for k, v in enumerate(out[::2]) if v < threshold)
+        index.extend(out[1:2 * taken:2])
+        half += taken
+        if taken < count:
+            index.append(_bounded(next32, n))
+    return index, half

@@ -39,7 +39,7 @@ def eq2_for_perms(p: np.ndarray, t: np.ndarray, perms: np.ndarray) -> np.ndarray
 
 
 # The simulator's original chunk, which held its trials as rows x N matrices,
-# kept verbatim as the reference that oracle._simulate_chunk must equal bit for bit.
+# kept verbatim as the reference that montecarlo._simulate_chunk must equal bit for bit.
 def simulate_chunk_matrix(g: np.random.Generator, p: np.ndarray, samples: list, m: int):
     """(time sum, squared-time sum, successes) of m trials."""
     N = len(samples)

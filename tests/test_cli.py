@@ -1198,14 +1198,14 @@ class TestLazyNumpy:
                    "    assert trialorder.cli.main(['check', '--instances', '2']) == 0\n"
                    "assert 'trialorder.checks' in sys.modules\n"
                    "assert loaded('numpy', 'trialorder.oracle', 'trialorder.montecarlo') == []\n")
-        # Below the plain route's limit simulate loads no numpy; above it, the oracle and numpy.
+        # Below the plain route's limit simulate loads no numpy; above it, numpy but not the oracle.
         limit = trialorder.montecarlo._PLAIN_MAX_CELLS
         _run_fresh("import trialorder.cli\n" + prelude +
                    f"main('simulate', '--trials', '{limit // 3}')\n"
                    "assert loaded('numpy', 'trialorder.oracle') == []\n"
                    "assert loaded('trialorder.search', 'trialorder.checks') == []\n"
                    f"main('simulate', '--trials', '{limit // 3 + 1}')\n"
-                   "assert loaded('numpy', 'trialorder.oracle') == ['numpy', 'trialorder.oracle']\n")
+                   "assert loaded('numpy', 'trialorder.oracle') == ['numpy']\n")
 
     def test_commands_run_with_numpy_blocked(self, capsys, tmp_path):
         # With numpy unimportable, each of these commands prints what it prints

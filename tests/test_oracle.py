@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trialorder.montecarlo as montecarlo
-import trialorder.oracle as oracle_mod
 from helpers import candidate_sets, eq2_for_perms, make_set, rel_ok, simulate_chunk_matrix
 from trialorder import search
 from trialorder import (
@@ -158,6 +157,26 @@ class TestEvaluator:
             assert math.isnan(eq2_for_perms(np.array(ps), np.array(ts), np.array([perm]))[0])
         assert search._eq2(ps, ts, perm) == want
 
+    @pytest.mark.parametrize("seed", [17, 18, 25, 27])
+    def test_the_ninth_and_tenth_terms_add_in_turn(self, seed):
+        # numpy adds ten terms as the tree of the first eight, then the 9th,
+        # then the 10th.  Each set is one where adding the last two together
+        # first moves a bit of the result.
+        rng = random.Random(f"eq2-{seed}")
+        ps = [rng.uniform(0.01, 0.3) for _ in range(10)]
+        ts = [rng.uniform(0.1, 10.0) for _ in range(10)]
+        terms, T, Q = [], 0.0, 1.0
+        for p, t in zip(ps, ts):
+            T += t
+            terms.append(T * Q * p)
+            Q *= 1.0 - p
+        tree = (((terms[0] + terms[1]) + (terms[2] + terms[3]))
+                + ((terms[4] + terms[5]) + (terms[6] + terms[7])))
+        assert (tree + terms[8]) + terms[9] + T * Q != tree + (terms[8] + terms[9]) + T * Q
+        perm = tuple(range(10))
+        want = eq2_for_perms(np.array(ps), np.array(ts), np.array([perm], dtype=np.intp))[0]
+        assert search._eq2(ps, ts, perm).hex() == float(want).hex()
+
 
 def enumerated_best(cs):
     """Reference: lexicographically smallest float-argmin of eq2_for_perms over all orders."""
@@ -215,11 +234,16 @@ class TestSimulate:
             tracemalloc.stop()
         assert peak < 128 * 2**20
 
-    @pytest.mark.parametrize("n, trials", [(128, 65_536), (10_000, 2_000)])
-    def test_chunk_memory_is_linear_in_rows(self, n, trials):
+    @pytest.mark.parametrize("n, trials, p, plain", [
+        (128, 65_536, 0.01, False), (10_000, 2_000, 0.01, False), (128, 32_768, 0.9, True),
+    ], ids=["128-65536", "10000-2000", "plain-128-32768"])
+    def test_chunk_memory_is_linear_in_rows(self, monkeypatch, n, trials, p, plain):
         # A chunk keeps a few vectors of its rows and one block of at most
-        # 2**16 success draws; its m x N matrices took about 70 MB at both sizes.
-        cs = make_set([0.01] * n, [1.0] * n)
+        # 2**16 success draws; its m x N matrices took about 70 MB at both sizes,
+        # and the plain route's success words for the whole chunk 66 MB.
+        if plain:  # as _on_route forces it
+            monkeypatch.setattr(montecarlo, "_route", lambda cells: montecarlo._plain_chunks)
+        cs = make_set([p] * n, [1.0] * n)
         tracemalloc.start()
         try:
             simulate(cs, Ordering.identity(n), trials=trials, seed=5)
@@ -258,7 +282,7 @@ class TestSimulate:
         p = np.array(ps)
         samples = [np.asarray(t, dtype=float) for t in ts]
         want = simulate_chunk_matrix(np.random.Generator(np.random.Philox(seed)), p, samples, m)
-        got = oracle_mod._simulate_chunk(np.random.Generator(np.random.Philox(seed)), p, samples, m)
+        got = montecarlo._simulate_chunk(np.random.Generator(np.random.Philox(seed)), p, samples, m)
         assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
 
     @settings(max_examples=60, deadline=None)
@@ -267,8 +291,8 @@ class TestSimulate:
         self._chunks_agree(cs.ps, [c.time_samples for c in cs], m, seed)
 
     @pytest.mark.parametrize("n, m", [
-        (3, oracle_mod._SIM_BLOCK // 3 + 7),  # a full block of rows, then a partial one
-        (oracle_mod._SIM_BLOCK + 3, 3),  # rows longer than a block: one row per block
+        (3, montecarlo._SIM_BLOCK // 3 + 7),  # a full block of rows, then a partial one
+        (montecarlo._SIM_BLOCK + 3, 3),  # rows longer than a block: one row per block
     ])
     def test_chunk_equals_the_matrix_reference_across_blocks(self, n, m):
         rng = random.Random(f"blocks-{n}")
@@ -340,7 +364,18 @@ class TestPlainRoute:
             cs = _route_set(n, shift)
             seed = 1000 * n + shift
             assert (_on_route(monkeypatch, montecarlo._plain_chunks, cs, trials, seed)
-                    == _on_route(monkeypatch, oracle_mod._numpy_chunks, cs, trials, seed)), trials
+                    == _on_route(monkeypatch, montecarlo._numpy_chunks, cs, trials, seed)), trials
+
+    @pytest.mark.parametrize("n", [3, 7, 13])
+    def test_routes_agree_past_a_row_block_off_a_4_word_boundary(self, monkeypatch, n):
+        # The second block of rows starts at word rows * n: 3, 2 and 1 past a
+        # multiple of 4.  p away from 0 and 1 makes every success word count.
+        rows = montecarlo._SIM_BLOCK // n
+        rng = random.Random(f"offset-{n}")
+        cs = make_set([rng.uniform(0.05, 0.5) for _ in range(n)],
+                      [[rng.uniform(0.1, 10.0) for _ in range(1 + j % 3)] for j in range(n)])
+        assert (_on_route(monkeypatch, montecarlo._plain_chunks, cs, rows + 100, n)
+                == _on_route(monkeypatch, montecarlo._numpy_chunks, cs, rows + 100, n))
 
     @pytest.mark.parametrize("seed", [0, 5, 2**64 + 3, 2**200])
     @pytest.mark.parametrize("jump", [0, 1, 7, 2**64 + 1])
@@ -381,10 +416,10 @@ class TestPlainRoute:
             def _next32(self) -> int:
                 return next(self._draws)
 
-        monkeypatch.setattr(montecarlo, "_halves", crafted)
+        monkeypatch.setattr(streams, "_halves", crafted)
         reference = Crafted()
         want = [reference.integers(0, n) for _ in range(20)]
-        index, end = montecarlo._indices(None, 0, 0, 20, n)
+        index, end = streams._indices(None, 0, 0, 20, n)
         assert list(index) == want
         assert end == 20 + 4  # four draws of 0, each drawn again
         assert next(reference._draws) == draws[end]

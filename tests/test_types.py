@@ -209,6 +209,11 @@ def test_construction_coerces_as_documented():
     (lambda: BoundAssumptions(0.1, 0.5, 0.0, 0.0), r"^t_max must be positive, got 0.0$"),
     (lambda: BoundAssumptions(0.1, 0.5, profile="x"), r"^unknown profile 'x'; choose from"),
     (lambda: VerificationConfig(-1, 0), r"^instances must be >= 0, got -1$"),
+    # Band values are echoed bounded: past 100 characters cut, past the digit limit named.
+    (lambda: BoundAssumptions(10**4000, 0.5),
+     r"^need 0 < c <= d < 1, got c=10{99}\.\.\. \(4001 characters\), d=0\.5$"),
+    (lambda: BoundAssumptions(10**5000, 0.5),
+     r"^need 0 < c <= d < 1, got c=<unprintable int>, d=0\.5$"),
 ])
 def test_constructors_validate(build, message):
     with pytest.raises(ValueError, match=message):
