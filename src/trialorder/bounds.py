@@ -93,7 +93,7 @@ def _unit_sum(xs: Sequence[float]) -> float:
             return total
     for i, x in enumerate(xs):
         if not 0.0 <= x <= 1.0:
-            raise ValueError(f"element {i} out of [0, 1]: {x!r}")
+            raise ValueError(f"element {i} out of [0, 1]: {_shown(x)}")
     return math.fsum(xs)
 
 
@@ -131,7 +131,7 @@ def weighted_geometric_sum(r: float, n: int) -> float:
     if r == 1.0:
         raise ValueError("r = 1 is outside the closed form's domain")
     if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+        raise ValueError(f"n must be >= 0, got {_shown(n)}")
     if abs(1.0 - r) < 1e-3:
         return math.fsum(l * r**l for l in range(1, n + 1))
     return r / (1.0 - r) ** 2 * (n * r ** (n + 1) - (n + 1) * r**n + 1.0)
@@ -142,22 +142,22 @@ def weighted_geometric_sum(r: float, n: int) -> float:
 def _band_violations(cset: CandidateSet, a: BoundAssumptions) -> list[Violation]:
     if a.c <= min(cset.ps) and max(cset.ps) <= a.d:
         return []
-    out = []
+    out, band = [], f"[{_shown(a.c)}, {_shown(a.d)}]"
     for c, p in zip(cset, cset.ps):
         if not a.c <= p <= a.d:
-            out.append(Violation(_label(c.id), "p", f"probability {p} outside [{a.c}, {a.d}]"))
+            out.append(Violation(_label(c.id), "p", f"probability {p} outside {band}"))
     return out
 
 
 def _time_violations(cset: CandidateSet, t_min: float, t_max: float) -> list[Violation]:
     if t_min <= min(cset.ts) and max(cset.ts) <= t_max:
         return []
-    out = []
+    out, above, below = [], f"above t_max={_shown(t_max)}", f"below t_min={_shown(t_min)}"
     for c, mt in zip(cset, cset.ts):
         if mt > t_max:
-            out.append(Violation(_label(c.id), "times", f"mean time {mt} above t_max={t_max}"))
+            out.append(Violation(_label(c.id), "times", f"mean time {mt} {above}"))
         if mt < t_min:
-            out.append(Violation(_label(c.id), "times", f"mean time {mt} below t_min={t_min}"))
+            out.append(Violation(_label(c.id), "times", f"mean time {mt} {below}"))
     return out
 
 

@@ -3,7 +3,8 @@
 Each draws the numbers numpy draws for the same seed, so `check` (on PCG64)
 and `simulate`'s plain route (on Philox) keep their bytes with any numpy, or
 none, installed; numpy keeps its raw streams stable across versions (NEP 19).
-Bounded integers take Lemire's rule, _bounded, or on Philox its lane form _indices.
+Bounded integers take Lemire's rule: _bounded draw by draw, and on Philox its
+lane form _indices, a pass of draws at once, each rejected draw skipped.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import operator
 import sys
 from array import array
+from itertools import compress
 
 from .model import _shown
 
@@ -75,13 +77,11 @@ def _bounded(next32, span: int) -> int:
     """An integer in [0, span), 2 <= span < 2**32, by numpy's rule: Lemire's (2019) method.
 
     The 32-bit draw x maps to x * span >> 32; where the low 32 bits of x * span
-    (the leftover) fall below 2**32 % span, x is drawn again.
+    (the leftover) fall below 2**32 % span, x is rejected and the next draw read.
     """
-    m = next32() * span
-    if m & _MASK32 < span:
-        threshold = (1 << 32) % span
-        while m & _MASK32 < threshold:
-            m = next32() * span
+    threshold, m = (1 << 32) % span, next32() * span
+    while m & _MASK32 < threshold:
+        m = next32() * span
     return m >> 32
 
 
@@ -196,28 +196,18 @@ def _halves(key, jump: int, first: int, count: int) -> array:
 def _indices(key, jump: int, half: int, m: int, n: int):
     """``g.integers(0, n, size=m)`` from 32-bit draw ``half`` on: the m indices, and the next draw.
 
-    Each draw x gives x * n >> 32 unless its leftover, x * n mod 2**32, is below
-    2**32 % n (_bounded).  The products are formed at once, one per 64-bit lane
-    of a Python int; a lane whose leftover calls for another draw is drawn
-    again by _bounded, and the lanes resume after it.
+    _bounded's test on a pass of draws at once, each product x * n in a 64-bit
+    lane of one big int: a draw whose leftover is below 2**32 % n is skipped,
+    and the next pass reads only the draws still missing.
     """
     index, threshold = array("I"), (1 << 32) % n
-
-    def next32() -> int:
-        nonlocal half
-        half += 1
-        return _le(_halves(key, jump, half - 1, 1))[0]
-
-    while len(index) < m:
-        count = m - len(index)
+    while (count := m - len(index)) > 0:
         lanes = array("I", bytes(8 * count))
         lanes[::2] = _halves(key, jump, half, count)
         out = _le(array("I", (int.from_bytes(lanes, "little") * n).to_bytes(8 * count, "little")))
-        taken = count
+        kept = out[1::2]
         if threshold and min(out[::2]) < threshold:
-            taken = next(k for k, v in enumerate(out[::2]) if v < threshold)
-        index.extend(out[1:2 * taken:2])
-        half += taken
-        if taken < count:
-            index.append(_bounded(next32, n))
+            kept = compress(kept, [v >= threshold for v in out[::2]])
+        index.extend(kept)
+        half += count
     return index, half

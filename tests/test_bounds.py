@@ -504,3 +504,34 @@ class TestPremiseScans:
                              t_max=data.draw(st.floats(5.0, 10.0)),
                              profile=data.draw(st.sampled_from(["general-upper", "general-lower"])))
         assert check_assumptions(cs, a) == tuple(_walked_premises(cs, a))
+
+
+TWO = make_set([0.5, 0.4])
+HUGE = 10**5000  # past the int-to-str digit limit: its repr raises
+
+
+def _messages(violations):
+    return [v.message for v in violations]
+
+
+@pytest.mark.parametrize("build, want", [
+    (lambda: _messages(check_assumptions(TWO, BoundAssumptions(0.3, 0.6, HUGE, HUGE,
+                                                                "general-lower"))),
+     ["mean time 1.0 below t_min=<unprintable int>"] * 2),
+    (lambda: _messages(check_assumptions(TWO, BoundAssumptions(0.3, 0.6, 0.0,
+                                                                Fraction(1, HUGE)))),
+     ["mean time 1.0 above t_max=<unprintable Fraction>"] * 2),
+    (lambda: _messages(check_assumptions(TWO, BoundAssumptions(Fraction(1, HUGE),
+                                                                Fraction(10, HUGE)))),
+     [f"probability {p} outside [<unprintable Fraction>, <unprintable Fraction>]"
+      for p in (0.5, 0.4)]),
+    (lambda: product_upper_bound_kn([HUGE]), "element 0 out of [0, 1]: <unprintable int>"),
+    (lambda: weighted_geometric_sum(0.5, -HUGE), "n must be >= 0, got <unprintable int>"),
+], ids=["t_min", "t_max", "band", "element", "n"])
+def test_a_value_past_the_digit_limit_is_named_by_its_type(build, want):
+    if isinstance(want, str):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == want
+    else:
+        assert build() == want

@@ -1505,8 +1505,25 @@ class TestUsageEchoes:
                                               "(4001 characters)"),
         (["check", "--instances", "-" + BIG], f"instances must be >= 0, got -{BIG[:99]}... "
                                               "(4001 characters)"),
-    ], ids=["excess-k", "excess-n", "simulate-trials", "check-instances"])
+        # Past the limits: refused before any draw, where a run would not end.
+        (["simulate", "--trials", BIG], f"trials must be <= 1000000000, got {BIG[:100]}... "
+                                        "(4000 characters)"),
+        (["check", "--instances", BIG], f"instances must be <= 1000000, got {BIG[:100]}... "
+                                        "(4000 characters)"),
+    ], ids=["excess-k", "excess-n", "simulate-trials", "check-instances", "simulate-limit",
+            "check-limit"])
     def test_a_long_integer_is_echoed_bounded(self, capsys, three, argv, echo):
         code, out, err = run(capsys, [*argv, "-i", three] if argv[0] != "check" else argv)
         assert (code, out, err) == (1, "", f"trialorder: error: {echo}\n")
         assert len(err.encode()) < 1024
+
+    @pytest.mark.parametrize("cap, argv", [
+        ("trialorder.montecarlo._MAX_TRIALS", ["simulate", "--trials"]),
+        ("trialorder.checks._MAX_INSTANCES", ["check", "--instances"]),
+    ], ids=["simulate", "check"])
+    def test_a_count_at_its_limit_runs(self, capsys, monkeypatch, three, cap, argv):
+        monkeypatch.setattr(cap, 10)
+        tail = ["-i", three] if argv[0] == "simulate" else []
+        assert run(capsys, [*argv, "10", *tail])[0] == 0
+        code, out, err = run(capsys, [*argv, "11", *tail])
+        assert (code, out) == (1, "") and err.endswith(" must be <= 10, got 11\n")

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import trialorder.montecarlo as montecarlo
 from helpers import candidate_sets, eq2_for_perms, make_set, rel_ok, simulate_chunk_matrix
-from trialorder import search
+from trialorder import search, streams
 from trialorder import (
     Ordering,
     VerificationConfig,
@@ -400,29 +400,65 @@ class TestPlainRoute:
     @pytest.mark.parametrize("n", [3, 1000])
     def test_a_redraw_takes_the_scalar_rule(self, monkeypatch, n):
         # x = 0 leaves leftover 0, below 2**32 % n for n = 3 and 1000: drawn again.
-        from trialorder import streams
-
         draws = [7, 0, 2**31 + 1, 0, 0, 5, 2**32 - 1, 0, *range(1, 3000, 3)]
-
-        def crafted(key, jump, first, count):
-            return streams._le(array("I", draws[first:first + count]))
-
-        class Crafted(streams._Stream):
-            __slots__ = ("_draws",)
-
-            def __init__(self) -> None:
-                self._draws = iter(draws)
-
-            def _next32(self) -> int:
-                return next(self._draws)
-
-        monkeypatch.setattr(streams, "_halves", crafted)
-        reference = Crafted()
+        reference, _ = _crafted(monkeypatch, draws)
         want = [reference.integers(0, n) for _ in range(20)]
         index, end = streams._indices(None, 0, 0, 20, n)
         assert list(index) == want
         assert end == 20 + 4  # four draws of 0, each drawn again
         assert next(reference._draws) == draws[end]
+
+    @pytest.mark.parametrize("n", [3, 1000])
+    def test_a_pass_reads_only_the_draws_still_missing(self, monkeypatch, n):
+        draws = [7, 0, 2**31 + 1, 0, 0, 5, 2**32 - 1, 0, *range(1, 3000, 3)]
+        _, reads = _crafted(monkeypatch, draws)
+        streams._indices(None, 0, 0, 20, n)
+        assert reads == [(0, 20), (20, 4)]  # the four rejected draws are read again, once
+
+    @pytest.mark.parametrize("n", [3, 1000, 2**31 + 1])
+    @pytest.mark.parametrize("m, head, passes", [
+        (5, [1, 3, 5, 7, 0], [(0, 6), (6, 1)]),  # a rejection at a pass's last lane
+        (5, [1, 0, 0, 3, 5], [(0, 6), (6, 2)]),  # two rejections in a row
+        (4, [1, 0, 0, 3, 0, 0], [(0, 5), (5, 2), (7, 2)]),  # a refill pass, every lane rejected
+    ], ids=["last-lane", "in-a-row", "refill-rejected"])
+    def test_a_rejected_draw_is_skipped(self, monkeypatch, n, m, head, passes):
+        # x = 0 is rejected for every n, an odd x below 3000 for none; `edge` leaves a
+        # leftover of exactly 2**32 % n, and is kept.
+        threshold, g = (1 << 32) % n, math.gcd(n, 1 << 32)
+        edge = threshold // g * pow(n // g, -1, (1 << 32) // g) % ((1 << 32) // g)
+        assert edge * n % (1 << 32) == threshold != 0
+        draws = [edge, *head, *range(11, 3000, 14)]
+        reference, reads = _crafted(monkeypatch, draws)
+        want = [reference.integers(0, n) for _ in range(m + 1)]
+        index, end = streams._indices(None, 0, 0, m + 1, n)
+        assert list(index) == want
+        assert next(reference._draws) == draws[end]
+        assert reads == passes  # each pass reads on from the last, only the draws missing
+
+
+def _crafted(monkeypatch, draws):
+    """``draws`` as Philox's 32-bit halves: a _Stream drawing them, and the list of _halves' reads.
+
+    The _Stream takes the draws one by one through _bounded, the scalar rule
+    that _indices' lanes are judged against; each read is ``(first, count)``.
+    """
+    reads = []
+
+    def crafted(key, jump, first, count):
+        reads.append((first, count))
+        return streams._le(array("I", draws[first:first + count]))
+
+    class Crafted(streams._Stream):
+        __slots__ = ("_draws",)
+
+        def __init__(self) -> None:
+            self._draws = iter(draws)
+
+        def _next32(self) -> int:
+            return next(self._draws)
+
+    monkeypatch.setattr(streams, "_halves", crafted)
+    return Crafted(), reads
 
 
 class TestVerifyBoundsRandom:
